@@ -22,7 +22,7 @@ from .core import (
     Configuration,
     reduce_or_win,
 )
-from .degsearch import find_dense_2deg
+from .degsearch import STRATEGIES, find_dense_2deg
 from .driver import DriverParams, find_be_s_configuration
 from .errors import BesforgeError, FormatError
 from .girth import girth_of, grow_girth_graph, verify_certificate
@@ -63,6 +63,13 @@ def _seed_of(args):
     return args.seed if args.seed is not None else _env_seed()
 
 
+def _positive_int(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="besforge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -98,9 +105,9 @@ def build_parser():
     ff.add_argument("--input", required=True)
     ff.add_argument("--k", type=int, required=True)
     ff.add_argument("--t", type=int, required=True)
-    ff.add_argument("--strategy", default="peel", choices=["peel", "greedy", "exhaustive"])
+    ff.add_argument("--strategy", default="peel", choices=STRATEGIES)
     _add_seed(ff)
-    ff.add_argument("--budget-ms", type=int, default=None)
+    ff.add_argument("--budget-ms", type=_positive_int, default=None)
     ff.add_argument("--report", default=None)
     ff.add_argument("--no-timestamp", action="store_true")
 
@@ -108,9 +115,9 @@ def build_parser():
     up.add_argument("--input", required=True)
     up.add_argument("--k", type=int, required=True)
     up.add_argument("--t", type=int, required=True)
-    up.add_argument("--strategy", default="peel", choices=["peel", "greedy", "exhaustive"])
+    up.add_argument("--strategy", default="peel", choices=STRATEGIES)
     _add_seed(up)
-    up.add_argument("--budget-ms", type=int, default=None)
+    up.add_argument("--budget-ms", type=_positive_int, default=None)
     up.add_argument("--trace", default=None, help="path for the JSON step trace")
     up.add_argument("--report", default=None)
     up.add_argument("--no-timestamp", action="store_true")
@@ -123,9 +130,9 @@ def build_parser():
     so.add_argument("--tau-max", type=int, default=4)
     so.add_argument("--base-e", type=int, default=4)
     so.add_argument("--paper-mode", action="store_true")
-    so.add_argument("--strategy", default="peel", choices=["peel", "greedy", "exhaustive"])
+    so.add_argument("--strategy", default="peel", choices=STRATEGIES)
     _add_seed(so)
-    so.add_argument("--budget-ms", type=int, default=None)
+    so.add_argument("--budget-ms", type=_positive_int, default=None)
     so.add_argument("--report", default=None)
     so.add_argument("--no-timestamp", action="store_true")
 
@@ -334,16 +341,8 @@ def _cmd_girth(args):
 
 def _cmd_verify(args):
     system = _read_system(args.input)
-    edges = []
     with open(args.config, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if tokens[0] != "e" or len(tokens) != 4:
-                raise FormatError(f"line {lineno}: expected 'e a b c'")
-            edges.append(tuple(int(x) for x in tokens[1:]))
+        edges = textio.loads_edges(fh.read())
     cfg = Configuration.from_edges(system, edges)
     ok = verify_configuration(system, cfg, args.v, args.e)
     print("true" if ok else "false")

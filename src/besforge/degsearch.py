@@ -16,6 +16,7 @@ from math import comb
 from .errors import GuardExceededError, ParameterError
 from .graphs import canon_edge
 
+STRATEGIES = ("peel", "greedy", "exhaustive")
 _ENUM_GUARD = 10**7
 _DP_VERTEX_CAP = 20
 
@@ -331,11 +332,17 @@ def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None):
     growth from a high-degree edge), 'exhaustive' (exact, small hosts only).
     Failure is first-class: the densest candidate found is always returned.
     """
+    if strategy not in STRATEGIES:
+        raise ParameterError(f"unknown strategy {strategy!r}")
     if k < 2:
         raise ParameterError("k must be at least 2")
     if k > g.n:
         raise ParameterError(f"k={k} exceeds host order {g.n}")
-    budget_end = time.monotonic() + budget_ms / 1000.0 if budget_ms else None
+    budget_end = None
+    if budget_ms is not None:
+        if budget_ms <= 0:
+            raise ParameterError("budget_ms must be positive (None for unlimited)")
+        budget_end = time.monotonic() + budget_ms / 1000.0
 
     if strategy == "exhaustive":
         cand = _exhaustive_best(g, k)
@@ -348,7 +355,7 @@ def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None):
                 cand = trial
             if budget_end is not None and time.monotonic() > budget_end:
                 break
-    elif strategy == "peel":
+    else:
         cand = _window_candidates(g, k, budget_end)
         if cand is None:
             cand = _trim_on_set(g, g.vertices[:k])
@@ -356,8 +363,6 @@ def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None):
             cand2 = _local_search(g, cand, k, budget_end)
             if cand2.sort_key() < cand.sort_key():
                 cand = cand2
-    else:
-        raise ParameterError(f"unknown strategy {strategy!r}")
 
     cand.validate(g)
     return SearchResult(cand, cand.achieved_t <= t_target)

@@ -8,12 +8,12 @@ the recursive machinery is actually exercised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .auxgraph import build_aux, simple_subgraph
 from .core import Configuration, TripartiteLinearSystem, verify_configuration
-from .degsearch import find_dense_2deg
-from .errors import ExhaustionError, ParameterError
+from .degsearch import STRATEGIES, find_dense_2deg
+from .errors import ExhaustionError, IntegrityError, ParameterError
 from .unpack import unpack
 
 
@@ -36,6 +36,12 @@ class DriverParams:
     strategy: str = "peel"
 
     def __post_init__(self):
+        if self.t < 1 or self.k0 < 1:
+            raise ParameterError("t and k0 must be positive")
+        if self.budget_ms is not None and self.budget_ms <= 0:
+            raise ParameterError("budget_ms must be positive (None for unlimited)")
+        if self.strategy not in STRATEGIES:
+            raise ParameterError(f"unknown strategy {self.strategy!r}")
         if self.tau_max < 0:
             raise ParameterError("tau_max must be non-negative")
         if self.base_e < 1:
@@ -62,18 +68,7 @@ class FrameReport:
     note: str = ""
 
     def to_json_dict(self):
-        return {
-            "e_prime": self.e_prime,
-            "branch": self.branch,
-            "flagged": self.flagged,
-            "residual_edges": self.residual_edges,
-            "k": self.k,
-            "f_edges": self.f_edges,
-            "achieved_t": self.achieved_t,
-            "unpack_v": self.unpack_v,
-            "unpack_e": self.unpack_e,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,11 @@ def _greedy_pick(available, count, span, edge_keys):
 
 
 def find_be_s_configuration(lts, e, params=None):
-    """Produce exactly e hyperedges of lts with small span; see module docstring."""
+    """Produce exactly e hyperedges of lts with small span; see module docstring.
+
+    Each pass records a top_up or recurse frame and removes its hyperedges from
+    the residual, or stops with a note; one greedy base pick supplies the rest.
+    """
     if params is None:
         params = DriverParams()
     if e < 1:
@@ -136,100 +135,58 @@ def find_be_s_configuration(lts, e, params=None):
     chosen = []
     frames = []
     e_prime = e
-    frame_idx = 0
-
-    def base_frame(count, flagged, note=""):
-        span = {key for x in chosen for key in lts.edge_keys(x)}
-        avail = [x for x in residual if x not in set(chosen)]
-        try:
-            picked = _greedy_pick(avail, count, span, lts.edge_keys)
-        except ExhaustionError as err:
-            err.partial = _report(flag_extra=True)
-            raise
-        chosen.extend(picked)
-        frames.append(
-            FrameReport(count, "base", flagged, len(avail), note=note)
-        )
-
-    def _report(flag_extra=False):
-        cfg = Configuration.from_edges(lts, chosen)
-        flagged_any = flag_extra or any(f.flagged for f in frames)
-        return DriverReport(
-            e=e,
-            configuration=cfg,
-            d_achieved=cfg.v - cfg.e,
-            d_paper=paper_constant_d(params.t, params.k0),
-            frames=tuple(frames),
-            any_flagged=flagged_any,
-        )
-
-    while e_prime > 0:
-        if e_prime <= params.base_threshold:
-            base_frame(e_prime, flagged=False)
-            e_prime = 0
-            break
+    note = ""
+    while e_prime > params.base_threshold:
         k = e_prime // 4
         if k < max(2, params.k0):
-            base_frame(e_prime, flagged=True, note="k below minimum; base fallback")
-            e_prime = 0
+            note = "k below minimum; base fallback"
             break
         sub = TripartiteLinearSystem(lts.sizes, tuple(residual))
         aux = build_aux(sub)
         simple = simple_subgraph(aux)
         if simple.graph.n < k or simple.graph.m == 0:
-            base_frame(e_prime, flagged=True, note="pair graph too small; base fallback")
-            e_prime = 0
+            note = "pair graph too small; base fallback"
             break
         result = find_dense_2deg(
-            simple.graph,
-            k,
-            params.t,
-            strategy=params.strategy,
-            seed=params.seed + frame_idx,
-            budget_ms=params.budget_ms,
+            simple.graph, k, params.t, strategy=params.strategy,
+            seed=params.seed + len(frames), budget_ms=params.budget_ms,
         )
         cand = result.candidate
         cfg, trace = unpack(cand, aux, sub, simple=simple)
         fe = trace.e_total
-        flagged = not result.success
-        if e_prime - fe <= params.tau_max:
-            chosen.extend(cfg.edges)
-            frames.append(
-                FrameReport(
-                    e_prime, "top_up", flagged, len(residual),
-                    k=k, f_edges=len(cand.edges), achieved_t=cand.achieved_t,
-                    unpack_v=trace.v_total, unpack_e=fe,
-                )
-            )
-            remaining = e_prime - fe
-            if remaining > 0:
-                span = {key for x in chosen for key in lts.edge_keys(x)}
-                avail = [x for x in residual if x not in set(chosen)]
-                picked = _greedy_pick(avail, remaining, span, lts.edge_keys)
-                chosen.extend(picked)
-            e_prime = 0
+        top_up = e_prime - fe <= params.tau_max
+        if not top_up and not (fe >= trace.v_total and fe > 0):
+            note = "candidate neither dense nor self-sustaining"
             break
-        if fe >= trace.v_total and fe > 0:
-            chosen.extend(cfg.edges)
-            cfg_set = set(cfg.edges)
-            residual = [x for x in residual if x not in cfg_set]
-            frames.append(
-                FrameReport(
-                    e_prime, "recurse", flagged, len(residual),
-                    k=k, f_edges=len(cand.edges), achieved_t=cand.achieved_t,
-                    unpack_v=trace.v_total, unpack_e=fe,
-                )
+        chosen.extend(cfg.edges)
+        before = len(residual)
+        used = set(cfg.edges)
+        residual = [x for x in residual if x not in used]
+        frames.append(
+            FrameReport(
+                e_prime, "top_up" if top_up else "recurse", not result.success,
+                before if top_up else len(residual),
+                k=k, f_edges=len(cand.edges), achieved_t=cand.achieved_t,
+                unpack_v=trace.v_total, unpack_e=fe,
             )
-            e_prime -= fe
-            frame_idx += 1
-            continue
-        base_frame(
-            e_prime, flagged=True, note="candidate neither dense nor self-sustaining"
         )
-        e_prime = 0
-        break
+        e_prime -= fe
+        if top_up:
+            break
 
-    report = _report()
-    assert report.configuration.e == e
-    assert verify_configuration(lts, report.configuration, report.configuration.v, e)
-    return report
+    span = {key for x in chosen for key in lts.edge_keys(x)}
+    chosen.extend(_greedy_pick(residual, e_prime, span, lts.edge_keys))
+    if not (frames and frames[-1].branch == "top_up"):
+        frames.append(FrameReport(e_prime, "base", bool(note), len(residual), note=note))
+
+    cfg = Configuration.from_edges(lts, chosen)
+    if cfg.e != e or not verify_configuration(lts, cfg, cfg.v, e):
+        raise IntegrityError(f"assembled configuration fails the contract for e={e}")
+    return DriverReport(
+        e=e,
+        configuration=cfg,
+        d_achieved=cfg.v - cfg.e,
+        d_paper=paper_constant_d(params.t, params.k0),
+        frames=tuple(frames),
+        any_flagged=any(f.flagged for f in frames),
+    )

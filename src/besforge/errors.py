@@ -57,8 +57,7 @@ class GrowthError(BesforgeError):
 class ExhaustionError(BesforgeError):
     """The residual system ran out of hyperedges mid-assembly."""
 
-    def __init__(self, needed, available, partial=None):
+    def __init__(self, needed, available):
         self.needed = needed
         self.available = available
-        self.partial = partial
         super().__init__(f"need {needed} hyperedges but only {available} remain")

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import comb
 
-from .errors import GrowthError, ParameterError
+from .errors import GrowthError, IntegrityError, ParameterError
 from .graphs import Graph, two_coloring, within_distance
 
 log = logging.getLogger(__name__)
@@ -77,7 +77,7 @@ def grow_girth_graph(k, t, g, seed=0, deterministic=False):
         graph.add_edge(v, u2)
         attachments.append((v, u1, u2))
         if graph.degree(u1) > _MAX_DEGREE or graph.degree(u2) > _MAX_DEGREE:
-            raise AssertionError("degree cap violated")
+            raise IntegrityError(f"degree cap {_MAX_DEGREE} violated at step {v}")
 
     cert = GrowthCertificate(t, tuple(range(k)), tuple(attachments), tuple(sides))
     return graph, cert
@@ -165,13 +165,13 @@ def verify_certificate(graph, cert):
     return True
 
 
-def find_growth_t(k, g, seed=0, t_start=2):
+def find_growth_t(k, g, seed=0):
     """Double t until growth succeeds for the requested k and g.
 
     Returns (t, graph, certificate). The existence threshold t(g) is not
     known in closed form, so this is the practical substitute.
     """
-    t = max(1, t_start)
+    t = 2
     while t <= k:
         try:
             graph, cert = grow_girth_graph(k, t, g, seed=seed)

@@ -61,17 +61,6 @@ class Graph:
     def adjacency(self):
         return self._adj
 
-    def induced(self, vertex_set):
-        keep = set(vertex_set)
-        g = Graph(vertices=sorted(keep))
-        for u in keep:
-            if u not in self._adj:
-                continue
-            for v in self._adj[u]:
-                if v in keep and u < v:
-                    g.add_edge(u, v)
-        return g
-
 
 def two_coloring(g):
     """A BFS 2-coloring as a dict vertex -> 0/1, or None if not bipartite."""

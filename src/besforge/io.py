@@ -7,24 +7,51 @@ whitespace-separated and every record line is newline-terminated.
 from __future__ import annotations
 
 from .core import TripartiteLinearSystem, TripleSystem
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 from .girth import GrowthCertificate
 from .graphs import Graph
 
 
-def _records(text):
+def _records(text, arity):
+    """Yield (lineno, tag, ints) per record line.
+
+    `arity` maps each allowed tag ('e', or a two-token header tag such as
+    'p tls') to the number of integer tokens that must follow it.
+    """
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        yield lineno, stripped.split()
+        tag, rest = tokens[0], tokens[1:]
+        if tag not in arity:
+            tag, rest = " ".join(tokens[:2]), tokens[2:]
+        if tag not in arity:
+            raise FormatError(f"line {lineno}: unknown record {line.strip()!r}")
+        if len(rest) != arity[tag]:
+            raise FormatError(f"line {lineno}: '{tag}' needs {arity[tag]} integers, got {rest}")
+        try:
+            ints = tuple(map(int, rest))
+        except ValueError:
+            raise FormatError(f"line {lineno}: expected integers, got {rest}") from None
+        yield lineno, tag, ints
 
 
-def _ints(tokens, lineno):
-    try:
-        return [int(x) for x in tokens]
-    except ValueError:
-        raise FormatError(f"line {lineno}: expected integers, got {tokens}") from None
+def _header_and_body(records, header_tags):
+    """Split parsed records into the single header and the remaining records."""
+    header = None
+    body = []
+    for lineno, tag, ints in records:
+        if tag not in header_tags:
+            if header is None:
+                raise FormatError(f"line {lineno}: record before header")
+            body.append((tag, ints))
+        elif header is not None:
+            raise FormatError(f"line {lineno}: duplicate header")
+        else:
+            header = (tag, ints)
+    if header is None:
+        raise FormatError(f"missing header ({' or '.join(header_tags)})")
+    return header, body
 
 
 def dumps_system(system):
@@ -41,39 +68,24 @@ def dumps_system(system):
 
 
 def loads_system(text):
-    header = None
-    edges = []
-    expect = None
-    for lineno, tokens in _records(text):
-        if tokens[0] == "p":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if tokens[1] == "ts" and len(tokens) == 4:
-                header = ("ts", *_ints(tokens[2:], lineno))
-            elif tokens[1] == "tls" and len(tokens) == 6:
-                header = ("tls", *_ints(tokens[2:], lineno))
-            else:
-                raise FormatError(f"line {lineno}: bad header {' '.join(tokens)}")
-        elif tokens[0] == "e":
-            if header is None:
-                raise FormatError(f"line {lineno}: edge before header")
-            if len(tokens) != 4:
-                raise FormatError(f"line {lineno}: edge needs three vertices")
-            edges.append(tuple(_ints(tokens[1:], lineno)))
-        else:
-            raise FormatError(f"line {lineno}: unknown record {tokens[0]!r}")
-    if header is None:
-        raise FormatError("missing 'p' header")
-    kind = header[0]
-    if kind == "ts":
-        n, m = header[1], header[2]
-        if len(edges) != m:
-            raise FormatError(f"header declares {m} edges, found {len(edges)}")
-        return TripleSystem(n, tuple(edges))
-    na, nb, nc, m = header[1:]
+    """Parse a 'p ts' or 'p tls' system; out-of-range or repeated edges are format errors."""
+    (kind, (*sizes, m)), body = _header_and_body(
+        _records(text, {"p ts": 2, "p tls": 4, "e": 3}), ("p ts", "p tls")
+    )
+    edges = tuple(ints for _, ints in body)
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
-    return TripartiteLinearSystem((na, nb, nc), tuple(edges))
+    try:
+        if kind == "p ts":
+            return TripleSystem(sizes[0], edges)
+        return TripartiteLinearSystem(tuple(sizes), edges)
+    except ParameterError as err:
+        raise FormatError(str(err)) from None
+
+
+def loads_edges(text):
+    """Parse a configuration file of 'e a b c' lines; returns the triples."""
+    return [ints for _, _, ints in _records(text, {"e": 3})]
 
 
 def dumps_aux(aux):
@@ -99,36 +111,25 @@ def loads_graph(text):
 
     Certificate sides are reconstructed by replaying the balanced growth rule.
     """
-    n = None
-    edges = []
-    t = None
-    attachments = []
-    for lineno, tokens in _records(text):
-        if tokens[0] == "p":
-            if len(tokens) != 4 or tokens[1] != "graph":
-                raise FormatError(f"line {lineno}: bad header")
-            n, _m = _ints(tokens[2:], lineno)
-        elif tokens[0] == "g":
-            u, v = _ints(tokens[1:], lineno)
-            edges.append((u, v))
-        elif tokens[0] == "c":
-            (t,) = _ints(tokens[1:], lineno)
-        elif tokens[0] == "a":
-            v, u1, u2 = _ints(tokens[1:], lineno)
-            attachments.append((v, u1, u2))
-        else:
-            raise FormatError(f"line {lineno}: unknown record {tokens[0]!r}")
-    if n is None:
-        raise FormatError("missing 'p graph' header")
+    (_, (n, m)), body = _header_and_body(
+        _records(text, {"p graph": 2, "g": 2, "c": 1, "a": 3}), ("p graph",)
+    )
+    edges = [ints for tag, ints in body if tag == "g"]
+    if n < 0 or any(not (0 <= u < n and 0 <= v < n) or u == v for u, v in edges):
+        raise FormatError(f"graph on {n} vertices has an edge outside [0, {n}) or a loop")
     graph = Graph(vertices=range(n), edges=edges)
-    cert = None
-    if t is not None:
-        sides = _replay_sides(n, t)
-        cert = GrowthCertificate(t, tuple(range(n)), tuple(attachments), sides)
-    return graph, cert
+    if len(edges) != m or graph.m != m:
+        raise FormatError(f"header declares {m} edges, found {len(edges)} ({graph.m} distinct)")
+    certs = [ints[0] for tag, ints in body if tag == "c"]
+    attachments = tuple(ints for tag, ints in body if tag == "a")
+    if len(certs) > 1 or (attachments and not certs):
+        raise FormatError("certificate 'a' lines need exactly one 'c' line")
+    if not certs:
+        return graph, None
+    return graph, GrowthCertificate(certs[0], tuple(range(n)), attachments, _replay_sides(n))
 
 
-def _replay_sides(n, t):
+def _replay_sides(n):
     sides = []
     count = {"A": 0, "B": 0}
     for _ in range(n):

@@ -70,6 +70,11 @@ def test_parameter_errors():
         find_dense_2deg(c4(), 5, 3)
     with pytest.raises(ParameterError):
         find_dense_2deg(c4(), 1, 3)
+    with pytest.raises(ParameterError):
+        find_dense_2deg(c4(), 2, 3, strategy="anneal")
+    for budget_ms in (0, -1):
+        with pytest.raises(ParameterError):
+            find_dense_2deg(c4(), 2, 3, budget_ms=budget_ms)
 
 
 def test_brute_force_trivia():

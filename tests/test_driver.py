@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import besforge.driver
 from besforge import (
     DriverParams,
     ExhaustionError,
+    IntegrityError,
     ParameterError,
     find_be_s_configuration,
     group_system,
@@ -12,6 +14,8 @@ from besforge import (
     paper_constant_d,
     verify_configuration,
 )
+from besforge import io as textio
+from besforge.cli import main
 
 PRACTICAL = DriverParams(t=4, tau_max=4, base_e=4)
 
@@ -86,6 +90,24 @@ def test_paper_mode_short_circuits_to_base():
 def test_exhaustion_error():
     with pytest.raises(ExhaustionError):
         find_be_s_configuration(group_system(2), 5, PRACTICAL)
+
+
+@pytest.mark.parametrize("fields", [
+    {"t": 0}, {"k0": 0}, {"budget_ms": 0}, {"budget_ms": -1}, {"strategy": "anneal"},
+    {"tau_max": -1}, {"base_e": 0},
+])
+def test_params_rejected_when_built(fields):
+    with pytest.raises(ParameterError):
+        DriverParams(**fields)
+
+
+def test_failed_contract_raises_integrity_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(besforge.driver, "verify_configuration", lambda *args: False)
+    with pytest.raises(IntegrityError):
+        find_be_s_configuration(group_system(3), 4, PRACTICAL)
+    g3 = tmp_path / "g3.tls"
+    g3.write_text(textio.dumps_system(group_system(3)))
+    assert main(["solve", "--input", str(g3), "--e", "4"]) == 1
 
 
 def test_oracle_dominance_small():

@@ -1,9 +1,11 @@
 import pytest
 
+import besforge.girth
 from besforge import (
     Graph,
     GrowthCertificate,
     GrowthError,
+    IntegrityError,
     ParameterError,
     find_growth_t,
     girth_of,
@@ -42,6 +44,12 @@ def test_worked_200_vertex_example():
 def test_growth_failure_when_t_too_small():
     with pytest.raises(GrowthError):
         grow_girth_graph(60, 2, 8, seed=0)
+
+
+def test_degree_cap_violation_is_an_integrity_error(monkeypatch):
+    monkeypatch.setattr(besforge.girth, "_PAIR_DEGREE_CAP", 100)
+    with pytest.raises(IntegrityError):
+        grow_girth_graph(40, 4, 3, deterministic=True)
 
 
 def test_parameter_validation():

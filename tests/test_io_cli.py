@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besforge import group_system, grow_girth_graph, random_linear, to_triple_system
 from besforge import io as textio
@@ -30,6 +32,80 @@ def test_format_errors():
         textio.loads_system("p tls 1 1 1 2\ne 0 0 0\n")
     with pytest.raises(FormatError):
         textio.loads_system("p ts x 1\n")
+
+
+MALFORMED_SYSTEMS = {
+    "bare_header": "p\n",
+    "vertex_outside_its_part": "p tls 2 2 2 1\ne 0 0 5\n",
+    "duplicate_triple": "p tls 2 2 2 2\ne 0 0 0\ne 0 0 0\n",
+    "repeated_vertex": "p ts 3 1\ne 0 1 1\n",
+    "negative_part_size": "p tls -1 2 2 0\n",
+    "short_edge": "p tls 1 1 1 1\ne 0 0\n",
+    "duplicate_header": "p tls 1 1 1 1\np tls 1 1 1 1\ne 0 0 0\n",
+}
+
+MALFORMED_GRAPHS = {
+    "three_endpoints": "p graph 3 1\ng 0 1 2\n",
+    "loop": "p graph 3 1\ng 1 1\n",
+    "endpoint_outside_the_graph": "p graph 3 1\ng 0 99\n",
+    "declared_edge_count_disagrees": "p graph 3 2\ng 0 1\n",
+    "repeated_edge": "p graph 3 2\ng 0 1\ng 1 0\n",
+    "attachment_without_a_certificate_line": "p graph 3 0\na 2 0 1\n",
+    "no_header": "g 0 1\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_SYSTEMS.values(), ids=MALFORMED_SYSTEMS)
+def test_malformed_system_is_a_format_error(text):
+    with pytest.raises(FormatError):
+        textio.loads_system(text)
+
+
+@pytest.mark.parametrize("text", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS)
+def test_malformed_graph_is_a_format_error(text):
+    with pytest.raises(FormatError):
+        textio.loads_graph(text)
+
+
+def test_config_edges_need_three_integers():
+    assert textio.loads_edges("# cfg\ne 0 1 2\n") == [(0, 1, 2)]
+    for text in ("e x 0 0\n", "e 0 0\n", "f 0 0 0\n"):
+        with pytest.raises(FormatError):
+            textio.loads_edges(text)
+
+
+_VALID_SYSTEM = textio.dumps_system(random_linear(4, 4, 4, 6, seed=1))
+_VALID_GRAPH = textio.dumps_graph(*grow_girth_graph(8, 4, 4, seed=1))
+_TOKENS = st.sampled_from(["", "p", "e", "g", "a", "c", "ts", "tls", "graph", "#",
+                           "-1", "0", "1", "2", "3", "7", "x", "1.5"])
+
+
+def _mutate(text, data):
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        j = data.draw(st.integers(0, len(lines[i])))
+        token = data.draw(_TOKENS)
+        action = data.draw(st.sampled_from(["replace", "insert", "delete", "drop_line"]))
+        if action == "replace" and j < len(lines[i]):
+            lines[i][j] = token
+        elif action == "insert":
+            lines[i].insert(j, token)
+        elif action == "delete" and j < len(lines[i]):
+            del lines[i][j]
+        elif action == "drop_line" and len(lines) > 1:
+            del lines[i]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_files_raise_only_format_errors(data):
+    for loads, text in ((textio.loads_system, _VALID_SYSTEM), (textio.loads_graph, _VALID_GRAPH)):
+        try:
+            loads(_mutate(text, data))
+        except FormatError:
+            pass
 
 
 def test_graph_cert_round_trip():
@@ -94,6 +170,42 @@ def test_cli_exit_codes(tmp_path, capsys):
     # asking for more edges than exist is a domain failure
     assert main(["solve", "--input", str(g2), "--e", "9"]) == 1
     assert main(["oracle", "--input", str(tmp_path / "nope.tls"), "--e", "1"]) == 2
+
+
+@pytest.mark.parametrize("command, text", [
+    *[pytest.param(["aux"], text, id=f"aux-{name}") for name, text in MALFORMED_SYSTEMS.items()],
+    *[pytest.param(["girth", "check"], text, id=f"girth-{name}")
+      for name, text in MALFORMED_GRAPHS.items()],
+    pytest.param(["verify", "--v", "3", "--e", "1", "--config"], "e x 0 0\n", id="verify-config"),
+])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, command, text):
+    host = tmp_path / "g3.tls"
+    host.write_text(textio.dumps_system(group_system(3)))
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    if command[0] == "verify":
+        argv = ["verify", "--input", str(host), *command[1:], str(bad)]
+    else:
+        argv = [*command, "--input", str(bad)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("format error:")
+
+
+@pytest.mark.parametrize("flags", [["--budget-ms", "0"], ["--budget-ms", "-5"],
+                                   ["--strategy", "anneal"]])
+def test_cli_rejects_bad_driver_flags_as_usage_errors(tmp_path, flags):
+    g3 = tmp_path / "g3.tls"
+    g3.write_text(textio.dumps_system(group_system(3)))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(g3), "--e", "2", *flags])
+    assert exc.value.code == 2
+
+
+def test_cli_rejects_bad_t_before_solving(tmp_path, capsys):
+    g3 = tmp_path / "g3.tls"
+    g3.write_text(textio.dumps_system(group_system(3)))
+    assert main(["solve", "--input", str(g3), "--e", "2", "--t", "0"]) == 1
+    assert "t and k0 must be positive" in capsys.readouterr().err
 
 
 def test_cli_verify_and_unpack(tmp_path, capsys):
