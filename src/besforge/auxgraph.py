@@ -70,7 +70,7 @@ def build_aux(lts):
     for a, b, c in lts.edges:
         by_apex.setdefault(c, []).append((a, b))
 
-    edges = []
+    rows = []
     for c in sorted(by_apex):
         incident = sorted(by_apex[c])
         for (a1, b1), (a2, b2) in combinations(incident, 2):
@@ -81,8 +81,11 @@ def build_aux(lts):
             w = ("B", min(b1, b2), max(b1, b2))
             pairing = "S" if b1 < b2 else "X"
             h1, h2 = sorted(((a1, b1, c), (a2, b2, c)))
-            edges.append(AuxEdge(u, w, c, pairing, h1, h2))
-    edges.sort()
+            rows.append((u, w, c, pairing, h1, h2))
+    # plain tuples sort in C; (u, w, apex) is unique by linearity, so this is
+    # the AuxEdge field order
+    rows.sort()
+    edges = [AuxEdge(*row) for row in rows]
 
     mult = {}
     for ed in edges:

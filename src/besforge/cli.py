@@ -187,6 +187,9 @@ def _cmd_gen(args):
 
 def _cmd_reduce(args):
     system = _read_system(args.input)
+    if isinstance(system, TripartiteLinearSystem):
+        # reduce_or_win reads global ids; 'p tls' ids are part-local
+        system = to_triple_system(system)
     result = reduce_or_win(system, args.e, seed=_seed_of(args))
     if result.is_win:
         payload = {
@@ -343,6 +346,9 @@ def _cmd_verify(args):
     system = _read_system(args.input)
     with open(args.config, "r", encoding="utf-8") as fh:
         edges = textio.loads_edges(fh.read())
+    if not isinstance(system, TripartiteLinearSystem):
+        # 'p ts' hosts store each triple sorted; 'p tls' triples are positional
+        edges = [tuple(sorted(x)) for x in edges]
     cfg = Configuration.from_edges(system, edges)
     ok = verify_configuration(system, cfg, args.v, args.e)
     print("true" if ok else "false")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb
 
@@ -80,34 +81,92 @@ class SearchResult:
         return self.candidate.achieved_t
 
 
+def _induced(adj, verts):
+    """Neighbour lists, by rank, of the subgraph induced on the sorted list verts.
+
+    Ranks follow vertex order, so comparing ranks compares vertices.
+    """
+    rank = {v: i for i, v in enumerate(verts)}
+    return [[rank[w] for w in adj.get(v, ()) if w in rank] for v in verts]
+
+
+def _peel_core(nbrs, skip=None):
+    """Smallest-last peeling (Matula-Beck) of rank-indexed neighbour lists.
+
+    Repeatedly removes the vertex of least (degree, rank), found with a
+    lazy-deletion heap; the vertex `skip`, if given, is left out. Returns the
+    removal order and each vertex's degree at removal, which is its number of
+    neighbours removed after it.
+    """
+    deg = [len(ws) for ws in nbrs]
+    alive = [True] * len(nbrs)
+    if skip is not None:
+        alive[skip] = False
+        for w in nbrs[skip]:
+            deg[w] -= 1
+    heap = [(d, v) for v, d in enumerate(deg) if alive[v]]
+    heapify(heap)
+    removal = []
+    removal_deg = []
+    while heap:
+        d, v = heappop(heap)
+        if d != deg[v] or not alive[v]:
+            continue  # stale entry: v was removed or its degree dropped since
+        alive[v] = False
+        removal.append(v)
+        removal_deg.append(d)
+        for w in nbrs[v]:
+            if alive[w]:
+                deg[w] -= 1
+                heappush(heap, (deg[w], w))
+    return removal, removal_deg
+
+
+def _trim_count(removal_deg):
+    # each vertex keeps at most 2 of its back-edges, and its back-degree is
+    # its degree at removal
+    return sum(d if d < 2 else 2 for d in removal_deg)
+
+
+def _two_back_edges(order, nbrs, key=None):
+    """Ordering -> at most two back-edges: each vertex of `order` keeps its
+    first two earlier neighbours under `key` (default: lowest rank).
+
+    Returns the kept edges as sorted (low, high) rank pairs; over a sorted
+    vertex list these map to sorted canonical vertex edges.
+    """
+    seen = [False] * len(nbrs)
+    pairs = []
+    for v in order:
+        for u in sorted((u for u in nbrs[v] if seen[u]), key=key)[:2]:
+            pairs.append((u, v) if u < v else (v, u))
+        seen[v] = True
+    pairs.sort()
+    return pairs
+
+
 def _peel(adj, restrict=None):
     """Min-degree peeling with smallest-id tie-break.
 
     Returns (order, back_degrees, degeneracy) where order reverses removal,
     so each back-degree equals the vertex's degree at removal time.
     """
-    verts = sorted(restrict) if restrict is not None else sorted(adj)
-    vert_set = set(verts)
-    deg = {v: sum(1 for w in adj.get(v, ()) if w in vert_set) for v in verts}
-    alive = set(verts)
-    removal = []
-    removal_deg = []
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        removal.append(v)
-        removal_deg.append(deg[v])
-        alive.remove(v)
-        for w in adj.get(v, ()):
-            if w in alive:
-                deg[w] -= 1
-    order = tuple(reversed(removal))
-    back = tuple(reversed(removal_deg))
-    return order, back, (max(removal_deg) if removal_deg else 0)
+    verts = sorted(adj if restrict is None else restrict)
+    removal, removal_deg = _peel_core(_induced(adj, verts))
+    order = tuple(verts[v] for v in reversed(removal))
+    return order, tuple(reversed(removal_deg)), max(removal_deg, default=0)
 
 
 def degeneracy_ordering(g):
     order, back, degen = _peel(g.adjacency())
     return DegeneracyOrdering(order, back, degen)
+
+
+def _score(g, vertex_set):
+    """(edge count, vertex order) of _trim_on_set(g, vertex_set), without
+    building its edges."""
+    order, back, _ = _peel(g.adjacency(), vertex_set)
+    return _trim_count(back), order
 
 
 def _trim_on_set(g, vertex_set):
@@ -116,32 +175,31 @@ def _trim_on_set(g, vertex_set):
 
     Exact whenever the induced subgraph is itself 2-degenerate.
     """
-    adj = g.adjacency()
-    order, _, _ = _peel(adj, restrict=vertex_set)
-    pos = {v: i for i, v in enumerate(order)}
-    edges = []
+    verts = sorted(vertex_set)
+    nbrs = _induced(g.adjacency(), verts)
+    order = _peel_core(nbrs)[0][::-1]
+    pos = [0] * len(verts)
     for i, v in enumerate(order):
-        earlier = sorted((u for u in adj[v] if u in pos and pos[u] < i), key=pos.get)
-        for u in earlier[:2]:
-            edges.append(canon_edge(u, v))
-    return CandidateF(order, tuple(sorted(edges)))
+        pos[v] = i
+    pairs = _two_back_edges(order, nbrs, key=pos.__getitem__)
+    return CandidateF(
+        tuple(verts[v] for v in order), tuple((verts[a], verts[b]) for a, b in pairs)
+    )
 
 
 def _greedy_candidate(g, k, rng):
     adj = g.adjacency()
     edges = g.edges
+    verts = g.vertices
     if not edges:
-        verts = sorted(g.vertices)
-        chosen = verts[:k] if len(verts) >= k else verts
-        return CandidateF(tuple(chosen), ())
+        return CandidateF(verts[:k], ())
     best_score = max(len(adj[u]) + len(adj[v]) for u, v in edges)
     seeds = [e for e in edges if len(adj[e[0]]) + len(adj[e[1]]) == best_score]
     u0, v0 = seeds[rng.randrange(len(seeds))]
     chosen = {u0, v0}
     while len(chosen) < k:
-        best = None
         best_sc = -1
-        outside = [v for v in g.vertices if v not in chosen]
+        outside = [v for v in verts if v not in chosen]
         scored = []
         for v in outside:
             sc = min(2, sum(1 for w in adj[v] if w in chosen))
@@ -155,36 +213,49 @@ def _greedy_candidate(g, k, rng):
 
 
 def _window_candidates(g, k, budget_end):
+    """The densest trim over the windows of k consecutive vertices of the
+    degeneracy ordering, ties to the smallest vertex order (windows have
+    distinct vertex sets, so the orders differ)."""
     ordering = degeneracy_ordering(g)
     order = ordering.order
     best = None
+    best_s = None
     for s in range(len(order) - k + 1):
-        cand = _trim_on_set(g, order[s : s + k])
-        if best is None or cand.sort_key() < best.sort_key():
-            best = cand
+        count, trimmed = _score(g, order[s : s + k])
+        key = (-count, trimmed)
+        if best is None or key < best:
+            best = key
+            best_s = s
         if budget_end is not None and time.monotonic() > budget_end:
             break
-    return best
+    return None if best is None else _trim_on_set(g, order[best_s : best_s + k])
 
 
 def _local_search(g, cand, k, budget_end):
-    """Single-swap hill climbing around a candidate's vertex set."""
+    """Single-swap hill climbing around a candidate's vertex set.
+
+    A swap of inside vertex v for boundary vertex u is taken as soon as its
+    trim has more edges; the induced subgraph on inside + u is built once per
+    u and each v is scored by peeling it without v.
+    """
     adj = g.adjacency()
     current = cand
+    count = len(cand.edges)
     improved = True
     while improved:
         improved = False
         inside = set(current.vertices)
         boundary = sorted({w for v in inside for w in adj[v] if w not in inside})
         for u in boundary:
-            for v in sorted(inside):
-                trial = _trim_on_set(g, (inside - {v}) | {u})
-                if trial.sort_key() < current.sort_key() and len(trial.edges) > len(
-                    current.edges
-                ):
-                    current = trial
-                    improved = True
-                    break
+            verts = sorted(inside | {u})
+            nbrs = _induced(adj, verts)
+            for skip, v in enumerate(verts):
+                if v == u or _trim_count(_peel_core(nbrs, skip)[1]) <= count:
+                    continue
+                current = _trim_on_set(g, (inside - {v}) | {u})
+                count = len(current.edges)
+                improved = True
+                break
             if improved or (budget_end is not None and time.monotonic() > budget_end):
                 break
         if budget_end is not None and time.monotonic() > budget_end:
@@ -203,12 +274,8 @@ def _exhaustive_best(g, k):
     n = len(verts)
     if n > _DP_VERTEX_CAP or comb(n, k) > _ENUM_GUARD:
         raise GuardExceededError(f"exhaustive search infeasible for n={n}, k={k}")
-    adj = g.adjacency()
-    idx = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * n
-    for i, v in enumerate(verts):
-        for w in adj[v]:
-            nbr[i] |= 1 << idx[w]
+    nbrs = _induced(g.adjacency(), verts)
+    nbr = [sum(1 << j for j in ws) for ws in nbrs]
     f = {0: 0}
     choice = {}
     frontier = [0]
@@ -243,17 +310,9 @@ def _exhaustive_best(g, k):
         i = choice[mask]
         rev.append(i)
         mask ^= 1 << i
-    order_idx = list(reversed(rev))
-    order = []
-    edges = []
-    seen_mask = 0
-    for i in order_idx:
-        cands = sorted(j for j in range(n) if (nbr[i] >> j) & 1 and (seen_mask >> j) & 1)
-        for j in cands[:2]:
-            edges.append(canon_edge(verts[i], verts[j]))
-        seen_mask |= 1 << i
-        order.append(verts[i])
-    return CandidateF(tuple(order), tuple(sorted(edges)))
+    order = rev[::-1]
+    pairs = _two_back_edges(order, nbrs)
+    return CandidateF(tuple(verts[i] for i in order), tuple((verts[a], verts[b]) for a, b in pairs))
 
 
 def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):

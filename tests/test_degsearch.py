@@ -12,6 +12,7 @@ from besforge import (
     group_system,
     simple_subgraph,
 )
+from besforge.degsearch import _peel, _score, _trim_on_set
 
 
 def path3():
@@ -126,3 +127,69 @@ def test_candidate_revalidates_by_reverse_peeling():
     for v in cand.vertices:
         back = sum(1 for u, w in cand.edges if max(u, w, key=pos.get) == v)
         assert back <= 2
+
+
+def _reference_peel(adj, restrict=None):
+    """The quadratic min-degree peel the heap core replaced, kept as the
+    reference for its (degree, id) tie-break."""
+    verts = sorted(restrict) if restrict is not None else sorted(adj)
+    vert_set = set(verts)
+    deg = {v: sum(1 for w in adj.get(v, ()) if w in vert_set) for v in verts}
+    alive = set(verts)
+    removal = []
+    removal_deg = []
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        removal.append(v)
+        removal_deg.append(deg[v])
+        alive.remove(v)
+        for w in adj.get(v, ()):
+            if w in alive:
+                deg[w] -= 1
+    order = tuple(reversed(removal))
+    back = tuple(reversed(removal_deg))
+    return order, back, (max(removal_deg) if removal_deg else 0)
+
+
+def _tied_graph(rng):
+    """A small random graph; low edge probabilities and regular pieces give
+    many equal degrees, so the id tie-break decides most removals."""
+    n = rng.randint(1, 14)
+    p = rng.choice((0.15, 0.3, 0.5))
+    g = Graph(vertices=range(n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.add_edge(u, v)
+    if n >= 6 and rng.random() < 0.3:
+        for i in range(6):  # a 6-cycle: six vertices of equal degree
+            if not g.has_edge(i, (i + 1) % 6):
+                g.add_edge(i, (i + 1) % 6)
+    return g
+
+
+def test_peel_core_matches_the_min_based_peel():
+    rng = random.Random(7)
+    for _ in range(300):
+        g = _tied_graph(rng)
+        adj = g.adjacency()
+        assert _peel(adj) == _reference_peel(adj)
+        subset = [v for v in g.vertices if rng.random() < 0.6]
+        assert _peel(adj, restrict=subset) == _reference_peel(adj, restrict=subset)
+
+
+def test_score_agrees_with_the_materialised_trim():
+    rng = random.Random(11)
+    for _ in range(300):
+        g = _tied_graph(rng)
+        subset = [v for v in g.vertices if rng.random() < 0.7] or list(g.vertices)
+        trim = _trim_on_set(g, subset)
+        trim.validate(g)
+        count, order = _score(g, subset)
+        assert count == len(trim.edges)
+        assert order == trim.vertices
+
+
+def test_peel_on_pair_graph_vertices_matches_reference():
+    adj = simple_subgraph(build_aux(group_system(5))).graph.adjacency()
+    assert _peel(adj) == _reference_peel(adj)

@@ -245,3 +245,23 @@ def test_cli_reduce(tmp_path, capsys):
                  "--out", str(out)]) == 0
     reduced = textio.loads_system(out.read_text())
     assert reduced.m == 9
+
+
+def test_cli_reduce_flattens_a_tls_input(tmp_path, capsys):
+    g3 = tmp_path / "g3.tls"
+    main(["gen", "group", "--m", "3", "--out", str(g3)])
+    capsys.readouterr()
+    out = tmp_path / "red.tls"
+    assert main(["reduce", "--input", str(g3), "--e", "4", "--out", str(out)]) == 0
+    assert "kept 9 of 9" in capsys.readouterr().out
+    assert textio.loads_system(out.read_text()).m == 9
+
+
+def test_cli_verify_ts_host_ignores_triple_order(tmp_path, capsys):
+    host = tmp_path / "g3.ts"
+    host.write_text(textio.dumps_system(to_triple_system(group_system(3))))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("e 6 3 0\n")  # the host edge (0, 3, 6), written backwards
+    assert main(["verify", "--input", str(host), "--config", str(cfg),
+                 "--v", "3", "--e", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
