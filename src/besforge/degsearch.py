@@ -231,12 +231,35 @@ def _window_candidates(g, k, budget_end):
     return None if best is None else _trim_on_set(g, order[best_s : best_s + k])
 
 
+def _counts_without_one(nbrs):
+    """Return count(v): the trim edge count of the graph of rank-indexed
+    neighbour lists without vertex v.
+
+    The graph is peeled once. A trim keeps every edge except 2 less than each
+    removal degree above 2, and such removals happen only once the peel has
+    reached the 3-core. Removing a v outside the 3-core leaves the core and
+    its peel unchanged, so only v inside the core need a peel of their own.
+    """
+    removal, removal_deg = _peel_core(nbrs)
+    edges = sum(removal_deg)
+    loss = edges - _trim_count(removal_deg)
+    first_core = next((i for i, d in enumerate(removal_deg) if d > 2), len(removal))
+    core = set(removal[first_core:])
+
+    def count(v):
+        if v in core:
+            return _trim_count(_peel_core(nbrs, v)[1])
+        return edges - len(nbrs[v]) - loss
+
+    return count
+
+
 def _local_search(g, cand, k, budget_end):
     """Single-swap hill climbing around a candidate's vertex set.
 
     A swap of inside vertex v for boundary vertex u is taken as soon as its
-    trim has more edges; the induced subgraph on inside + u is built once per
-    u and each v is scored by peeling it without v.
+    trim has more edges; the subgraph induced on inside + u is built and
+    scored once per u, and a trim is built only for an accepted swap.
     """
     adj = g.adjacency()
     current = cand
@@ -248,9 +271,9 @@ def _local_search(g, cand, k, budget_end):
         boundary = sorted({w for v in inside for w in adj[v] if w not in inside})
         for u in boundary:
             verts = sorted(inside | {u})
-            nbrs = _induced(adj, verts)
+            count_without = _counts_without_one(_induced(adj, verts))
             for skip, v in enumerate(verts):
-                if v == u or _trim_count(_peel_core(nbrs, skip)[1]) <= count:
+                if v == u or count_without(skip) <= count:
                     continue
                 current = _trim_on_set(g, (inside - {v}) | {u})
                 count = len(current.edges)

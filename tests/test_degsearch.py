@@ -12,7 +12,7 @@ from besforge import (
     group_system,
     simple_subgraph,
 )
-from besforge.degsearch import _peel, _score, _trim_on_set
+from besforge.degsearch import _counts_without_one, _induced, _peel, _score, _trim_on_set
 
 
 def path3():
@@ -193,3 +193,19 @@ def test_score_agrees_with_the_materialised_trim():
 def test_peel_on_pair_graph_vertices_matches_reference():
     adj = simple_subgraph(build_aux(group_system(5))).graph.adjacency()
     assert _peel(adj) == _reference_peel(adj)
+
+
+def test_counts_without_one_match_a_fresh_score():
+    rng = random.Random(13)
+    for _ in range(200):
+        g = _tied_graph(rng)
+        if rng.random() < 0.5:  # a dense piece gives a non-empty 3-core
+            piece = [v for v in g.vertices if v < 6]
+            for i, u in enumerate(piece):
+                for v in piece[i + 1 :]:
+                    if not g.has_edge(u, v):
+                        g.add_edge(u, v)
+        verts = list(g.vertices)
+        count = _counts_without_one(_induced(g.adjacency(), verts))
+        for i, v in enumerate(verts):
+            assert count(i) == _score(g, set(verts) - {v})[0]
