@@ -7,7 +7,7 @@ import random
 from .core import TripartiteLinearSystem
 from .errors import ParameterError
 
-_MAX_REJECTIONS = 10**6
+_REJECTION_RUN = 1000  # consecutive rejections before listing what still fits
 
 
 def group_system(m):
@@ -25,8 +25,11 @@ def group_system(m):
 def random_linear(na, nb, nc, target_edges, seed=0):
     """Greedy partial linear system: sample triples, accept if all 3 pairs are fresh.
 
-    Stops at target_edges or after 10^6 consecutive rejections; may return
-    fewer edges than requested. Deterministic in (sizes, target, seed).
+    After a run of consecutive rejections, the triples that still fit are
+    listed and sampled from directly, so generation stops at target_edges or
+    exactly when the system is maximal (no triple can be added). Fewer edges
+    than requested therefore means maximal. Deterministic in (sizes, target,
+    seed).
     """
     if min(na, nb, nc) < 1:
         raise ParameterError("part sizes must be positive")
@@ -36,7 +39,7 @@ def random_linear(na, nb, nc, target_edges, seed=0):
     used = set()
     edges = []
     rejections = 0
-    while len(edges) < target_edges and rejections < _MAX_REJECTIONS:
+    while len(edges) < target_edges and rejections < _REJECTION_RUN:
         a = rng.randrange(na)
         b = rng.randrange(nb)
         c = rng.randrange(nc)
@@ -47,4 +50,25 @@ def random_linear(na, nb, nc, target_edges, seed=0):
         rejections = 0
         edges.append((a, b, c))
         used.update(pairs)
+    if len(edges) < target_edges:
+        # the free C-ids of a and of b, intersected, for each free (a, b) pair
+        free_c = {
+            key: {c for c in range(nc) if (key, ("C", c)) not in used}
+            for key in [("A", a) for a in range(na)] + [("B", b) for b in range(nb)]
+        }
+        fits = [
+            (a, b, c)
+            for a in range(na)
+            for b in range(nb)
+            if (("A", a), ("B", b)) not in used
+            for c in sorted(free_c["A", a] & free_c["B", b])
+        ]
+        while fits and len(edges) < target_edges:
+            a, b, c = fits[rng.randrange(len(fits))]
+            edges.append((a, b, c))
+            fits = [
+                (x, y, z)
+                for x, y, z in fits
+                if (x, y) != (a, b) and (x, z) != (a, c) and (y, z) != (b, c)
+            ]
     return TripartiteLinearSystem((na, nb, nc), tuple(edges))

@@ -78,3 +78,36 @@ def test_random_linear_rejects_bad_params():
         random_linear(0, 2, 2, 1)
     with pytest.raises(ParameterError):
         random_linear(2, 2, 2, -1)
+
+
+def _can_add_a_triple(lts):
+    used = {p for a, b, c in lts.edges for p in ((0, a, b), (1, a, c), (2, b, c))}
+    na, nb, nc = lts.sizes
+    return any(
+        (0, a, b) not in used and (1, a, c) not in used and (2, b, c) not in used
+        for a in range(na)
+        for b in range(nb)
+        for c in range(nc)
+    )
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2, 2, 2), (3, 3, 3), (4, 5, 3), (6, 6, 6), (10, 10, 10), (30, 30, 30)]
+)
+def test_random_linear_stops_short_only_when_maximal(sizes):
+    # on (30, 30, 30) random sampling stops with about 100 triples still fitting
+    target = sizes[0] * sizes[1] + 1  # more than any linear system on these parts holds
+    for seed in range(20):
+        lts = random_linear(*sizes, target, seed=seed)
+        assert validate_linear(lts).ok
+        assert lts.m < target
+        assert not _can_add_a_triple(lts)
+
+
+def test_random_linear_listing_phase_honours_the_target():
+    # this seed leaves random sampling with 82 edges and 4 triples that still
+    # fit, so the target is reached while sampling from the listed triples
+    lts = random_linear(10, 10, 10, 85, seed=26)
+    assert lts.m == 85
+    assert validate_linear(lts).ok
+    assert _can_add_a_triple(lts)
