@@ -128,12 +128,13 @@ def _trim_count(removal_deg):
     return sum(d if d < 2 else 2 for d in removal_deg)
 
 
-def _two_back_edges(order, nbrs, key=None):
-    """Ordering -> at most two back-edges: each vertex of `order` keeps its
-    first two earlier neighbours under `key` (default: lowest rank).
+def _candidate(verts, order, nbrs, key=None):
+    """Ordering -> at most two back-edges: the candidate on `order` (ranks
+    into the sorted list verts) in which each vertex keeps its first two
+    earlier neighbours under `key` (default: lowest rank).
 
-    Returns the kept edges as sorted (low, high) rank pairs; over a sorted
-    vertex list these map to sorted canonical vertex edges.
+    Ranks follow vertex order, so sorted (low, high) rank pairs give the
+    sorted canonical edges.
     """
     seen = [False] * len(nbrs)
     pairs = []
@@ -142,7 +143,9 @@ def _two_back_edges(order, nbrs, key=None):
             pairs.append((u, v) if u < v else (v, u))
         seen[v] = True
     pairs.sort()
-    return pairs
+    return CandidateF(
+        tuple(verts[v] for v in order), tuple((verts[a], verts[b]) for a, b in pairs)
+    )
 
 
 def _peel(adj, restrict=None):
@@ -181,10 +184,7 @@ def _trim_on_set(g, vertex_set):
     pos = [0] * len(verts)
     for i, v in enumerate(order):
         pos[v] = i
-    pairs = _two_back_edges(order, nbrs, key=pos.__getitem__)
-    return CandidateF(
-        tuple(verts[v] for v in order), tuple((verts[a], verts[b]) for a, b in pairs)
-    )
+    return _candidate(verts, order, nbrs, key=pos.__getitem__)
 
 
 def _greedy_candidate(g, k, rng):
@@ -333,9 +333,7 @@ def _exhaustive_best(g, k):
         i = choice[mask]
         rev.append(i)
         mask ^= 1 << i
-    order = rev[::-1]
-    pairs = _two_back_edges(order, nbrs)
-    return CandidateF(tuple(verts[i] for i in order), tuple((verts[a], verts[b]) for a, b in pairs))
+    return _candidate(verts, rev[::-1], nbrs)
 
 
 def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):
