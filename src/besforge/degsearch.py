@@ -235,10 +235,10 @@ def _counts_without_one(nbrs):
     """Return count(v): the trim edge count of the graph of rank-indexed
     neighbour lists without vertex v.
 
-    The graph is peeled once. A trim keeps every edge except 2 less than each
-    removal degree above 2, and such removals happen only once the peel has
-    reached the 3-core. Removing a v outside the 3-core leaves the core and
-    its peel unchanged, so only v inside the core need a peel of their own.
+    The graph is peeled once. A trim drops d - 2 edges at each removal of
+    degree d > 2, and such removals happen only once the peel has reached the
+    3-core. Removing a v outside the 3-core leaves the core and its peel
+    unchanged, so only v inside the core need a peel of their own.
     """
     removal, removal_deg = _peel_core(nbrs)
     edges = sum(removal_deg)
