@@ -51,17 +51,15 @@ def random_linear(na, nb, nc, target_edges, seed=0):
         edges.append((a, b, c))
         used.update(pairs)
     if len(edges) < target_edges:
-        # the free C-ids of a and of b, intersected, for each free (a, b) pair
-        free_c = {
-            key: {c for c in range(nc) if (key, ("C", c)) not in used}
-            for key in [("A", a) for a in range(na)] + [("B", b) for b in range(nb)]
-        }
+        free_a = [{c for c in range(nc) if (("A", a), ("C", c)) not in used} for a in range(na)]
+        free_b = [{c for c in range(nc) if (("B", b), ("C", c)) not in used} for b in range(nb)]
+        # every triple that still fits: a free (a, b) pair and a c free for both
         fits = [
             (a, b, c)
             for a in range(na)
             for b in range(nb)
             if (("A", a), ("B", b)) not in used
-            for c in sorted(free_c["A", a] & free_c["B", b])
+            for c in sorted(free_a[a] & free_b[b])
         ]
         while fits and len(edges) < target_edges:
             a, b, c = fits[rng.randrange(len(fits))]
