@@ -30,13 +30,16 @@ from .oracle import exists_config, min_span
 from .unpack import audit_involvement, check_lemma_bounds, unpack
 
 
-def _env_seed():
-    return int(os.environ.get("BESFORGE_SEED", "0"))
-
-
 def _read_system(path):
     with open(path, "r", encoding="utf-8") as fh:
         return textio.loads_system(fh.read())
+
+
+def _read_tls(path):
+    system = _read_system(path)
+    if not isinstance(system, TripartiteLinearSystem):
+        raise FormatError("this command needs a 'p tls' input")
+    return system
 
 
 def _write_text(path, text):
@@ -47,20 +50,14 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _write_report(path, payload, no_timestamp):
-    if not no_timestamp:
+def _write_report(args, payload):
+    """Write payload as JSON to --report, if given, stamped unless --no-timestamp."""
+    if args.report is None:
+        return
+    if not args.no_timestamp:
         payload = dict(payload)
         payload["timestamp"] = int(time.time())
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    _write_text(path, text)
-
-
-def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: BESFORGE_SEED or 0)")
-
-
-def _seed_of(args):
-    return args.seed if args.seed is not None else _env_seed()
+    _write_text(args.report, json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
 def _positive_int(text):
@@ -70,7 +67,36 @@ def _positive_int(text):
     return value
 
 
+def _options():
+    """An empty parent parser for a group of options that subcommands share."""
+    return argparse.ArgumentParser(add_help=False)
+
+
 def build_parser():
+    inp = _options()
+    inp.add_argument("--input", required=True)
+    target = _options()
+    target.add_argument("--e", type=int, required=True)
+    report = _options()
+    report.add_argument("--report", default=None)
+    report.add_argument("--no-timestamp", action="store_true")
+    seed = _options()
+    # a string default goes through type=int, so a malformed BESFORGE_SEED
+    # is a usage error (exit 2), and an explicit --seed still overrides it
+    seed.add_argument("--seed", type=int, default=os.environ.get("BESFORGE_SEED", "0"),
+                      help="RNG seed (default: BESFORGE_SEED or 0)")
+    search = _options()
+    search.add_argument("--strategy", default="peel", choices=STRATEGIES)
+    search.add_argument("--budget-ms", type=_positive_int, default=None)
+    size = _options()
+    size.add_argument("--k", type=int, required=True)
+    size.add_argument("--t", type=int, required=True)
+    driver = _options()
+    driver.add_argument("--t", type=int, default=DriverParams.t)
+    driver.add_argument("--k0", type=int, default=DriverParams.k0)
+    driver.add_argument("--tau-max", type=int, default=DriverParams.tau_max)
+    driver.add_argument("--base-e", type=int, default=DriverParams.base_e)
+
     p = argparse.ArgumentParser(prog="besforge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -79,96 +105,53 @@ def build_parser():
     gg = gsub.add_parser("group", help="cyclic-group system with m^2 edges")
     gg.add_argument("--m", type=int, required=True)
     gg.add_argument("--out", default=None)
-    gr = gsub.add_parser("random", help="greedy partial linear system")
+    gr = gsub.add_parser("random", parents=[seed], help="greedy partial linear system")
     gr.add_argument("--na", type=int, required=True)
     gr.add_argument("--nb", type=int, required=True)
     gr.add_argument("--nc", type=int, required=True)
     gr.add_argument("--target", type=int, required=True)
-    _add_seed(gr)
     gr.add_argument("--out", default=None)
 
-    red = sub.add_parser("reduce", help="reduce a triple system or win a trivial configuration")
-    red.add_argument("--input", required=True)
-    red.add_argument("--e", type=int, required=True)
-    _add_seed(red)
+    red = sub.add_parser("reduce", parents=[inp, target, seed, report],
+                         help="reduce a triple system or win a trivial configuration")
     red.add_argument("--out", default=None, help="path for the reduced system")
-    red.add_argument("--report", default=None)
-    red.add_argument("--no-timestamp", action="store_true")
 
-    aux = sub.add_parser("aux", help="build the pair-vertex multigraph")
-    aux.add_argument("--input", required=True)
+    aux = sub.add_parser("aux", parents=[inp, report], help="build the pair-vertex multigraph")
     aux.add_argument("--out", default=None, help="path for the multigraph dump")
-    aux.add_argument("--report", default=None)
-    aux.add_argument("--no-timestamp", action="store_true")
 
-    ff = sub.add_parser("findf", help="search for a dense 2-degenerate pair-graph subgraph")
-    ff.add_argument("--input", required=True)
-    ff.add_argument("--k", type=int, required=True)
-    ff.add_argument("--t", type=int, required=True)
-    ff.add_argument("--strategy", default="peel", choices=STRATEGIES)
-    _add_seed(ff)
-    ff.add_argument("--budget-ms", type=_positive_int, default=None)
-    ff.add_argument("--report", default=None)
-    ff.add_argument("--no-timestamp", action="store_true")
+    sub.add_parser("findf", parents=[inp, size, search, seed, report],
+                   help="search for a dense 2-degenerate pair-graph subgraph")
 
-    up = sub.add_parser("unpack", help="find a candidate and unpack it into hyperedges")
-    up.add_argument("--input", required=True)
-    up.add_argument("--k", type=int, required=True)
-    up.add_argument("--t", type=int, required=True)
-    up.add_argument("--strategy", default="peel", choices=STRATEGIES)
-    _add_seed(up)
-    up.add_argument("--budget-ms", type=_positive_int, default=None)
+    up = sub.add_parser("unpack", parents=[inp, size, search, seed, report],
+                        help="find a candidate and unpack it into hyperedges")
     up.add_argument("--trace", default=None, help="path for the JSON step trace")
-    up.add_argument("--report", default=None)
-    up.add_argument("--no-timestamp", action="store_true")
 
-    so = sub.add_parser("solve", help="assemble exactly e hyperedges with small span")
-    so.add_argument("--input", required=True)
-    so.add_argument("--e", type=int, required=True)
-    so.add_argument("--t", type=int, default=4)
-    so.add_argument("--k0", type=int, default=1)
-    so.add_argument("--tau-max", type=int, default=4)
-    so.add_argument("--base-e", type=int, default=4)
+    so = sub.add_parser("solve", parents=[inp, target, driver, search, seed, report],
+                        help="assemble exactly e hyperedges with small span")
     so.add_argument("--paper-mode", action="store_true")
-    so.add_argument("--strategy", default="peel", choices=STRATEGIES)
-    _add_seed(so)
-    so.add_argument("--budget-ms", type=_positive_int, default=None)
-    so.add_argument("--report", default=None)
-    so.add_argument("--no-timestamp", action="store_true")
 
-    orc = sub.add_parser("oracle", help="exact minimum span by branch and bound")
-    orc.add_argument("--input", required=True)
-    orc.add_argument("--e", type=int, required=True)
+    orc = sub.add_parser("oracle", parents=[inp, target],
+                         help="exact minimum span by branch and bound")
     orc.add_argument("--v", type=int, default=None, help="existence query instead of minimum")
     orc.add_argument("--guard", type=int, default=10**7)
 
     gi = sub.add_parser("girth", help="grow or check high-girth degenerate graphs")
     gisub = gi.add_subparsers(dest="action", required=True)
-    gg2 = gisub.add_parser("grow")
-    gg2.add_argument("--k", type=int, required=True)
-    gg2.add_argument("--t", type=int, required=True)
+    gg2 = gisub.add_parser("grow", parents=[size, seed])
     gg2.add_argument("--g", type=int, required=True)
-    _add_seed(gg2)
     gg2.add_argument("--out", default=None)
-    gc = gisub.add_parser("check")
-    gc.add_argument("--input", required=True)
+    gc = gisub.add_parser("check", parents=[inp])
     gc.add_argument("--g", type=int, default=None, help="required girth, if any")
 
-    ver = sub.add_parser("verify", help="verify a configuration against a host system")
-    ver.add_argument("--input", required=True)
+    ver = sub.add_parser("verify", parents=[inp, target],
+                         help="verify a configuration against a host system")
     ver.add_argument("--config", required=True, help="file of 'e a b c' lines")
     ver.add_argument("--v", type=int, required=True)
-    ver.add_argument("--e", type=int, required=True)
 
-    sw = sub.add_parser("sweep", help="run solve over a range of e, emit CSV")
-    sw.add_argument("--input", required=True)
+    sw = sub.add_parser("sweep", parents=[inp, driver, seed],
+                        help="run solve over a range of e, emit CSV")
     sw.add_argument("--e-min", type=int, required=True)
     sw.add_argument("--e-max", type=int, required=True)
-    sw.add_argument("--t", type=int, default=4)
-    sw.add_argument("--k0", type=int, default=1)
-    sw.add_argument("--tau-max", type=int, default=4)
-    sw.add_argument("--base-e", type=int, default=4)
-    _add_seed(sw)
     sw.add_argument("--csv", default=None)
 
     return p
@@ -180,7 +163,7 @@ def _cmd_gen(args):
     if args.kind == "group":
         system = group_system(args.m)
     else:
-        system = random_linear(args.na, args.nb, args.nc, args.target, seed=_seed_of(args))
+        system = random_linear(args.na, args.nb, args.nc, args.target, seed=args.seed)
     _write_text(args.out, textio.dumps_system(system))
     return 0
 
@@ -190,7 +173,7 @@ def _cmd_reduce(args):
     if isinstance(system, TripartiteLinearSystem):
         # reduce_or_win reads global ids; 'p tls' ids are part-local
         system = to_triple_system(system)
-    result = reduce_or_win(system, args.e, seed=_seed_of(args))
+    result = reduce_or_win(system, args.e, seed=args.seed)
     if result.is_win:
         payload = {
             "branch": "win",
@@ -198,8 +181,7 @@ def _cmd_reduce(args):
             "span": result.win.v,
             "edges": [list(x) for x in result.win.edges],
         }
-        if args.report:
-            _write_report(args.report, payload, args.no_timestamp)
+        _write_report(args, payload)
         print(f"win: {result.win.e} edges on {result.win.v} vertices")
         return 0
     payload = {
@@ -209,22 +191,15 @@ def _cmd_reduce(args):
     }
     if args.out:
         _write_text(args.out, textio.dumps_system(result.reduction))
-    if args.report:
-        _write_report(args.report, payload, args.no_timestamp)
+    _write_report(args, payload)
     print(
         f"reduction: kept {result.kept_edges} of {result.tripartite_edges} tripartite edges"
     )
     return 0
 
 
-def _require_tls(system):
-    if not isinstance(system, TripartiteLinearSystem):
-        raise FormatError("this command needs a 'p tls' input")
-    return system
-
-
 def _cmd_aux(args):
-    lts = _require_tls(_read_system(args.input))
+    lts = _read_tls(args.input)
     aux = build_aux(lts)
     if args.out:
         _write_text(args.out, textio.dumps_aux(aux))
@@ -234,8 +209,7 @@ def _cmd_aux(args):
         "multi_edges": aux.multi_edge_count,
         "simple_edges": simple_subgraph(aux).graph.m,
     }
-    if args.report:
-        _write_report(args.report, payload, args.no_timestamp)
+    _write_report(args, payload)
     print(f"aux: {aux.multi_edge_count} multi-edges on "
           f"{len(aux.a_vertices)}+{len(aux.b_vertices)} pair-vertices")
     return 0
@@ -246,13 +220,13 @@ def _find_candidate(args, lts):
     simple = simple_subgraph(aux)
     result = find_dense_2deg(
         simple.graph, args.k, args.t,
-        strategy=args.strategy, seed=_seed_of(args), budget_ms=args.budget_ms,
+        strategy=args.strategy, seed=args.seed, budget_ms=args.budget_ms,
     )
     return aux, simple, result
 
 
 def _cmd_findf(args):
-    lts = _require_tls(_read_system(args.input))
+    lts = _read_tls(args.input)
     _aux, _simple, result = _find_candidate(args, lts)
     cand = result.candidate
     payload = {
@@ -262,15 +236,14 @@ def _cmd_findf(args):
         "achieved_t": cand.achieved_t,
         "vertices": [list(v[1:]) + [v[0]] for v in cand.vertices],
     }
-    if args.report:
-        _write_report(args.report, payload, args.no_timestamp)
+    _write_report(args, payload)
     print(f"candidate: k={cand.k} edges={len(cand.edges)} achieved_t={cand.achieved_t} "
           f"({'ok' if result.success else 'best-found'})")
     return 0
 
 
 def _cmd_unpack(args):
-    lts = _require_tls(_read_system(args.input))
+    lts = _read_tls(args.input)
     aux, simple, result = _find_candidate(args, lts)
     cand = result.candidate
     cfg, trace = unpack(cand, aux, lts, simple=simple)
@@ -288,23 +261,26 @@ def _cmd_unpack(args):
         "assertion2_branch": bounds.assertion2_branch,
         "within_hypotheses": bounds.within_hypotheses,
     }
-    if args.report:
-        _write_report(args.report, payload, args.no_timestamp)
+    _write_report(args, payload)
     print(f"unpacked: {trace.e_total} hyperedges on {trace.v_total} vertices "
           f"(branch {bounds.assertion2_branch})")
     return 0
 
 
+def _driver_params(args, **solve_only):
+    return DriverParams(
+        t=args.t, k0=args.k0, tau_max=args.tau_max, base_e=args.base_e, seed=args.seed,
+        **solve_only,
+    )
+
+
 def _cmd_solve(args):
-    lts = _require_tls(_read_system(args.input))
-    params = DriverParams(
-        t=args.t, k0=args.k0, tau_max=args.tau_max, base_e=args.base_e,
-        paper_mode=args.paper_mode, seed=_seed_of(args),
-        budget_ms=args.budget_ms, strategy=args.strategy,
+    lts = _read_tls(args.input)
+    params = _driver_params(
+        args, paper_mode=args.paper_mode, budget_ms=args.budget_ms, strategy=args.strategy,
     )
     report = find_be_s_configuration(lts, args.e, params)
-    if args.report:
-        _write_report(args.report, report.to_json_dict(), args.no_timestamp)
+    _write_report(args, report.to_json_dict())
     print(f"solved: {report.e} edges on {report.span} vertices (d={report.d_achieved})")
     return 0
 
@@ -322,7 +298,7 @@ def _cmd_oracle(args):
 
 def _cmd_girth(args):
     if args.action == "grow":
-        graph, cert = grow_girth_graph(args.k, args.t, args.g, seed=_seed_of(args))
+        graph, cert = grow_girth_graph(args.k, args.t, args.g, seed=args.seed)
         girth = girth_of(graph)
         if args.out:
             _write_text(args.out, textio.dumps_graph(graph, cert))
@@ -356,11 +332,8 @@ def _cmd_verify(args):
 
 
 def _cmd_sweep(args):
-    lts = _require_tls(_read_system(args.input))
-    params = DriverParams(
-        t=args.t, k0=args.k0, tau_max=args.tau_max, base_e=args.base_e,
-        seed=_seed_of(args),
-    )
+    lts = _read_tls(args.input)
+    params = _driver_params(args)
     rows = ["e,span,d_achieved"]
     for e in range(args.e_min, args.e_max + 1):
         report = find_be_s_configuration(lts, e, params)

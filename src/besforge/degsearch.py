@@ -196,19 +196,22 @@ def _greedy_candidate(g, k, rng):
     best_score = max(len(adj[u]) + len(adj[v]) for u, v in edges)
     seeds = [e for e in edges if len(adj[e[0]]) + len(adj[e[1]]) == best_score]
     u0, v0 = seeds[rng.randrange(len(seeds))]
-    chosen = {u0, v0}
+    chosen = set()
+    score = dict.fromkeys(verts, 0)  # chosen neighbours, capped at 2
+
+    def choose(v):
+        chosen.add(v)
+        for w in adj[v]:
+            if score[w] < 2:
+                score[w] += 1
+
+    choose(u0)
+    choose(v0)
     while len(chosen) < k:
-        best_sc = -1
         outside = [v for v in verts if v not in chosen]
-        scored = []
-        for v in outside:
-            sc = min(2, sum(1 for w in adj[v] if w in chosen))
-            scored.append((sc, v))
-            if sc > best_sc:
-                best_sc = sc
-        pool = [v for sc, v in scored if sc == best_sc]
-        best = pool[rng.randrange(len(pool))]
-        chosen.add(best)
+        best_sc = max(score[v] for v in outside)
+        pool = [v for v in outside if score[v] == best_sc]
+        choose(pool[rng.randrange(len(pool))])
     return _trim_on_set(g, chosen)
 
 

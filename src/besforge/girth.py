@@ -32,6 +32,11 @@ class GrowthCertificate:
     sides: tuple  # 'A' or 'B' per vertex id
 
 
+def side_of(v):
+    """The side vertex v joins: the smaller one, A on ties, so A and B alternate."""
+    return "AB"[v % 2]
+
+
 def grow_girth_graph(k, t, g, seed=0, deterministic=False):
     """Grow a k-vertex graph of girth >= g; returns (Graph, GrowthCertificate).
 
@@ -48,17 +53,14 @@ def grow_girth_graph(k, t, g, seed=0, deterministic=False):
     side_members = {"A": [], "B": []}
     attachments = []
 
-    def join_side():
-        return "A" if len(side_members["A"]) <= len(side_members["B"]) else "B"
-
     for v in range(t):
-        s = join_side()
+        s = side_of(v)
         graph.add_vertex(v)
         sides.append(s)
         side_members[s].append(v)
 
     for v in range(t, k):
-        s = join_side()
+        s = side_of(v)
         other = "B" if s == "A" else "A"
         eligible = [u for u in side_members[other] if graph.degree(u) <= _PAIR_DEGREE_CAP]
         gate = comb(max((len(side_members[other]) + 3) // 4, 0), 2)

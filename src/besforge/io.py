@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .core import TripartiteLinearSystem, TripleSystem
 from .errors import FormatError, ParameterError
-from .girth import GrowthCertificate
+from .girth import GrowthCertificate, side_of
 from .graphs import Graph
 
 
@@ -109,7 +109,7 @@ def dumps_graph(graph, cert=None):
 def loads_graph(text):
     """Parse a graph file; returns (Graph, GrowthCertificate | None).
 
-    Certificate sides are reconstructed by replaying the balanced growth rule.
+    Certificate sides follow the growth rule `girth.side_of`.
     """
     (_, (n, m)), body = _header_and_body(
         _records(text, {"p graph": 2, "g": 2, "c": 1, "a": 3}), ("p graph",)
@@ -126,14 +126,5 @@ def loads_graph(text):
         raise FormatError("certificate 'a' lines need exactly one 'c' line")
     if not certs:
         return graph, None
-    return graph, GrowthCertificate(certs[0], tuple(range(n)), attachments, _replay_sides(n))
-
-
-def _replay_sides(n):
-    sides = []
-    count = {"A": 0, "B": 0}
-    for _ in range(n):
-        s = "A" if count["A"] <= count["B"] else "B"
-        sides.append(s)
-        count[s] += 1
-    return tuple(sides)
+    sides = tuple(map(side_of, range(n)))
+    return graph, GrowthCertificate(certs[0], tuple(range(n)), attachments, sides)

@@ -4,16 +4,24 @@ Refactors that must not change behaviour are checked here: every case below
 hashes the exact output text of a corpus of solves or CLI runs, and the
 recorded digests in golden_digests.json were produced by the code before the
 refactor. The corpus reaches every driver frame kind (base, the three flagged
-base fallbacks, top_up and recurse).
+base fallbacks, top_up and recurse), and runs every subcommand at least once.
+cli_flags.json lists every subcommand's options with their defaults, types,
+choices and required flags, so a CLI refactor can show that it added or
+dropped no flag.
 
-To record the digests of a checkout, run from its root:
+To record the digests and the flag table of a checkout, run from its root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -21,14 +29,17 @@ import pytest
 from besforge import (
     DriverParams,
     TripartiteLinearSystem,
+    TripleSystem,
     find_be_s_configuration,
     group_system,
+    grow_girth_graph,
     random_linear,
 )
 from besforge import io as textio
-from besforge.cli import main
+from besforge.cli import build_parser, main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+FLAGS = Path(__file__).with_name("cli_flags.json")
 
 HOSTS = {
     **{f"group{m}": (group_system, (m,)) for m in range(2, 11)},
@@ -83,11 +94,107 @@ def _unpack_trace(strategy):
     return _cli_output(argv)
 
 
+def _cli_inputs():
+    """Input files for the CLI cases, by name."""
+    g, cert = grow_girth_graph(60, 16, 5, seed=4)
+    return {
+        "g3.tls": textio.dumps_system(group_system(3)),
+        "g5.tls": textio.dumps_system(group_system(5)),
+        # 20 triples on 8 vertices; every vertex pair lies in at most 3 of them
+        "mod3.ts": textio.dumps_system(TripleSystem(
+            8, tuple(x for x in combinations(range(8), 3) if sum(x) % 3 == 0))),
+        "girth.graph": textio.dumps_graph(g, cert),
+        "cfg.txt": "e 0 0 0\ne 0 1 1\n",
+    }
+
+
+def _cli_run(*argv):
+    """Run the CLI in a scratch dir holding _cli_inputs(); '{tmp}' in argv names
+    that dir. Returns the exit code, stdout and every file the run wrote."""
+    inputs = _cli_inputs()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in inputs.items():
+            (tmp / name).write_text(text)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([arg.format(tmp=tmp) for arg in argv])
+        written = sorted(f for f in tmp.iterdir() if f.name not in inputs)
+        return f"exit {code}\n{stdout.getvalue()}" + "".join(
+            f"== {f.name}\n{f.read_text()}" for f in written)
+
+
+_REPORT = ("--report", "{tmp}/report.json", "--no-timestamp")
+
+CLI_CASES = {
+    "gen/group": ("gen", "group", "--m", "4"),
+    "gen/random": ("gen", "random", "--na", "6", "--nb", "7", "--nc", "8",
+                   "--target", "20", "--seed", "5", "--out", "{tmp}/out.tls"),
+    "reduce/win": ("reduce", "--input", "{tmp}/mod3.ts", "--e", "3", *_REPORT),
+    "reduce/reduction": ("reduce", "--input", "{tmp}/mod3.ts", "--e", "4", "--seed", "2",
+                         "--out", "{tmp}/out.tls", *_REPORT),
+    "aux": ("aux", "--input", "{tmp}/g5.tls", "--out", "{tmp}/out.aux", *_REPORT),
+    **{f"findf/{s}": ("findf", "--input", "{tmp}/g5.tls", "--k", "7", "--t", "3",
+                      "--strategy", s, "--seed", "1", *_REPORT) for s in STRATEGIES},
+    "unpack/greedy": ("unpack", "--input", "{tmp}/g5.tls", "--k", "7", "--t", "3",
+                      "--strategy", "greedy", "--seed", "2", "--budget-ms", "600000",
+                      "--trace", "{tmp}/trace.json", *_REPORT),
+    # flag values picked so that the output changes when any of t, tau_max,
+    # seed or strategy (solve/flags), base_e (solve/base-e) or k0 (sweep) is
+    # left out
+    "solve/flags": ("solve", "--input", "{tmp}/g5.tls", "--e", "20", "--t", "3", "--k0", "2",
+                    "--tau-max", "8", "--base-e", "5", "--strategy", "greedy", "--seed", "7",
+                    "--budget-ms", "600000", *_REPORT),
+    "solve/base-e": ("solve", "--input", "{tmp}/g5.tls", "--e", "5", "--base-e", "5", *_REPORT),
+    "solve/paper": ("solve", "--input", "{tmp}/g5.tls", "--e", "20", "--paper-mode", *_REPORT),
+    "solve/plain": ("solve", "--input", "{tmp}/g5.tls", "--e", "20"),
+    "sweep/flags": ("sweep", "--input", "{tmp}/g5.tls", "--e-min", "3", "--e-max", "25",
+                    "--t", "3", "--k0", "4", "--tau-max", "10", "--base-e", "5", "--seed", "7"),
+    "oracle/min": ("oracle", "--input", "{tmp}/g3.tls", "--e", "4"),
+    "oracle/v": ("oracle", "--input", "{tmp}/g3.tls", "--e", "4", "--v", "6", "--guard", "100000"),
+    "girth/grow": ("girth", "grow", "--k", "60", "--t", "16", "--g", "5", "--seed", "4",
+                   "--out", "{tmp}/out.graph"),
+    "girth/check": ("girth", "check", "--input", "{tmp}/girth.graph", "--g", "6"),
+    "verify": ("verify", "--input", "{tmp}/g3.tls", "--config", "{tmp}/cfg.txt",
+               "--v", "5", "--e", "2"),
+}
+
 CASES = {
     **{f"solve/{h}/{p}": (_solve_corpus, (h, p)) for h in HOSTS for p in PARAMS},
     "sweep/group6": (_sweep_csv, ()),
     **{f"unpack/group5/{s}": (_unpack_trace, (s,)) for s in STRATEGIES},
+    **{f"cli/{name}": (_cli_run, argv) for name, argv in CLI_CASES.items()},
 }
+
+
+def _leaf_parsers(parser, path=()):
+    """Yield (command path, parser) for every parser that takes no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+def cli_flags():
+    """Every subcommand's options with their default, type, choices and required flag."""
+    return {
+        command: {
+            option: {
+                "dest": a.dest,
+                "default": a.default,
+                "type": getattr(a.type, "__name__", None),
+                "choices": None if a.choices is None else list(a.choices),
+                "required": a.required,
+                "nargs": a.nargs,
+                "const": a.const,
+            }
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            for option in a.option_strings
+        }
+        for command, parser in _leaf_parsers(build_parser())
+    }
 
 
 def digest(case):
@@ -105,9 +212,25 @@ def test_recorded_cases_match_corpus(recorded):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_output_is_byte_identical(case, recorded):
+def test_output_is_byte_identical(case, recorded, monkeypatch):
+    monkeypatch.delenv("BESFORGE_SEED", raising=False)
     assert digest(case) == recorded[case]
 
 
+def test_cli_flags_match_the_recorded_table(monkeypatch):
+    monkeypatch.delenv("BESFORGE_SEED", raising=False)
+    recorded = json.loads(FLAGS.read_text())
+    # The table was recorded while --seed defaulted to None and the commands
+    # read BESFORGE_SEED (else 0) themselves. argparse now takes that text as
+    # the default and converts it with int, so a malformed value is a usage
+    # error; the seed a run uses is the same.
+    for options in recorded.values():
+        if "--seed" in options:
+            options["--seed"]["default"] = "0"
+    assert cli_flags() == recorded
+
+
 if __name__ == "__main__":
+    os.environ.pop("BESFORGE_SEED", None)
     DIGESTS.write_text(json.dumps({case: digest(case) for case in sorted(CASES)}, indent=1) + "\n")
+    FLAGS.write_text(json.dumps(cli_flags(), indent=1) + "\n")

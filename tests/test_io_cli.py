@@ -4,10 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besforge import group_system, grow_girth_graph, random_linear, to_triple_system
+from besforge import (
+    Graph,
+    TripartiteLinearSystem,
+    TripleSystem,
+    group_system,
+    grow_girth_graph,
+    random_linear,
+    to_triple_system,
+)
 from besforge import io as textio
 from besforge.cli import main
-from besforge.errors import FormatError
+from besforge.errors import FormatError, GrowthError
 
 
 def test_system_round_trip_tls():
@@ -116,6 +124,57 @@ def test_graph_cert_round_trip():
     assert cert2 == cert
 
 
+@st.composite
+def _systems(draw):
+    if draw(st.booleans()):
+        sizes = draw(st.tuples(*[st.integers(0, 5)] * 3))
+        edges = []
+        if min(sizes):
+            triple = st.tuples(*(st.integers(0, n - 1) for n in sizes))
+            edges = draw(st.lists(triple, unique=True, max_size=25))
+        return TripartiteLinearSystem(sizes, tuple(edges))
+    n = draw(st.integers(0, 9))
+    edges = []
+    if n >= 3:
+        triple = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+        edges = draw(st.lists(triple.map(tuple), unique_by=lambda x: tuple(sorted(x)),
+                              max_size=25))
+    return TripleSystem(n, tuple(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_every_system_round_trips(system):
+    assert textio.loads_system(textio.dumps_system(system)) == system
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(3, 6), st.integers(0, 99))
+def test_grown_graphs_round_trip(k, t, g, seed):
+    try:
+        graph, cert = grow_girth_graph(k, min(t, k), g, seed=seed)
+    except GrowthError:
+        return
+    graph2, cert2 = textio.loads_graph(textio.dumps_graph(graph, cert))
+    assert (graph2.vertices, graph2.edges, cert2) == (graph.vertices, graph.edges, cert)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_plain_graphs_round_trip(data):
+    n = data.draw(st.integers(0, 12))
+    pairs = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2))) if n else []
+    graph = Graph(vertices=range(n), edges=[(u, v) for u, v in pairs if u != v])
+    graph2, cert = textio.loads_graph(textio.dumps_graph(graph))
+    assert (graph2.vertices, graph2.edges, cert) == (graph.vertices, graph.edges, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-5, 10**6)] * 3)))
+def test_config_edges_round_trip(edges):
+    assert textio.loads_edges("".join(f"e {a} {b} {c}\n" for a, b, c in edges)) == edges
+
+
 def test_cli_gen_and_oracle(tmp_path, capsys):
     path = tmp_path / "g5.tls"
     assert main(["gen", "group", "--m", "5", "--out", str(path)]) == 0
@@ -134,6 +193,7 @@ def test_cli_solve_report(tmp_path, capsys):
     assert code == 0
     payload = json.loads(report.read_text())
     assert payload["e"] == 7 and payload["span"] == 9
+    assert isinstance(payload["timestamp"], int)
 
 
 def test_cli_girth_grow_isolated(capsys):
@@ -159,6 +219,37 @@ def test_cli_seed_determinism(tmp_path):
         main(["solve", "--input", str(g6), "--e", "14", "--seed", "3",
               "--report", str(r), "--no-timestamp"])
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_cli_seed_defaults_to_besforge_seed(tmp_path, monkeypatch):
+    g6 = tmp_path / "g6.tls"
+    g6.write_text(textio.dumps_system(group_system(6)))
+    reports = {}
+    for name, env, flags in (("unset", None, []), ("flag", None, ["--seed", "3"]),
+                             ("env", "3", []), ("flag_over_bad_env", "x", ["--seed", "3"])):
+        if env is None:
+            monkeypatch.delenv("BESFORGE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("BESFORGE_SEED", env)
+        reports[name] = tmp_path / f"{name}.json"
+        # greedy at e=25 gives a different report for seeds 0 and 3
+        assert main(["solve", "--input", str(g6), "--e", "25", "--strategy", "greedy", *flags,
+                     "--report", str(reports[name]), "--no-timestamp"]) == 0
+    assert reports["unset"].read_bytes() != reports["flag"].read_bytes()
+    assert reports["env"].read_bytes() == reports["flag"].read_bytes()
+    assert reports["flag_over_bad_env"].read_bytes() == reports["flag"].read_bytes()
+
+
+def test_cli_malformed_besforge_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    g3 = tmp_path / "g3.tls"
+    g3.write_text(textio.dumps_system(group_system(3)))
+    monkeypatch.setenv("BESFORGE_SEED", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(g3), "--e", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: invalid int value: 'x'" in err
+    assert "Traceback" not in err
 
 
 def test_cli_exit_codes(tmp_path, capsys):
