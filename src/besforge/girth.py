@@ -49,14 +49,12 @@ def grow_girth_graph(k, t, g, seed=0, deterministic=False):
         raise ParameterError("girth target must be at least 3")
     rng = random.Random(seed)
     graph = Graph()
-    sides = []
     side_members = {"A": [], "B": []}
     attachments = []
 
     for v in range(t):
         s = side_of(v)
         graph.add_vertex(v)
-        sides.append(s)
         side_members[s].append(v)
 
     for v in range(t, k):
@@ -73,7 +71,6 @@ def grow_girth_graph(k, t, g, seed=0, deterministic=False):
             raise GrowthError(v, graph.n)
         u1, u2 = pair
         graph.add_vertex(v)
-        sides.append(s)
         side_members[s].append(v)
         graph.add_edge(v, u1)
         graph.add_edge(v, u2)
@@ -81,7 +78,8 @@ def grow_girth_graph(k, t, g, seed=0, deterministic=False):
         if graph.degree(u1) > _MAX_DEGREE or graph.degree(u2) > _MAX_DEGREE:
             raise IntegrityError(f"degree cap {_MAX_DEGREE} violated at step {v}")
 
-    cert = GrowthCertificate(t, tuple(range(k)), tuple(attachments), tuple(sides))
+    cert = GrowthCertificate(t, tuple(range(k)), tuple(attachments),
+                             tuple(map(side_of, range(k))))
     return graph, cert
 
 
