@@ -8,7 +8,7 @@ underlying hyperedges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import validate_linear
@@ -48,10 +48,67 @@ class AuxGraph:
 
 @dataclass
 class SimpleSubgraph:
-    """One kept AuxEdge per pair of pair-vertices, with the annotation map."""
+    """One kept AuxEdge per pair of pair-vertices, with the annotation map.
+
+    `multi_edge_count` counts the multigraph edges it was built from that
+    remain; `remove_hyperedges` shrinks all three in place.
+    """
 
     graph: Graph
     annot: dict  # (u, w) -> AuxEdge
+    multi_edge_count: int = 0
+    # every multigraph edge, then (once shrinking starts) the index:
+    # hyperedge -> its multigraph edges, (u, w) -> remaining parallel edges
+    _edges: tuple = field(default=(), repr=False, compare=False)
+    _by_hyperedge: dict = field(default=None, repr=False, compare=False)
+    _parallel: dict = field(default=None, repr=False, compare=False)
+
+    def remove_hyperedges(self, used, residual):
+        """Shrink to the simple subgraph of `residual`, the system this one
+        describes without the hyperedges `used`.
+
+        Drops the multigraph edges through a used hyperedge, re-picks the kept
+        edge of each pair that lost one, and deletes a pair's edge once it has
+        none left and a pair-vertex once it has no edge. The result equals
+        simple_subgraph(build_aux(residual)). Then runs build_aux's
+        self-checks on `residual` against the remaining multigraph edges:
+        linearity, the count law and the lower bound, each raising
+        IntegrityError.
+        """
+        if self._by_hyperedge is None:
+            self._by_hyperedge = by_hyperedge = {}
+            self._parallel = parallel = {}
+            for ed in self._edges:
+                by_hyperedge.setdefault(ed.h1, []).append(ed)
+                by_hyperedge.setdefault(ed.h2, []).append(ed)
+                parallel.setdefault((ed.u, ed.w), []).append(ed)
+        used = set(used)
+        touched = {(ed.u, ed.w) for h in used for ed in self._by_hyperedge.pop(h, ())}
+        graph = self.graph
+        for key in touched:
+            parallel = self._parallel.get(key)
+            if parallel is None:
+                continue  # emptied by an earlier call
+            rest = [ed for ed in parallel if ed.h1 not in used and ed.h2 not in used]
+            self.multi_edge_count -= len(parallel) - len(rest)
+            if rest:
+                # a pair has at most two parallel edges and this one has just
+                # lost one, so the kept-edge rule picks the survivor
+                self._parallel[key] = rest
+                self.annot[key] = rest[0]
+                continue
+            del self._parallel[key]
+            del self.annot[key]
+            u, w = key
+            graph.remove_edge(u, w)
+            for v in key:
+                if not graph.degree(v):
+                    graph.remove_vertex(v)
+
+        verdict = validate_linear(residual)
+        if not verdict:
+            raise IntegrityError(f"residual system is not linear: {LinearityError(verdict)}")
+        _check_count(residual, self.multi_edge_count)
 
 
 def build_aux(lts):
@@ -74,14 +131,14 @@ def build_aux(lts):
     for c in sorted(by_apex):
         incident = sorted(by_apex[c])
         for (a1, b1), (a2, b2) in combinations(incident, 2):
-            # linearity makes the a's and b's distinct; a1 < a2 by sorting
+            # linearity makes the a's and b's distinct; a1 < a2 by sorting,
+            # so (a1, b1, c) is the smaller hyperedge
             if a1 == a2 or b1 == b2:
                 raise IntegrityError(f"apex {c} shares a pair between two hyperedges")
-            u = ("A", a1, a2)
-            w = ("B", min(b1, b2), max(b1, b2))
-            pairing = "S" if b1 < b2 else "X"
-            h1, h2 = sorted(((a1, b1, c), (a2, b2, c)))
-            rows.append((u, w, c, pairing, h1, h2))
+            if b1 < b2:
+                rows.append((("A", a1, a2), ("B", b1, b2), c, "S", (a1, b1, c), (a2, b2, c)))
+            else:
+                rows.append((("A", a1, a2), ("B", b2, b1), c, "X", (a1, b1, c), (a2, b2, c)))
     # plain tuples sort in C; (u, w, apex) is unique by linearity, so this is
     # the AuxEdge field order
     rows.sort()
@@ -96,30 +153,43 @@ def build_aux(lts):
         if len(parallel) == 2 and parallel[0].pairing == parallel[1].pairing:
             raise IntegrityError(f"parallel edges between {u} and {w} share pairing type")
 
-    degrees = lts.apex_degrees()
-    expected = sum(d * (d - 1) // 2 for d in degrees)
-    if len(edges) != expected:
-        raise IntegrityError(f"multi-edge count {len(edges)} != sum of C(d(c),2) = {expected}")
-    # the |E|^2/(4|C|) lower bound needs average apex degree >= 2
-    n_c = lts.sizes[2]
-    if n_c > 0 and lts.m >= 2 * n_c and 4 * n_c * len(edges) < lts.m * lts.m:
-        raise IntegrityError("multi-edge count fell below |E|^2 / (4|C|)")
+    _check_count(lts, len(edges))
 
     a_vs = tuple(sorted({ed.u for ed in edges}))
     b_vs = tuple(sorted({ed.w for ed in edges}))
     return AuxGraph(a_vs, b_vs, tuple(edges))
 
 
+def _check_count(lts, count):
+    """The count law (count = sum of C(d(c), 2)) and the lower bound
+    4*|C|*count >= |E|^2 for `count` multigraph edges on lts."""
+    expected = sum(d * (d - 1) // 2 for d in lts.apex_degrees())
+    if count != expected:
+        raise IntegrityError(f"multi-edge count {count} != sum of C(d(c),2) = {expected}")
+    # the |E|^2/(4|C|) lower bound needs average apex degree >= 2
+    n_c = lts.sizes[2]
+    if n_c > 0 and lts.m >= 2 * n_c and 4 * n_c * count < lts.m * lts.m:
+        raise IntegrityError("multi-edge count fell below |E|^2 / (4|C|)")
+
+
 def simple_subgraph(aux):
     """Keep one parallel edge per pair-vertex pair: prefer straight pairing,
-    then the smaller apex id."""
-    groups = {}
-    for ed in aux.edges:
-        groups.setdefault((ed.u, ed.w), []).append(ed)
+    then the smaller apex id.
+
+    aux.edges are sorted by (u, w, apex), so the parallel edges of a pair
+    come in a run ordered by apex; the kept edge is the run's first straight
+    edge, or else its first edge.
+    """
     g = Graph(vertices=aux.a_vertices + aux.b_vertices)
+    adj = g.adjacency()
     annot = {}
-    for (u, w), parallel in sorted(groups.items()):
-        kept = min(parallel, key=lambda ed: (ed.pairing != "S", ed.apex))
-        g.add_edge(u, w)
-        annot[(u, w)] = kept
-    return SimpleSubgraph(g, annot)
+    for ed in aux.edges:
+        key = (ed.u, ed.w)
+        kept = annot.get(key)
+        if kept is None:
+            annot[key] = ed
+            adj[ed.u].add(ed.w)
+            adj[ed.w].add(ed.u)
+        elif ed.pairing == "S" and kept.pairing != "S":
+            annot[key] = ed
+    return SimpleSubgraph(g, annot, len(aux.edges), aux.edges)

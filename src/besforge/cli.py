@@ -24,7 +24,7 @@ from .core import (
 )
 from .degsearch import STRATEGIES, find_dense_2deg
 from .driver import DriverParams, find_be_s_configuration
-from .errors import BesforgeError, FormatError
+from .errors import BesforgeError, FormatError, ParameterError
 from .girth import girth_of, grow_girth_graph, verify_certificate
 from .oracle import exists_config, min_span
 from .unpack import audit_involvement, check_lemma_bounds, unpack
@@ -216,6 +216,9 @@ def _cmd_aux(args):
 
 
 def _find_candidate(args, lts):
+    # as in DriverParams; find_dense_2deg itself takes t_target=0 as "best found"
+    if args.t < 1:
+        raise ParameterError("t must be positive")
     aux = build_aux(lts)
     simple = simple_subgraph(aux)
     result = find_dense_2deg(
@@ -364,8 +367,13 @@ def main(argv=None):
     except FormatError as err:
         print(f"format error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
-        print(f"cannot read {err.filename}", file=sys.stderr)
+    except UnicodeDecodeError as err:
+        print(f"format error: input is not UTF-8 text ({err.reason} at byte {err.start})",
+              file=sys.stderr)
+        return 2
+    except OSError as err:
+        # input and output files alike
+        print(f"cannot open {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
     except BesforgeError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -9,6 +9,7 @@ the recursive machinery is actually exercised.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from heapq import heapify, heappop, heappush
 
 from .auxgraph import build_aux, simple_subgraph
 from .core import Configuration, TripartiteLinearSystem, verify_configuration
@@ -98,23 +99,44 @@ class DriverReport:
 
 def _greedy_pick(available, count, span, edge_keys):
     """Pick `count` edges, each maximizing overlap with the running span;
-    ties go to the lexicographically smallest edge."""
+    ties go to the lexicographically smallest edge.
+
+    Edges wait in one min-heap per overlap (0-3). A key joining the span
+    moves the edges through it, found with a key -> edges index, one heap
+    up; the entries they leave behind are skipped when popped.
+    """
     if len(available) < count:
         raise ExhaustionError(count, len(available))
-    chosen = []
     span = set(span)
-    pool = sorted(available)
-    for _ in range(count):
-        best = None
-        best_ov = -1
-        for x in pool:
-            ov = sum(1 for key in edge_keys(x) if key in span)
-            if ov > best_ov:
-                best_ov = ov
-                best = x
-        chosen.append(best)
-        pool.remove(best)
-        span.update(edge_keys(best))
+    overlap = {}  # edge not yet chosen -> its overlap with the span
+    by_key = {}
+    for x in available:
+        keys = edge_keys(x)
+        overlap[x] = sum(1 for key in keys if key in span)
+        for key in keys:
+            by_key.setdefault(key, []).append(x)
+    heaps = [[], [], [], []]
+    for x, ov in overlap.items():
+        heaps[ov].append(x)
+    for heap in heaps:
+        heapify(heap)
+    chosen = []
+    while len(chosen) < count:
+        ov = 3
+        while not heaps[ov]:
+            ov -= 1
+        x = heappop(heaps[ov])
+        if overlap.get(x) != ov:
+            continue  # chosen, or moved up since this entry was pushed
+        del overlap[x]
+        chosen.append(x)
+        for key in edge_keys(x):
+            if key not in span:
+                span.add(key)
+                for y in by_key[key]:
+                    if y in overlap:
+                        overlap[y] += 1
+                        heappush(heaps[overlap[y]], y)
     return chosen
 
 
@@ -136,14 +158,18 @@ def find_be_s_configuration(lts, e, params=None):
     frames = []
     e_prime = e
     note = ""
+    simple = None  # the pair graph of the residual, built once and then shrunk
+    used = set()
     while e_prime > params.base_threshold:
         k = e_prime // 4
         if k < max(2, params.k0):
             note = "k below minimum; base fallback"
             break
         sub = TripartiteLinearSystem(lts.sizes, tuple(residual))
-        aux = build_aux(sub)
-        simple = simple_subgraph(aux)
+        if simple is None:
+            simple = simple_subgraph(build_aux(sub))
+        else:
+            simple.remove_hyperedges(used, sub)
         if simple.graph.n < k or simple.graph.m == 0:
             note = "pair graph too small; base fallback"
             break
@@ -152,7 +178,7 @@ def find_be_s_configuration(lts, e, params=None):
             seed=params.seed + len(frames), budget_ms=params.budget_ms,
         )
         cand = result.candidate
-        cfg, trace = unpack(cand, aux, sub, simple=simple)
+        cfg, trace = unpack(cand, None, sub, simple=simple)
         fe = trace.e_total
         top_up = e_prime - fe <= params.tau_max
         if not top_up and not (fe >= trace.v_total and fe > 0):

@@ -138,7 +138,11 @@ def _check_step_laws(rec):
 
 
 def unpack(candidate, aux, host, simple=None):
-    """Run the unpacking process and return (Configuration, UnpackTrace)."""
+    """Run the unpacking process and return (Configuration, UnpackTrace).
+
+    The annotations come from `simple`, or from simple_subgraph(aux) when
+    simple is None; aux is not read otherwise.
+    """
     if simple is None:
         simple = simple_subgraph(aux)
     annot = simple.annot

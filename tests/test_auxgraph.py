@@ -1,6 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besforge import (
+    Graph,
+    IntegrityError,
     LinearityError,
     TripartiteLinearSystem,
     build_aux,
@@ -86,3 +92,78 @@ def test_multiplicity_law_on_random_instances():
         for pairings in groups.values():
             assert len(pairings) <= 2
             assert len(set(pairings)) == len(pairings)
+
+
+def _reference_simple_subgraph(aux):
+    """The grouping build that the one-pass simple_subgraph replaced, kept as
+    the reference for its kept edges."""
+    groups = {}
+    for ed in aux.edges:
+        groups.setdefault((ed.u, ed.w), []).append(ed)
+    g = Graph(vertices=aux.a_vertices + aux.b_vertices)
+    annot = {}
+    for (u, w), parallel in sorted(groups.items()):
+        g.add_edge(u, w)
+        annot[(u, w)] = min(parallel, key=lambda ed: (ed.pairing != "S", ed.apex))
+    return g, annot
+
+
+def _assert_same_pair_graph(simple, lts):
+    aux = build_aux(lts)
+    fresh = simple_subgraph(aux)
+    assert simple.graph.vertices == fresh.graph.vertices
+    assert simple.graph.edges == fresh.graph.edges
+    assert simple.annot == fresh.annot
+    assert simple.multi_edge_count == fresh.multi_edge_count == aux.multi_edge_count
+
+
+def _shrink_to_empty(lts, rng):
+    """Remove random batches of hyperedges until none is left, checking the
+    shrunk pair graph against a fresh build after every batch."""
+    simple = simple_subgraph(build_aux(lts))
+    left = list(lts.edges)
+    while left:
+        used = set(rng.sample(left, rng.randint(1, max(1, len(left) // 3))))
+        left = [x for x in left if x not in used]
+        residual = TripartiteLinearSystem(lts.sizes, tuple(left))
+        simple.remove_hyperedges(used, residual)
+        _assert_same_pair_graph(simple, residual)
+    assert simple.graph.n == 0 and simple.annot == {} and simple.multi_edge_count == 0
+
+
+def test_one_pass_simple_subgraph_matches_the_grouping_reference():
+    hosts = [group_system(m) for m in range(1, 9)]
+    hosts += [random_linear(9, 9, 9, 40, seed=s) for s in range(10)]
+    for lts in hosts:
+        aux = build_aux(lts)
+        simple = simple_subgraph(aux)
+        g, annot = _reference_simple_subgraph(aux)
+        assert (simple.graph.vertices, simple.graph.edges) == (g.vertices, g.edges)
+        assert simple.annot == annot
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_shrinking_equals_rebuilding_on_group_systems(m):
+    for seed in range(10):
+        _shrink_to_empty(group_system(m), random.Random(f"{m}:{seed}"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.integers(0, 60),
+       st.integers(0, 10**6))
+def test_shrinking_equals_rebuilding_on_random_hosts(na, nb, nc, target, seed):
+    _shrink_to_empty(random_linear(na, nb, nc, target, seed=seed), random.Random(seed))
+
+
+def test_shrinking_checks_the_residual():
+    lts = group_system(4)
+    simple = simple_subgraph(build_aux(lts))
+    simple.multi_edge_count += 1
+    used = lts.edges[:2]
+    residual = TripartiteLinearSystem(lts.sizes, lts.edges[2:])
+    with pytest.raises(IntegrityError, match="multi-edge count"):
+        simple.remove_hyperedges(used, residual)
+    simple = simple_subgraph(build_aux(lts))
+    nonlinear = TripartiteLinearSystem(lts.sizes, ((0, 0, 0), (0, 0, 1)))
+    with pytest.raises(IntegrityError, match="not linear"):
+        simple.remove_hyperedges(lts.edges[2:], nonlinear)

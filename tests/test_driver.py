@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 import besforge.driver
 from besforge import (
+    TripartiteLinearSystem,
     DriverParams,
     ExhaustionError,
     IntegrityError,
@@ -15,7 +17,9 @@ from besforge import (
     verify_configuration,
 )
 from besforge import io as textio
+from besforge.auxgraph import SimpleSubgraph, simple_subgraph
 from besforge.cli import main
+from besforge.driver import _greedy_pick
 
 PRACTICAL = DriverParams(t=4, tau_max=4, base_e=4)
 
@@ -115,3 +119,67 @@ def test_oracle_dominance_small():
     for e in range(1, 9):
         report = find_be_s_configuration(lts, e, PRACTICAL)
         assert report.span >= min_span(lts, e).v
+
+
+def _reference_greedy_pick(available, count, span, edge_keys):
+    """The rescanning pick that the overlap heaps replaced, kept as the
+    reference for its choices."""
+    chosen = []
+    span = set(span)
+    pool = sorted(available)
+    for _ in range(count):
+        best = None
+        best_ov = -1
+        for x in pool:
+            ov = sum(1 for key in edge_keys(x) if key in span)
+            if ov > best_ov:
+                best_ov = ov
+                best = x
+        chosen.append(best)
+        pool.remove(best)
+        span.update(edge_keys(best))
+    return chosen
+
+
+def test_greedy_pick_matches_the_rescanning_reference():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        lts = TripartiteLinearSystem((n, n, n), tuple(
+            x for x in ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
+            if rng.random() < 0.4))
+        if not lts.m:
+            continue
+        pool = rng.sample(lts.edges, rng.randint(1, lts.m))
+        count = rng.randint(0, len(pool))
+        span = {key for x in rng.sample(lts.edges, rng.randint(0, min(3, lts.m))) for key in lts.edge_keys(x)}
+        assert (_greedy_pick(pool, count, span, lts.edge_keys)
+                == _reference_greedy_pick(pool, count, span, lts.edge_keys))
+
+
+def test_pair_graph_is_built_once_per_solve(monkeypatch):
+    calls = {"build": 0, "shrink": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(besforge.driver, "build_aux", counting("build", besforge.driver.build_aux))
+    monkeypatch.setattr(SimpleSubgraph, "remove_hyperedges",
+                        counting("shrink", SimpleSubgraph.remove_hyperedges))
+    report = find_be_s_configuration(group_system(10), 94, PRACTICAL)
+    assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
+    assert calls == {"build": 1, "shrink": 2}
+
+
+def test_corrupted_multi_edge_count_raises_on_the_next_frame(monkeypatch):
+    def corrupted(aux):
+        simple = simple_subgraph(aux)
+        simple.multi_edge_count -= 1
+        return simple
+
+    monkeypatch.setattr(besforge.driver, "simple_subgraph", corrupted)
+    with pytest.raises(IntegrityError, match="multi-edge count"):
+        find_be_s_configuration(group_system(10), 94, PRACTICAL)

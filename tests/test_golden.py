@@ -69,6 +69,12 @@ def _solve_corpus(host_name, params_name):
     return "\n".join(lines)
 
 
+def _ladder_solve(e):
+    """One solve on the benchmark's group-ladder host, group_system(30)."""
+    report = find_be_s_configuration(group_system(30), e, DriverParams(budget_ms=None))
+    return json.dumps(report.to_json_dict())
+
+
 def _cli_output(argv_of):
     """Run the CLI on a group host written to a scratch dir; return the output file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -161,6 +167,8 @@ CLI_CASES = {
 
 CASES = {
     **{f"solve/{h}/{p}": (_solve_corpus, (h, p)) for h in HOSTS for p in PARAMS},
+    # one and two recurse frames; e=103 shrinks the pair graph twice
+    **{f"solve/group30/e{e}": (_ladder_solve, (e,)) for e in (28, 60, 103)},
     "sweep/group6": (_sweep_csv, ()),
     **{f"unpack/group5/{s}": (_unpack_trace, (s,)) for s in STRATEGIES},
     **{f"cli/{name}": (_cli_run, argv) for name, argv in CLI_CASES.items()},

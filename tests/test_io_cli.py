@@ -292,6 +292,39 @@ def test_cli_rejects_bad_driver_flags_as_usage_errors(tmp_path, flags):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["aux", "solve --e 2", "girth check"])
+def test_cli_directory_input_exits_2(tmp_path, capsys, command):
+    assert main([*command.split(), "--input", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot open {tmp_path}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["aux", "girth check", "findf --k 2 --t 1"])
+def test_cli_binary_input_exits_2(tmp_path, capsys, command):
+    binary = tmp_path / "binary.tls"
+    # an ELF header: not UTF-8 from its fifth byte on
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    assert main([*command.split(), "--input", str(binary)]) == 2
+    assert capsys.readouterr().err.startswith("format error: input is not UTF-8 text")
+
+
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    g3 = tmp_path / "g3.tls"
+    g3.write_text(textio.dumps_system(group_system(3)))
+    assert main(["aux", "--input", str(g3), "--out", str(tmp_path / "no" / "x.aux")]) == 2
+    assert capsys.readouterr().err.startswith("cannot open")
+
+
+@pytest.mark.parametrize("command", ["findf", "unpack"])
+def test_cli_search_rejects_t_below_one(tmp_path, capsys, command):
+    g3 = tmp_path / "g3.tls"
+    g3.write_text(textio.dumps_system(group_system(3)))
+    assert main([command, "--input", str(g3), "--k", "2", "--t", "0"]) == 1
+    assert capsys.readouterr().err == "error: t must be positive\n"
+    assert main([command, "--input", str(g3), "--k", "2", "--t", "1"]) == 0
+
+
 def test_cli_rejects_bad_t_before_solving(tmp_path, capsys):
     g3 = tmp_path / "g3.tls"
     g3.write_text(textio.dumps_system(group_system(3)))
