@@ -57,8 +57,9 @@ class SimpleSubgraph:
     graph: Graph
     annot: dict  # (u, w) -> AuxEdge
     multi_edge_count: int = 0
-    # every multigraph edge, then (once shrinking starts) the index:
-    # hyperedge -> its multigraph edges, (u, w) -> remaining parallel edges
+    # the multigraph edges it was built from, and the index the first
+    # remove_hyperedges call builds over them: hyperedge -> its multigraph
+    # edges (removed ones included), (u, w) -> its remaining parallel edges
     _edges: tuple = field(default=(), repr=False, compare=False)
     _by_hyperedge: dict = field(default=None, repr=False, compare=False)
     _parallel: dict = field(default=None, repr=False, compare=False)
