@@ -5,11 +5,11 @@ import pytest
 
 import besforge.driver
 from besforge import (
-    TripartiteLinearSystem,
     DriverParams,
     ExhaustionError,
     IntegrityError,
     ParameterError,
+    TripartiteLinearSystem,
     find_be_s_configuration,
     group_system,
     min_span,
