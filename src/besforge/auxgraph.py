@@ -50,17 +50,19 @@ class AuxGraph:
 class SimpleSubgraph:
     """One kept AuxEdge per pair of pair-vertices, with the annotation map.
 
-    `multi_edge_count` counts the multigraph edges it was built from that
-    remain; `remove_hyperedges` shrinks all three in place.
+    `multi_edges` are the multigraph edges it was built from and
+    `multi_edge_count` counts those that remain; `remove_hyperedges` shrinks
+    the graph, the annotation and the count in place. simple_subgraph sets
+    both; a subgraph built without them can be read but not shrunk.
     """
 
     graph: Graph
     annot: dict  # (u, w) -> AuxEdge
-    multi_edge_count: int = 0
-    # the multigraph edges it was built from, and the index the first
-    # remove_hyperedges call builds over them: hyperedge -> its multigraph
-    # edges (removed ones included), (u, w) -> its remaining parallel edges
-    _edges: tuple = field(default=(), repr=False, compare=False)
+    multi_edge_count: int = None
+    multi_edges: tuple = field(default=None, repr=False, compare=False)
+    # the index the first remove_hyperedges call builds over multi_edges:
+    # hyperedge -> its multigraph edges (removed ones included),
+    # (u, w) -> its remaining parallel edges
     _by_hyperedge: dict = field(default=None, repr=False, compare=False)
     _parallel: dict = field(default=None, repr=False, compare=False)
 
@@ -76,10 +78,12 @@ class SimpleSubgraph:
         linearity, the count law and the lower bound, each raising
         IntegrityError.
         """
+        if self.multi_edges is None:
+            raise IntegrityError("cannot shrink a simple subgraph built without its multigraph edges")
         if self._by_hyperedge is None:
             self._by_hyperedge = by_hyperedge = {}
             self._parallel = parallel = {}
-            for ed in self._edges:
+            for ed in self.multi_edges:
                 by_hyperedge.setdefault(ed.h1, []).append(ed)
                 by_hyperedge.setdefault(ed.h2, []).append(ed)
                 parallel.setdefault((ed.u, ed.w), []).append(ed)

@@ -372,6 +372,8 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     except OSError as err:
+        if err.filename is None:
+            raise  # not about a file, e.g. a broken stdout pipe
         # input and output files alike
         print(f"cannot open {err.filename}: {err.strerror}", file=sys.stderr)
         return 2

@@ -145,11 +145,11 @@ def validate_linear(system):
     verdict carrying one violating pair if any.
     """
     pm = pair_map(system)
-    shared = [pair for pair, hits in pm.items() if len(hits) >= 2]
-    if not shared:
-        return LinearityVerdict(True)
-    pair = min(shared)
-    return LinearityVerdict(False, pair, tuple(sorted(pm[pair])[:2]))
+    for pair in sorted(pm):
+        hits = pm[pair]
+        if len(hits) >= 2:
+            return LinearityVerdict(False, pair, tuple(sorted(hits)[:2]))
+    return LinearityVerdict(True)
 
 
 def verify_configuration(host, cfg, v, e):

@@ -14,6 +14,7 @@ from besforge import (
     random_linear,
     simple_subgraph,
 )
+from besforge.auxgraph import SimpleSubgraph
 
 
 def test_group2_multiplicity_two_with_both_pairings():
@@ -167,3 +168,12 @@ def test_shrinking_checks_the_residual():
     nonlinear = TripartiteLinearSystem(lts.sizes, ((0, 0, 0), (0, 0, 1)))
     with pytest.raises(IntegrityError, match="not linear"):
         simple.remove_hyperedges(lts.edges[2:], nonlinear)
+
+
+def test_hand_built_subgraph_cannot_shrink():
+    lts = group_system(3)
+    simple = simple_subgraph(build_aux(lts))
+    hand_built = SimpleSubgraph(simple.graph, dict(simple.annot))
+    residual = TripartiteLinearSystem(lts.sizes, lts.edges[1:])
+    with pytest.raises(IntegrityError, match="without its multigraph edges"):
+        hand_built.remove_hyperedges(lts.edges[:1], residual)

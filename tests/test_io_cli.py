@@ -316,6 +316,23 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("cannot open")
 
 
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_cli_passes_on_os_errors_without_a_file(tmp_path, capsys, monkeypatch):
+    g3 = tmp_path / "g3.tls"
+    g3.write_text(textio.dumps_system(group_system(3)))
+    monkeypatch.setattr("sys.stdout", _BrokenPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["aux", "--input", str(g3)])
+    assert "cannot open" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["findf", "unpack"])
 def test_cli_search_rejects_t_below_one(tmp_path, capsys, command):
     g3 = tmp_path / "g3.tls"
