@@ -218,12 +218,32 @@ def _greedy_candidate(g, k, rng):
 def _window_candidates(g, k, budget_end):
     """The densest trim over the windows of k consecutive vertices of the
     degeneracy ordering, ties to the smallest vertex order (windows have
-    distinct vertex sets, so the orders differ)."""
+    distinct vertex sets, so the orders differ).
+
+    A trim keeps at most 2 back-edges per vertex, none for the first and at
+    most one for the second, so a window's count is at most
+    min(induced edges, 2k - 3).
+    Only windows whose bound reaches the best count so far are peeled; ties
+    are still peeled, so the choice is that of a full scan.
+    """
     ordering = degeneracy_ordering(g)
     order = ordering.order
+    adj = g.adjacency()
+    pos = {v: i for i, v in enumerate(order)}
+    cap = 2 * k - 3
+    # induced edges of the window order[s : s + k], kept up to date as it slides
+    induced = sum(1 for i in range(k) for w in adj[order[i]] if i < pos[w] < k)
     best = None
     best_s = None
     for s in range(len(order) - k + 1):
+        if s:
+            # order[s - 1] leaves and order[s + k - 1] joins; both count only
+            # their edges to the k - 1 vertices the two windows share
+            hi = s + k - 1
+            induced -= sum(1 for w in adj[order[s - 1]] if s <= pos[w] < hi)
+            induced += sum(1 for w in adj[order[hi]] if s <= pos[w] < hi)
+        if best is not None and min(induced, cap) < -best[0]:
+            continue
         count, trimmed = _score(g, order[s : s + k])
         key = (-count, trimmed)
         if best is None or key < best:
@@ -231,7 +251,7 @@ def _window_candidates(g, k, budget_end):
             best_s = s
         if budget_end is not None and time.monotonic() > budget_end:
             break
-    return None if best is None else _trim_on_set(g, order[best_s : best_s + k])
+    return _trim_on_set(g, order[best_s : best_s + k])
 
 
 def _counts_without_one(nbrs):
@@ -440,8 +460,6 @@ def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None):
                 break
     else:
         cand = _window_candidates(g, k, budget_end)
-        if cand is None:
-            cand = _trim_on_set(g, g.vertices[:k])
         if cand.achieved_t > t_target:
             cand2 = _local_search(g, cand, k, budget_end)
             if cand2.sort_key() < cand.sort_key():

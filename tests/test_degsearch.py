@@ -10,8 +10,10 @@ from besforge import (
     degeneracy_ordering,
     find_dense_2deg,
     group_system,
+    random_linear,
     simple_subgraph,
 )
+from besforge import degsearch
 from besforge.degsearch import (
     _counts_without_one,
     _greedy_candidate,
@@ -19,6 +21,7 @@ from besforge.degsearch import (
     _peel,
     _score,
     _trim_on_set,
+    _window_candidates,
 )
 
 
@@ -246,3 +249,51 @@ def test_greedy_candidate_matches_the_rescoring_reference():
         seed = rng.randrange(1000)
         cand = _greedy_candidate(g, k, random.Random(seed))
         assert cand.vertices == _reference_greedy(g, k, random.Random(seed))
+
+
+def _reference_window_scan(g, k):
+    """The scan that peeled every window, kept as the reference for the
+    densest window and its (-count, order) tie-break."""
+    order = degeneracy_ordering(g).order
+    best = None
+    best_s = None
+    for s in range(len(order) - k + 1):
+        count, trimmed = _score(g, order[s : s + k])
+        key = (-count, trimmed)
+        if best is None or key < best:
+            best = key
+            best_s = s
+    return _trim_on_set(g, order[best_s : best_s + k])
+
+
+def _pair_graph(seed, size=12, edges=60):
+    return simple_subgraph(build_aux(random_linear(size, size, size, edges, seed=seed))).graph
+
+
+def test_pruned_window_scan_matches_the_full_scan():
+    rng = random.Random(19)
+    for _ in range(150):
+        g = _tied_graph(rng)
+        for k in range(2, g.n + 1):
+            assert _window_candidates(g, k, None) == _reference_window_scan(g, k)
+    for seed in range(4):
+        g = _pair_graph(seed)
+        for k in range(2, min(g.n, 24) + 1, 3):
+            assert _window_candidates(g, k, None) == _reference_window_scan(g, k)
+
+
+def test_pruned_window_scan_peels_few_windows(monkeypatch):
+    g = _pair_graph(0, size=24, edges=320)
+    k = 20
+    calls = []
+
+    def counted(graph, vertex_set):
+        calls.append(vertex_set)
+        return _score(graph, vertex_set)
+
+    monkeypatch.setattr(degsearch, "_score", counted)
+    cand = _window_candidates(g, k, None)
+    windows = g.n - k + 1
+    assert len(calls) * 10 <= windows
+    monkeypatch.undo()
+    assert cand == _reference_window_scan(g, k)
