@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import validate_linear
 from .errors import IntegrityError, LinearityError
 from .graphs import Graph
 
 
-@dataclass(frozen=True, order=True)
-class AuxEdge:
+class AuxEdge(NamedTuple):
+    """One multigraph edge. A tuple of its fields, so ordering, equality
+    and hashing follow the field order."""
+
     u: tuple  # A-side pair-vertex
     w: tuple  # B-side pair-vertex
     apex: int
@@ -147,7 +150,7 @@ def build_aux(lts):
     # plain tuples sort in C; (u, w, apex) is unique by linearity, so this is
     # the AuxEdge field order
     rows.sort()
-    edges = [AuxEdge(*row) for row in rows]
+    edges = list(map(AuxEdge._make, rows))
 
     mult = {}
     for ed in edges:
