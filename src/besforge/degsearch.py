@@ -3,6 +3,10 @@
 A candidate is an ordered vertex list v1..vk plus an edge list where every
 vertex has at most 2 edges to earlier vertices; the quality measure is the
 edge count (equivalently achieved_t = 2k - |edges|, smaller is denser).
+
+The 'peel' search scans windows of the degeneracy ordering and stops at the
+first one that meets the target t, not at the densest window overall; only
+when no window meets it does it take the densest and try local search.
 """
 
 from __future__ import annotations
@@ -215,16 +219,19 @@ def _greedy_candidate(g, k, rng):
     return _trim_on_set(g, chosen)
 
 
-def _window_candidates(g, k, budget_end):
-    """The densest trim over the windows of k consecutive vertices of the
-    degeneracy ordering, ties to the smallest vertex order (windows have
-    distinct vertex sets, so the orders differ).
+def _window_candidates(g, k, goal, budget_end):
+    """Scan the windows of k consecutive vertices of the degeneracy ordering
+    and return the trim of the first window whose edge count reaches `goal`.
+
+    If no window reaches it, return the densest trim, ties to the smallest
+    vertex order (windows have distinct vertex sets, so the orders differ).
+    In a smallest-last order the first windows hold the densest core.
 
     A trim keeps at most 2 back-edges per vertex, none for the first and at
     most one for the second, so a window's count is at most
-    min(induced edges, 2k - 3).
-    Only windows whose bound reaches the best count so far are peeled; ties
-    are still peeled, so the choice is that of a full scan.
+    min(induced edges, 2k - 3). Only windows whose bound reaches the best
+    count so far are peeled; ties are still peeled, so the fallback is the
+    choice of a full scan.
     """
     ordering = degeneracy_ordering(g)
     order = ordering.order
@@ -245,6 +252,9 @@ def _window_candidates(g, k, budget_end):
         if best is not None and min(induced, cap) < -best[0]:
             continue
         count, trimmed = _score(g, order[s : s + k])
+        if count >= goal:
+            best_s = s
+            break
         key = (-count, trimmed)
         if best is None or key < best:
             best = key
@@ -431,7 +441,8 @@ def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):
 def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None):
     """Search for a k-vertex 2-degenerate subgraph with >= 2k - t_target edges.
 
-    Strategies: 'peel' (degeneracy windows + local search), 'greedy' (seeded
+    Strategies: 'peel' (the first degeneracy window that reaches the goal,
+    else the densest window improved by local search), 'greedy' (seeded
     growth from a high-degree edge), 'exhaustive' (exact, small hosts only).
     Failure is first-class: the densest candidate found is always returned.
     """
@@ -459,7 +470,7 @@ def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None):
             if budget_end is not None and time.monotonic() > budget_end:
                 break
     else:
-        cand = _window_candidates(g, k, budget_end)
+        cand = _window_candidates(g, k, 2 * k - t_target, budget_end)
         if cand.achieved_t > t_target:
             cand2 = _local_search(g, cand, k, budget_end)
             if cand2.sort_key() < cand.sort_key():

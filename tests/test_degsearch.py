@@ -252,8 +252,9 @@ def test_greedy_candidate_matches_the_rescoring_reference():
 
 
 def _reference_window_scan(g, k):
-    """The scan that peeled every window, kept as the reference for the
-    densest window and its (-count, order) tie-break."""
+    """The scan that peeled every window and kept the densest, kept as the
+    reference for the (-count, order) tie-break when no window reaches the
+    goal."""
     order = degeneracy_ordering(g).order
     best = None
     best_s = None
@@ -266,20 +267,61 @@ def _reference_window_scan(g, k):
     return _trim_on_set(g, order[best_s : best_s + k])
 
 
+def _first_window_reaching(g, k, goal):
+    """The trim of the first window, in scan order, with at least goal edges,
+    or None."""
+    order = degeneracy_ordering(g).order
+    for s in range(len(order) - k + 1):
+        if _score(g, order[s : s + k])[0] >= goal:
+            return _trim_on_set(g, order[s : s + k])
+    return None
+
+
 def _pair_graph(seed, size=12, edges=60):
     return simple_subgraph(build_aux(random_linear(size, size, size, edges, seed=seed))).graph
 
 
-def test_pruned_window_scan_matches_the_full_scan():
+def test_window_scan_out_of_reach_matches_the_full_scan():
+    # a trim has at most 2k - 3 edges, so the goal 2k - 2 is never reached
     rng = random.Random(19)
     for _ in range(150):
         g = _tied_graph(rng)
         for k in range(2, g.n + 1):
-            assert _window_candidates(g, k, None) == _reference_window_scan(g, k)
+            assert _window_candidates(g, k, 2 * k - 2, None) == _reference_window_scan(g, k)
     for seed in range(4):
         g = _pair_graph(seed)
         for k in range(2, min(g.n, 24) + 1, 3):
-            assert _window_candidates(g, k, None) == _reference_window_scan(g, k)
+            assert _window_candidates(g, k, 2 * k - 2, None) == _reference_window_scan(g, k)
+
+
+def test_window_scan_stops_at_the_first_window_reaching_the_goal():
+    rng = random.Random(23)
+    graphs = [_tied_graph(rng) for _ in range(80)]
+    graphs += [simple_subgraph(build_aux(group_system(m))).graph for m in (4, 5)]
+    reached = 0
+    for g in graphs:
+        for k in range(2, min(g.n, 16) + 1):
+            for goal in range(2 * k - 2):
+                first = _first_window_reaching(g, k, goal)
+                cand = _window_candidates(g, k, goal, None)
+                if first is None:
+                    assert cand == _reference_window_scan(g, k)
+                else:
+                    reached += 1
+                    assert cand == first
+    assert reached > 1000
+
+
+def test_peel_search_skips_local_search_when_a_window_reaches_t(monkeypatch):
+    g = simple_subgraph(build_aux(group_system(6))).graph
+
+    def no_local_search(*args):
+        raise AssertionError("local search ran after a window reached t")
+
+    monkeypatch.setattr(degsearch, "_local_search", no_local_search)
+    res = find_dense_2deg(g, 12, 4)
+    assert res.success
+    assert res.candidate == _first_window_reaching(g, 12, 20)
 
 
 def test_pruned_window_scan_peels_few_windows(monkeypatch):
@@ -292,7 +334,7 @@ def test_pruned_window_scan_peels_few_windows(monkeypatch):
         return _score(graph, vertex_set)
 
     monkeypatch.setattr(degsearch, "_score", counted)
-    cand = _window_candidates(g, k, None)
+    cand = _window_candidates(g, k, 2 * k - 2, None)
     windows = g.n - k + 1
     assert len(calls) * 10 <= windows
     monkeypatch.undo()

@@ -175,6 +175,24 @@ CASES = {
 }
 
 
+# The span sum of the default and tau8 solve corpora when the window scan
+# still kept the densest window (10,625 since it stops at the first window
+# that reaches t). The digests above are re-recorded whenever outputs change
+# on purpose; this bound keeps such a change from buying speed with larger
+# configurations.
+SPAN_SUM_BOUND = 10677
+
+
+def test_solve_corpus_span_sum_does_not_grow():
+    total = sum(
+        json.loads(line)["span"]
+        for h in HOSTS
+        for p in ("default", "tau8")
+        for line in _solve_corpus(h, p).splitlines()
+    )
+    assert total <= SPAN_SUM_BOUND
+
+
 def _leaf_parsers(parser, path=()):
     """Yield (command path, parser) for every parser that takes no subcommand."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
