@@ -277,6 +277,18 @@ def _first_window_reaching(g, k, goal):
     return None
 
 
+def _k4_and_strip(n):
+    """K4 on 0..3 beside a triangle strip on 4..n+3, in which each vertex
+    joins the two before it. The strip is peeled first, so the ordering
+    starts with the K4, yet the densest windows lie inside the strip."""
+    g = k4()
+    for v in range(5, n + 4):
+        g.add_edge(v - 1, v)
+        if v >= 6:
+            g.add_edge(v - 2, v)
+    return g
+
+
 def _pair_graph(seed, size=12, edges=60):
     return simple_subgraph(build_aux(random_linear(size, size, size, edges, seed=seed))).graph
 
@@ -298,6 +310,7 @@ def test_window_scan_stops_at_the_first_window_reaching_the_goal():
     rng = random.Random(23)
     graphs = [_tied_graph(rng) for _ in range(80)]
     graphs += [simple_subgraph(build_aux(group_system(m))).graph for m in (4, 5)]
+    graphs.append(_k4_and_strip(14))
     reached = 0
     for g in graphs:
         for k in range(2, min(g.n, 16) + 1):
@@ -312,16 +325,25 @@ def test_window_scan_stops_at_the_first_window_reaching_the_goal():
     assert reached > 1000
 
 
-def test_peel_search_skips_local_search_when_a_window_reaches_t(monkeypatch):
-    g = simple_subgraph(build_aux(group_system(6))).graph
-
+def test_peel_search_takes_the_first_window_reaching_t(monkeypatch):
     def no_local_search(*args):
         raise AssertionError("local search ran after a window reached t")
 
     monkeypatch.setattr(degsearch, "_local_search", no_local_search)
-    res = find_dense_2deg(g, 12, 4)
-    assert res.success
-    assert res.candidate == _first_window_reaching(g, 12, 20)
+    rng = random.Random(29)
+    graphs = [_tied_graph(rng) for _ in range(40)]
+    graphs += [simple_subgraph(build_aux(group_system(6))).graph, _k4_and_strip(14)]
+    checked = 0
+    for g in graphs:
+        for k in range(2, min(g.n, 14) + 1):
+            for t in range(3, 2 * k + 1):
+                first = _first_window_reaching(g, k, 2 * k - t)
+                if first is None:
+                    continue
+                res = find_dense_2deg(g, k, t)
+                assert res.success and res.candidate == first
+                checked += 1
+    assert checked > 500
 
 
 def test_pruned_window_scan_peels_few_windows(monkeypatch):
