@@ -233,8 +233,7 @@ def _window_candidates(g, k, goal, budget_end):
     count so far are peeled; ties are still peeled, so the fallback is the
     choice of a full scan.
     """
-    ordering = degeneracy_ordering(g)
-    order = ordering.order
+    order = degeneracy_ordering(g).order
     adj = g.adjacency()
     pos = {v: i for i, v in enumerate(order)}
     cap = 2 * k - 3
@@ -444,7 +443,7 @@ def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None):
     Strategies: 'peel' (the first degeneracy window that reaches the goal,
     else the densest window improved by local search), 'greedy' (seeded
     growth from a high-degree edge), 'exhaustive' (exact, small hosts only).
-    Failure is first-class: the densest candidate found is always returned.
+    Failure is first-class: on a miss the densest candidate found is returned.
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
