@@ -9,6 +9,7 @@ underlying hyperedges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -48,70 +49,73 @@ class AuxGraph:
             mult[(ed.u, ed.w)] = mult.get((ed.u, ed.w), 0) + 1
         return mult
 
+    @cached_property
+    def by_hyperedge(self):
+        """hyperedge -> the multigraph edges through it. Built on first use;
+        callers only read it, so every subgraph shrinking from this graph
+        can share it."""
+        index = {}
+        for ed in self.edges:
+            index.setdefault(ed.h1, []).append(ed)
+            index.setdefault(ed.h2, []).append(ed)
+        return index
+
 
 @dataclass
 class SimpleSubgraph:
     """One kept AuxEdge per pair of pair-vertices, with the annotation map.
 
-    `multi_edges` are the multigraph edges it was built from and
-    `multi_edge_count` counts those that remain; `remove_hyperedges` shrinks
-    the graph, the annotation and the count in place. simple_subgraph sets
-    both; a subgraph built without them can be read but not shrunk.
+    `aux` is the multigraph it was built from, `spare` maps each pair that
+    still has two parallel edges to the one not kept, and `multi_edge_count`
+    counts the multigraph edges that remain. `remove_hyperedges` shrinks the
+    graph, the annotation, the spares and the count in place and only reads
+    `aux`. simple_subgraph sets all three; a subgraph built without them can
+    be read but not shrunk.
     """
 
     graph: Graph
     annot: dict  # (u, w) -> AuxEdge
     multi_edge_count: int = None
-    multi_edges: tuple = field(default=None, repr=False, compare=False)
-    # the index the first remove_hyperedges call builds over multi_edges:
-    # hyperedge -> its multigraph edges (removed ones included),
-    # (u, w) -> its remaining parallel edges
-    _by_hyperedge: dict = field(default=None, repr=False, compare=False)
-    _parallel: dict = field(default=None, repr=False, compare=False)
+    aux: AuxGraph = field(default=None, repr=False, compare=False)
+    spare: dict = field(default=None, repr=False, compare=False)
 
     def remove_hyperedges(self, used, residual):
         """Shrink to the simple subgraph of `residual`, the system this one
         describes without the hyperedges `used`.
 
-        Drops the multigraph edges through a used hyperedge, re-picks the kept
-        edge of each pair that lost one, and deletes a pair's edge once it has
-        none left and a pair-vertex once it has no edge. The result equals
-        simple_subgraph(build_aux(residual)). Then runs build_aux's
-        self-checks on `residual` against the remaining multigraph edges:
-        linearity, the count law and the lower bound, each raising
+        Drops the multigraph edges through a used hyperedge. A pair that
+        loses its kept edge keeps its spare if it has one (a pair has at most
+        two parallel edges, so the kept-edge rule picks the survivor), and
+        otherwise loses its edge; a pair-vertex without edges is deleted. The
+        result equals simple_subgraph(build_aux(residual)). Then runs
+        build_aux's self-checks on `residual` against the remaining multigraph
+        edges: linearity, the count law and the lower bound, each raising
         IntegrityError.
         """
-        if self.multi_edges is None:
+        if self.aux is None:
             raise IntegrityError("cannot shrink a simple subgraph built without its multigraph edges")
-        if self._by_hyperedge is None:
-            self._by_hyperedge = by_hyperedge = {}
-            self._parallel = parallel = {}
-            for ed in self.multi_edges:
-                by_hyperedge.setdefault(ed.h1, []).append(ed)
-                by_hyperedge.setdefault(ed.h2, []).append(ed)
-                parallel.setdefault((ed.u, ed.w), []).append(ed)
-        used = set(used)
-        touched = {(ed.u, ed.w) for h in used for ed in self._by_hyperedge.pop(h, ())}
+        index = self.aux.by_hyperedge
+        annot = self.annot
+        spare = self.spare
         graph = self.graph
-        for key in touched:
-            parallel = self._parallel.get(key)
-            if parallel is None:
-                continue  # emptied by an earlier call
-            rest = [ed for ed in parallel if ed.h1 not in used and ed.h2 not in used]
-            self.multi_edge_count -= len(parallel) - len(rest)
-            if rest:
-                # a pair has at most two parallel edges and this one has just
-                # lost one, so the kept-edge rule picks the survivor
-                self._parallel[key] = rest
-                self.annot[key] = rest[0]
-                continue
-            del self._parallel[key]
-            del self.annot[key]
-            u, w = key
-            graph.remove_edge(u, w)
-            for v in key:
-                if not graph.degree(v):
-                    graph.remove_vertex(v)
+        for h in used:
+            for ed in index.get(h, ()):
+                key = (ed.u, ed.w)
+                if spare.get(key) == ed:
+                    del spare[key]
+                elif annot.get(key) == ed:
+                    survivor = spare.pop(key, None)
+                    if survivor is not None:
+                        annot[key] = survivor
+                    else:
+                        del annot[key]
+                        graph.remove_edge(ed.u, ed.w)
+                        for v in key:
+                            if not graph.degree(v):
+                                graph.remove_vertex(v)
+                else:
+                    continue  # removed earlier, through its other hyperedge
+                self.multi_edge_count -= 1
 
         verdict = validate_linear(residual)
         if not verdict:
@@ -126,46 +130,61 @@ def build_aux(lts):
     Raises LinearityError on a non-linear input. Asserts the multiplicity
     law (at most 2 parallel edges, distinct pairing types) and the lower
     bound 4*|C|*|E'| >= |E|^2 which linearity guarantees.
+
+    Every edge through a pair-vertex holds the same tuple for it, and h1/h2
+    are the host's own edge tuples.
     """
     verdict = validate_linear(lts)
     if not verdict:
         raise LinearityError(verdict)
 
     by_apex = {}
-    for a, b, c in lts.edges:
-        by_apex.setdefault(c, []).append((a, b))
+    for h in lts.edges:
+        by_apex.setdefault(h[2], []).append(h)
 
+    a_pairs = {}  # (p, q) -> its pair-vertex
+    b_pairs = {}
     rows = []
     for c in sorted(by_apex):
-        incident = sorted(by_apex[c])
-        for (a1, b1), (a2, b2) in combinations(incident, 2):
+        # the hyperedges share c, so this sorts them by (a, b)
+        for h1, h2 in combinations(sorted(by_apex[c]), 2):
+            a1, b1, _ = h1
+            a2, b2, _ = h2
             # linearity makes the a's and b's distinct; a1 < a2 by sorting,
-            # so (a1, b1, c) is the smaller hyperedge
+            # so h1 is the smaller hyperedge
             if a1 == a2 or b1 == b2:
                 raise IntegrityError(f"apex {c} shares a pair between two hyperedges")
-            if b1 < b2:
-                rows.append((("A", a1, a2), ("B", b1, b2), c, "S", (a1, b1, c), (a2, b2, c)))
-            else:
-                rows.append((("A", a1, a2), ("B", b2, b1), c, "X", (a1, b1, c), (a2, b2, c)))
+            u = a_pairs.get((a1, a2))
+            if u is None:
+                u = a_pairs[a1, a2] = ("A", a1, a2)
+            pairing = "S"
+            if b2 < b1:
+                pairing = "X"
+                b1, b2 = b2, b1
+            w = b_pairs.get((b1, b2))
+            if w is None:
+                w = b_pairs[b1, b2] = ("B", b1, b2)
+            rows.append((u, w, c, pairing, h1, h2))
     # plain tuples sort in C; (u, w, apex) is unique by linearity, so this is
     # the AuxEdge field order
     rows.sort()
-    edges = list(map(AuxEdge._make, rows))
+    edges = tuple(map(AuxEdge._make, rows))
 
-    mult = {}
-    for ed in edges:
-        mult.setdefault((ed.u, ed.w), []).append(ed)
-    for (u, w), parallel in mult.items():
-        if len(parallel) > 2:
-            raise IntegrityError(f"multiplicity {len(parallel)} between {u} and {w}")
-        if len(parallel) == 2 and parallel[0].pairing == parallel[1].pairing:
-            raise IntegrityError(f"parallel edges between {u} and {w} share pairing type")
+    # sorted by (u, w, apex), the parallel edges of a pair are consecutive
+    run = 1
+    for prev, ed in zip(edges, edges[1:]):
+        if ed.u != prev.u or ed.w != prev.w:
+            run = 1
+            continue
+        run += 1
+        if run > 2:
+            raise IntegrityError(f"more than 2 parallel edges between {ed.u} and {ed.w}")
+        if ed.pairing == prev.pairing:
+            raise IntegrityError(f"parallel edges between {ed.u} and {ed.w} share pairing type")
 
     _check_count(lts, len(edges))
 
-    a_vs = tuple(sorted({ed.u for ed in edges}))
-    b_vs = tuple(sorted({ed.w for ed in edges}))
-    return AuxGraph(a_vs, b_vs, tuple(edges))
+    return AuxGraph(tuple(sorted(a_pairs.values())), tuple(sorted(b_pairs.values())), edges)
 
 
 def _check_count(lts, count):
@@ -182,7 +201,8 @@ def _check_count(lts, count):
 
 def simple_subgraph(aux):
     """Keep one parallel edge per pair-vertex pair: prefer straight pairing,
-    then the smaller apex id.
+    then the smaller apex id. The other edge of a pair that has two is its
+    spare.
 
     aux.edges are sorted by (u, w, apex), so the parallel edges of a pair
     come in a run ordered by apex; the kept edge is the run's first straight
@@ -191,6 +211,7 @@ def simple_subgraph(aux):
     g = Graph(vertices=aux.a_vertices + aux.b_vertices)
     adj = g.adjacency()
     annot = {}
+    spare = {}
     for ed in aux.edges:
         key = (ed.u, ed.w)
         kept = annot.get(key)
@@ -200,4 +221,7 @@ def simple_subgraph(aux):
             adj[ed.w].add(ed.u)
         elif ed.pairing == "S" and kept.pairing != "S":
             annot[key] = ed
-    return SimpleSubgraph(g, annot, len(aux.edges), aux.edges)
+            spare[key] = kept
+        else:
+            spare[key] = ed
+    return SimpleSubgraph(g, annot, len(aux.edges), aux, spare)

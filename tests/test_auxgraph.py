@@ -115,6 +115,7 @@ def _assert_same_pair_graph(simple, lts):
     assert simple.graph.vertices == fresh.graph.vertices
     assert simple.graph.edges == fresh.graph.edges
     assert simple.annot == fresh.annot
+    assert simple.spare == fresh.spare
     assert simple.multi_edge_count == fresh.multi_edge_count == aux.multi_edge_count
 
 
@@ -154,6 +155,40 @@ def test_shrinking_equals_rebuilding_on_group_systems(m):
        st.integers(0, 10**6))
 def test_shrinking_equals_rebuilding_on_random_hosts(na, nb, nc, target, seed):
     _shrink_to_empty(random_linear(na, nb, nc, target, seed=seed), random.Random(seed))
+
+
+@pytest.mark.parametrize("lts", [group_system(6), random_linear(9, 9, 9, 60, seed=3)],
+                         ids=["group6", "random9"])
+def test_subgraphs_of_one_aux_graph_shrink_independently(lts):
+    aux = build_aux(lts)
+    edges_before = aux.edges
+    index_before = {h: tuple(eds) for h, eds in aux.by_hyperedge.items()}
+    rng = random.Random(1)
+    shrinking = []
+    for _ in range(2):
+        # the same AuxGraph under two different removal sequences
+        order = list(lts.edges)
+        rng.shuffle(order)
+        shrinking.append((simple_subgraph(aux), order))
+    for start in range(0, lts.m, 4):
+        for simple, order in shrinking:
+            used, left = order[start : start + 4], order[start + 4 :]
+            residual = TripartiteLinearSystem(lts.sizes, tuple(left))
+            simple.remove_hyperedges(used, residual)
+            _assert_same_pair_graph(simple, residual)
+    assert all(simple.graph.n == 0 for simple, _ in shrinking)
+    assert aux.edges is edges_before
+    assert {h: tuple(eds) for h, eds in aux.by_hyperedge.items()} == index_before
+
+
+def test_build_aux_shares_pair_vertices_and_host_edges():
+    lts = group_system(5)
+    aux = build_aux(lts)
+    pair_vertices = {id(v) for v in aux.a_vertices + aux.b_vertices}
+    host_edges = {id(h) for h in lts.edges}
+    for ed in aux.edges:
+        assert id(ed.u) in pair_vertices and id(ed.w) in pair_vertices
+        assert id(ed.h1) in host_edges and id(ed.h2) in host_edges
 
 
 def test_shrinking_checks_the_residual():
