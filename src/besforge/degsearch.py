@@ -219,9 +219,10 @@ def _greedy_candidate(g, k, rng):
     return _trim_on_set(g, chosen)
 
 
-def _window_candidates(g, k, goal, budget_end):
+def _window_candidates(g, k, goal, budget_end, order=None):
     """Scan the windows of k consecutive vertices of the degeneracy ordering
     and return the trim of the first window whose edge count reaches `goal`.
+    `order` is that ordering's vertex order if the caller already has it.
 
     If no window reaches it, return the densest trim, ties to the smallest
     vertex order (windows have distinct vertex sets, so the orders differ).
@@ -233,7 +234,8 @@ def _window_candidates(g, k, goal, budget_end):
     count so far are peeled; ties are still peeled, so the fallback is the
     choice of a full scan.
     """
-    order = degeneracy_ordering(g).order
+    if order is None:
+        order = degeneracy_ordering(g).order
     adj = g.adjacency()
     pos = {v: i for i, v in enumerate(order)}
     cap = 2 * k - 3
@@ -437,13 +439,16 @@ def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):
     return best_val, witness
 
 
-def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None):
+def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None, *, order=None):
     """Search for a k-vertex 2-degenerate subgraph with >= 2k - t_target edges.
 
     Strategies: 'peel' (the first degeneracy window that reaches the goal,
     else the densest window improved by local search), 'greedy' (seeded
     growth from a high-degree edge), 'exhaustive' (exact, small hosts only).
     Failure is first-class: on a miss the densest candidate found is returned.
+
+    `order`, if given, must be degeneracy_ordering(g).order; 'peel' then
+    scans it instead of peeling g again, and the other strategies ignore it.
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
@@ -469,7 +474,7 @@ def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None):
             if budget_end is not None and time.monotonic() > budget_end:
                 break
     else:
-        cand = _window_candidates(g, k, 2 * k - t_target, budget_end)
+        cand = _window_candidates(g, k, 2 * k - t_target, budget_end, order)
         if cand.achieved_t > t_target:
             cand2 = _local_search(g, cand, k, budget_end)
             if cand2.sort_key() < cand.sort_key():

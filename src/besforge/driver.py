@@ -4,6 +4,9 @@ find-candidate / unpack / remove / recurse, with a greedy base case.
 Paper mode uses the literal thresholds (which at desk scale collapse every
 run to the base case); practical mode takes small configurable thresholds so
 the recursive machinery is actually exercised.
+
+The last host solved keeps its pair multigraph and the degeneracy order of
+its pair graph, so solving one host at many e builds them once.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
 
+from . import degsearch
 from .auxgraph import build_aux, simple_subgraph
 from .core import Configuration, TripartiteLinearSystem, verify_configuration
 from .degsearch import STRATEGIES, find_dense_2deg
@@ -140,6 +144,31 @@ def _greedy_pick(available, count, span, edge_keys):
     return chosen
 
 
+# (host, its AuxGraph, the degeneracy order of its pair graph or None until
+# a peel search needs it) for the last host solved. Replaced whole and read
+# once per solve, so two entries are never mixed. Hosts are frozen: a host
+# equal to the cached one has passed build_aux's checks.
+_last_host = None
+
+
+def _frame0(lts, peel):
+    """A fresh pair graph of lts, and with `peel` its degeneracy order.
+
+    The AuxGraph and the order come from the one-entry cache when lts is, or
+    equals, the last host solved; a miss builds them.
+    """
+    global _last_host
+    entry = _last_host
+    if entry is None or not (entry[0] is lts or entry[0] == lts):
+        entry = (lts, build_aux(lts), None)
+    _, aux, order = entry
+    simple = simple_subgraph(aux)
+    if peel and order is None:
+        order = degsearch.degeneracy_ordering(simple.graph).order
+    _last_host = (lts, aux, order)
+    return simple, order
+
+
 def find_be_s_configuration(lts, e, params=None):
     """Produce exactly e hyperedges of lts with small span; see module docstring.
 
@@ -158,24 +187,27 @@ def find_be_s_configuration(lts, e, params=None):
     frames = []
     e_prime = e
     note = ""
-    simple = None  # the pair graph of the residual, built once and then shrunk
+    simple = None  # the pair graph of the residual, made once and then shrunk
+    order = None  # the degeneracy order of the frame-0 pair graph
     used = set()
     while e_prime > params.base_threshold:
         k = e_prime // 4
         if k < max(2, params.k0):
             note = "k below minimum; base fallback"
             break
-        sub = TripartiteLinearSystem(lts.sizes, tuple(residual))
         if simple is None:
-            simple = simple_subgraph(build_aux(sub))
+            sub = lts
+            simple, order = _frame0(lts, params.strategy == "peel")
         else:
+            sub = TripartiteLinearSystem(lts.sizes, tuple(residual))
             simple.remove_hyperedges(used, sub)
+            order = None
         if simple.graph.n < k or simple.graph.m == 0:
             note = "pair graph too small; base fallback"
             break
         result = find_dense_2deg(
             simple.graph, k, params.t, strategy=params.strategy,
-            seed=params.seed + len(frames), budget_ms=params.budget_ms,
+            seed=params.seed + len(frames), budget_ms=params.budget_ms, order=order,
         )
         cand = result.candidate
         cfg, trace = unpack(cand, None, sub, simple=simple)

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -17,7 +19,7 @@ from besforge import (
     verify_configuration,
 )
 from besforge import io as textio
-from besforge.auxgraph import SimpleSubgraph, simple_subgraph
+from besforge.auxgraph import SimpleSubgraph, build_aux, simple_subgraph
 from besforge.cli import main
 from besforge.driver import _greedy_pick
 
@@ -183,3 +185,62 @@ def test_corrupted_multi_edge_count_raises_on_the_next_frame(monkeypatch):
     monkeypatch.setattr(besforge.driver, "simple_subgraph", corrupted)
     with pytest.raises(IntegrityError, match="multi-edge count"):
         find_be_s_configuration(group_system(10), 94, PRACTICAL)
+
+
+def _cold_solve(lts, e, params):
+    besforge.driver._last_host = None
+    return find_be_s_configuration(lts, e, params).to_json_dict()
+
+
+def test_solves_through_the_host_cache_equal_cold_solves():
+    a, b = group_system(10), group_system(9)
+    a_copy = textio.loads_system(textio.dumps_system(a))
+    assert a_copy == a and a_copy is not a
+    greedy = DriverParams(k0=3, tau_max=2, strategy="greedy")
+    # A, B, A (greedy first, so the order is made by the peel solve after it),
+    # then an equal copy of A
+    runs = [(a, 94, PRACTICAL), (b, 40, PRACTICAL), (a, 60, greedy), (a, 61, PRACTICAL),
+            (a, 30, PRACTICAL), (a_copy, 94, PRACTICAL), (a_copy, 45, greedy)]
+    warm = [find_be_s_configuration(lts, e, params).to_json_dict() for lts, e, params in runs]
+    assert warm == [_cold_solve(lts, e, params) for lts, e, params in runs]
+
+
+def test_build_aux_runs_once_per_change_of_host(monkeypatch):
+    builds = []
+    build_aux = besforge.driver.build_aux
+    monkeypatch.setattr(besforge.driver, "build_aux", lambda lts: builds.append(lts) or build_aux(lts))
+    a, b = group_system(8), group_system(7)
+    for e in (20, 40, 60):
+        find_be_s_configuration(a, e, PRACTICAL)
+    assert builds == [a]
+    find_be_s_configuration(b, 20, PRACTICAL)
+    find_be_s_configuration(b, 30, PRACTICAL)
+    assert builds == [a, b]
+    find_be_s_configuration(a, 20, PRACTICAL)
+    assert builds == [a, b, a]
+    # an equal host is a hit, whatever object it is
+    find_be_s_configuration(textio.loads_system(textio.dumps_system(a)), 30, PRACTICAL)
+    assert len(builds) == 3
+
+
+def test_solves_leave_the_cached_pair_multigraph_unchanged():
+    lts = group_system(10)
+    find_be_s_configuration(lts, 20, PRACTICAL)
+    aux = besforge.driver._last_host[1]
+    edges = aux.edges
+    index = {h: tuple(eds) for h, eds in aux.by_hyperedge.items()}
+    report = find_be_s_configuration(lts, 94, PRACTICAL)
+    assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
+    assert besforge.driver._last_host[1] is aux
+    assert aux.edges is edges and aux == build_aux(lts)
+    assert {h: tuple(eds) for h, eds in aux.by_hyperedge.items()} == index
+
+
+def test_the_host_cache_holds_only_the_last_host():
+    hosts = [group_system(m) for m in (4, 5, 6)]
+    refs = [weakref.ref(lts) for lts in hosts]
+    for lts in hosts:
+        find_be_s_configuration(lts, 10, PRACTICAL)
+    del hosts, lts
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, False]
