@@ -142,14 +142,15 @@ def validate_linear(system):
     """Check that no pair of vertices lies in two or more edges.
 
     Total function over TripleSystem and TripartiteLinearSystem; returns a
-    verdict carrying one violating pair if any.
+    verdict carrying the smallest violating pair, if any, and its two
+    smallest edges.
     """
     pm = pair_map(system)
-    for pair in sorted(pm):
-        hits = pm[pair]
-        if len(hits) >= 2:
-            return LinearityVerdict(False, pair, tuple(sorted(hits)[:2]))
-    return LinearityVerdict(True)
+    shared = [pair for pair, hits in pm.items() if len(hits) >= 2]
+    if not shared:
+        return LinearityVerdict(True)
+    pair = min(shared)
+    return LinearityVerdict(False, pair, tuple(sorted(pm[pair])[:2]))
 
 
 def verify_configuration(host, cfg, v, e):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from besforge import (
@@ -7,11 +9,13 @@ from besforge import (
     TripartiteLinearSystem,
     TripleSystem,
     group_system,
+    random_linear,
     reduce_or_win,
     to_triple_system,
     validate_linear,
     verify_configuration,
 )
+from besforge.core import LinearityVerdict, pair_map
 
 
 def test_triple_system_rejects_bad_edges():
@@ -44,6 +48,33 @@ def test_validate_linear_witness():
 def test_validate_linear_group_system():
     # exhaustive pair-map check over the m=3 group system
     assert validate_linear(group_system(3)).ok
+
+
+def _reference_validate_linear(system):
+    """The verdict as it was found before: sort every pair key and take the
+    first one with two or more hits."""
+    pm = pair_map(system)
+    for pair in sorted(pm):
+        hits = pm[pair]
+        if len(hits) >= 2:
+            return LinearityVerdict(False, pair, tuple(sorted(hits)[:2]))
+    return LinearityVerdict(True)
+
+
+def test_validate_linear_matches_the_sorting_reference():
+    rng = random.Random(5)
+    systems = [group_system(m) for m in range(1, 7)]
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        lts = random_linear(n, n, n, rng.randint(0, 3 * n), seed=rng.randrange(10**6))
+        systems.append(lts)
+        # dense random systems, almost all of them non-linear
+        edges = {(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+        systems.append(TripartiteLinearSystem((n, n, n), tuple(edges)))
+        systems.append(to_triple_system(systems[-1]))
+    verdicts = [validate_linear(s) for s in systems]
+    assert verdicts == [_reference_validate_linear(s) for s in systems]
+    assert sum(v.ok for v in verdicts) > 50 and sum(not v.ok for v in verdicts) > 50
 
 
 def test_verify_configuration_basic():
