@@ -245,15 +245,7 @@ def test_output_is_byte_identical(case, recorded, monkeypatch):
 
 def test_cli_flags_match_the_recorded_table(monkeypatch):
     monkeypatch.delenv("BESFORGE_SEED", raising=False)
-    recorded = json.loads(FLAGS.read_text())
-    # The table was recorded while --seed defaulted to None and the commands
-    # read BESFORGE_SEED (else 0) themselves. argparse now takes that text as
-    # the default and converts it with int, so a malformed value is a usage
-    # error; the seed a run uses is the same.
-    for options in recorded.values():
-        if "--seed" in options:
-            options["--seed"]["default"] = "0"
-    assert cli_flags() == recorded
+    assert cli_flags() == json.loads(FLAGS.read_text())
 
 
 if __name__ == "__main__":
