@@ -5,8 +5,9 @@ Paper mode uses the literal thresholds (which at desk scale collapse every
 run to the base case); practical mode takes small configurable thresholds so
 the recursive machinery is actually exercised.
 
-The last host solved keeps its pair multigraph and the degeneracy order of
-its pair graph, so solving one host at many e builds them once.
+A host solved again keeps its pair multigraph and the degeneracy order of
+its pair graph until another host is solved, so solving one host at many e
+builds them twice (once for the first solve, once to keep), not per solve.
 """
 
 from __future__ import annotations
@@ -144,8 +145,9 @@ def _greedy_pick(available, count, span, edge_keys):
     return chosen
 
 
-# (host, its AuxGraph, the degeneracy order of its pair graph or None until
-# a peel search needs it) for the last host solved. Replaced whole and read
+# (host, its AuxGraph, the degeneracy order of its pair graph) for the last
+# host solved; the AuxGraph is None until the host is solved a second time,
+# and the order None until a peel search needs it. Replaced whole and read
 # once per solve, so two entries are never mixed. Hosts are frozen: a host
 # equal to the cached one has passed build_aux's checks.
 _last_host = None
@@ -155,17 +157,20 @@ def _frame0(lts, peel):
     """A fresh pair graph of lts, and with `peel` its degeneracy order.
 
     The AuxGraph and the order come from the one-entry cache when lts is, or
-    equals, the last host solved; a miss builds them.
+    equals, the last host solved and was solved before that too; otherwise
+    they are built. The first solve of a host keeps only the host, so a host
+    solved once leaves no multigraph resident.
     """
     global _last_host
     entry = _last_host
-    if entry is None or not (entry[0] is lts or entry[0] == lts):
-        entry = (lts, build_aux(lts), None)
-    _, aux, order = entry
+    seen = entry is not None and (entry[0] is lts or entry[0] == lts)
+    _, aux, order = entry if seen else (lts, None, None)
+    if aux is None:
+        aux = build_aux(lts)
     simple = simple_subgraph(aux)
     if peel and order is None:
         order = degsearch.degeneracy_ordering(simple.graph).order
-    _last_host = (lts, aux, order)
+    _last_host = (lts, aux, order) if seen else (lts, None, None)
     return simple, order
 
 

@@ -197,35 +197,44 @@ def test_solves_through_the_host_cache_equal_cold_solves():
     a_copy = textio.loads_system(textio.dumps_system(a))
     assert a_copy == a and a_copy is not a
     greedy = DriverParams(k0=3, tau_max=2, strategy="greedy")
-    # A, B, A (greedy first, so the order is made by the peel solve after it),
-    # then an equal copy of A
-    runs = [(a, 94, PRACTICAL), (b, 40, PRACTICAL), (a, 60, greedy), (a, 61, PRACTICAL),
-            (a, 30, PRACTICAL), (a_copy, 94, PRACTICAL), (a_copy, 45, greedy)]
+    # A, B, then A again: its second solve is greedy, so the multigraph is
+    # kept without an order and the peel solve after it adds the order; then
+    # an equal copy of A
+    runs = [(a, 94, PRACTICAL), (b, 40, PRACTICAL), (a, 60, PRACTICAL), (a, 50, greedy),
+            (a, 61, PRACTICAL), (a, 30, PRACTICAL), (a_copy, 94, PRACTICAL), (a_copy, 45, greedy)]
     warm = [find_be_s_configuration(lts, e, params).to_json_dict() for lts, e, params in runs]
     assert warm == [_cold_solve(lts, e, params) for lts, e, params in runs]
 
 
-def test_build_aux_runs_once_per_change_of_host(monkeypatch):
+def test_build_aux_runs_on_the_first_two_solves_of_a_host(monkeypatch):
     builds = []
     build_aux = besforge.driver.build_aux
     monkeypatch.setattr(besforge.driver, "build_aux", lambda lts: builds.append(lts) or build_aux(lts))
     a, b = group_system(8), group_system(7)
-    for e in (20, 40, 60):
+    find_be_s_configuration(a, 20, PRACTICAL)
+    # a host solved once leaves no multigraph behind
+    assert besforge.driver._last_host[1] is None
+    for e in (40, 50, 60):
         find_be_s_configuration(a, e, PRACTICAL)
-    assert builds == [a]
+    assert builds == [a, a]
     find_be_s_configuration(b, 20, PRACTICAL)
     find_be_s_configuration(b, 30, PRACTICAL)
-    assert builds == [a, b]
+    find_be_s_configuration(b, 40, PRACTICAL)
+    assert builds == [a, a, b, b]
     find_be_s_configuration(a, 20, PRACTICAL)
-    assert builds == [a, b, a]
-    # an equal host is a hit, whatever object it is
-    find_be_s_configuration(textio.loads_system(textio.dumps_system(a)), 30, PRACTICAL)
-    assert len(builds) == 3
+    assert len(builds) == 5
+    # an equal host counts as the same host, whatever object it is
+    a_copy = textio.loads_system(textio.dumps_system(a))
+    find_be_s_configuration(a_copy, 30, PRACTICAL)
+    find_be_s_configuration(a, 40, PRACTICAL)
+    find_be_s_configuration(a_copy, 50, PRACTICAL)
+    assert len(builds) == 6
 
 
 def test_solves_leave_the_cached_pair_multigraph_unchanged():
     lts = group_system(10)
     find_be_s_configuration(lts, 20, PRACTICAL)
+    find_be_s_configuration(lts, 21, PRACTICAL)
     aux = besforge.driver._last_host[1]
     edges = aux.edges
     index = {h: tuple(eds) for h, eds in aux.by_hyperedge.items()}
