@@ -164,7 +164,7 @@ def _frame0(lts, peel):
     global _last_host
     entry = _last_host
     seen = entry is not None and (entry[0] is lts or entry[0] == lts)
-    _, aux, order = entry if seen else (lts, None, None)
+    aux, order = entry[1:] if seen else (None, None)
     if aux is None:
         aux = build_aux(lts)
     simple = simple_subgraph(aux)
