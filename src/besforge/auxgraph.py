@@ -8,6 +8,7 @@ underlying hyperedges.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -189,8 +190,12 @@ def build_aux(lts):
 
 def _check_count(lts, count):
     """The count law (count = sum of C(d(c), 2)) and the lower bound
-    4*|C|*count >= |E|^2 for `count` multigraph edges on lts."""
-    expected = sum(d * (d - 1) // 2 for d in lts.apex_degrees())
+    4*|C|*count >= |E|^2 for `count` multigraph edges on lts.
+
+    Degrees are counted over the apexes in lts.edges, not over all of C,
+    whose size comes from the input header."""
+    degrees = Counter(c for _, _, c in lts.edges)
+    expected = sum(d * (d - 1) // 2 for d in degrees.values())
     if count != expected:
         raise IntegrityError(f"multi-edge count {count} != sum of C(d(c),2) = {expected}")
     # the |E|^2/(4|C|) lower bound needs average apex degree >= 2

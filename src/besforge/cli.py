@@ -119,14 +119,14 @@ def build_parser():
     aux = sub.add_parser("aux", parents=[inp, report], help="build the pair-vertex multigraph")
     aux.add_argument("--out", default=None, help="path for the multigraph dump")
 
-    sub.add_parser("findf", parents=[inp, size, search, seed, report],
+    sub.add_parser("findf", parents=[inp, size, search, report],
                    help="search for a dense 2-degenerate pair-graph subgraph")
 
-    up = sub.add_parser("unpack", parents=[inp, size, search, seed, report],
+    up = sub.add_parser("unpack", parents=[inp, size, search, report],
                         help="find a candidate and unpack it into hyperedges")
     up.add_argument("--trace", default=None, help="path for the JSON step trace")
 
-    so = sub.add_parser("solve", parents=[inp, target, driver, search, seed, report],
+    so = sub.add_parser("solve", parents=[inp, target, driver, search, report],
                         help="assemble exactly e hyperedges with small span")
     so.add_argument("--paper-mode", action="store_true")
 
@@ -148,7 +148,7 @@ def build_parser():
     ver.add_argument("--config", required=True, help="file of 'e a b c' lines")
     ver.add_argument("--v", type=int, required=True)
 
-    sw = sub.add_parser("sweep", parents=[inp, driver, seed],
+    sw = sub.add_parser("sweep", parents=[inp, driver],
                         help="run solve over a range of e, emit CSV")
     sw.add_argument("--e-min", type=int, required=True)
     sw.add_argument("--e-max", type=int, required=True)
@@ -223,7 +223,7 @@ def _find_candidate(args, lts):
     simple = simple_subgraph(aux)
     result = find_dense_2deg(
         simple.graph, args.k, args.t,
-        strategy=args.strategy, seed=args.seed, budget_ms=args.budget_ms,
+        strategy=args.strategy, budget_ms=args.budget_ms,
     )
     return aux, simple, result
 
@@ -272,8 +272,7 @@ def _cmd_unpack(args):
 
 def _driver_params(args, **solve_only):
     return DriverParams(
-        t=args.t, k0=args.k0, tau_max=args.tau_max, base_e=args.base_e, seed=args.seed,
-        **solve_only,
+        t=args.t, k0=args.k0, tau_max=args.tau_max, base_e=args.base_e, **solve_only,
     )
 
 

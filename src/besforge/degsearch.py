@@ -7,11 +7,11 @@ edge count (equivalently achieved_t = 2k - |edges|, smaller is denser).
 The 'peel' search scans windows of the degeneracy ordering and stops at the
 first one that meets the target t, not at the densest window overall; only
 when no window meets it does it take the densest and try local search.
+The 'exhaustive' search is exact and serves as the oracle on small hosts.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -21,7 +21,7 @@ from math import comb
 from .errors import GuardExceededError, ParameterError
 from .graphs import canon_edge
 
-STRATEGIES = ("peel", "greedy", "exhaustive")
+STRATEGIES = ("peel", "exhaustive")
 _ENUM_GUARD = 10**7
 _DP_VERTEX_CAP = 20
 
@@ -45,9 +45,6 @@ class CandidateF:
     @property
     def achieved_t(self):
         return 2 * self.k - len(self.edges)
-
-    def sort_key(self):
-        return (-len(self.edges), self.vertices, self.edges)
 
     def validate(self, host):
         """Raise if the candidate is not a 2-degeneracy-certified subgraph of host."""
@@ -191,34 +188,6 @@ def _trim_on_set(g, vertex_set):
     return _candidate(verts, order, nbrs, key=pos.__getitem__)
 
 
-def _greedy_candidate(g, k, rng):
-    adj = g.adjacency()
-    edges = g.edges
-    verts = g.vertices
-    if not edges:
-        return CandidateF(verts[:k], ())
-    best_score = max(len(adj[u]) + len(adj[v]) for u, v in edges)
-    seeds = [e for e in edges if len(adj[e[0]]) + len(adj[e[1]]) == best_score]
-    u0, v0 = seeds[rng.randrange(len(seeds))]
-    chosen = set()
-    score = dict.fromkeys(verts, 0)  # chosen neighbours, capped at 2
-
-    def choose(v):
-        chosen.add(v)
-        for w in adj[v]:
-            if score[w] < 2:
-                score[w] += 1
-
-    choose(u0)
-    choose(v0)
-    while len(chosen) < k:
-        outside = [v for v in verts if v not in chosen]
-        best_sc = max(score[v] for v in outside)
-        pool = [v for v in outside if score[v] == best_sc]
-        choose(pool[rng.randrange(len(pool))])
-    return _trim_on_set(g, chosen)
-
-
 def _window_candidates(g, k, goal, budget_end, order=None):
     """Scan the windows of k consecutive vertices of the degeneracy ordering
     and return the trim of the first window whose edge count reaches `goal`.
@@ -294,6 +263,7 @@ def _local_search(g, cand, k, budget_end):
     A swap of inside vertex v for boundary vertex u is taken as soon as its
     trim has more edges; the subgraph induced on inside + u is built and
     scored once per u, and a trim is built only for an accepted swap.
+    Returns cand itself or a trim with strictly more edges.
     """
     adj = g.adjacency()
     current = cand
@@ -439,16 +409,16 @@ def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):
     return best_val, witness
 
 
-def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None, *, order=None):
+def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=None):
     """Search for a k-vertex 2-degenerate subgraph with >= 2k - t_target edges.
 
     Strategies: 'peel' (the first degeneracy window that reaches the goal,
-    else the densest window improved by local search), 'greedy' (seeded
-    growth from a high-degree edge), 'exhaustive' (exact, small hosts only).
-    Failure is first-class: on a miss the densest candidate found is returned.
+    else the densest window improved by local search) and 'exhaustive'
+    (exact, small hosts only). Failure is first-class: on a miss the densest
+    candidate found is returned.
 
     `order`, if given, must be degeneracy_ordering(g).order; 'peel' then
-    scans it instead of peeling g again, and the other strategies ignore it.
+    scans it instead of peeling g again, and 'exhaustive' ignores it.
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
@@ -464,21 +434,10 @@ def find_dense_2deg(g, k, t_target, strategy="peel", seed=0, budget_ms=None, *, 
 
     if strategy == "exhaustive":
         cand = _exhaustive_best(g, k)
-    elif strategy == "greedy":
-        rng = random.Random(seed)
-        cand = None
-        for _ in range(3):
-            trial = _greedy_candidate(g, k, rng)
-            if cand is None or trial.sort_key() < cand.sort_key():
-                cand = trial
-            if budget_end is not None and time.monotonic() > budget_end:
-                break
     else:
         cand = _window_candidates(g, k, 2 * k - t_target, budget_end, order)
         if cand.achieved_t > t_target:
-            cand2 = _local_search(g, cand, k, budget_end)
-            if cand2.sort_key() < cand.sort_key():
-                cand = cand2
+            cand = _local_search(g, cand, k, budget_end)
 
     cand.validate(g)
     return SearchResult(cand, cand.achieved_t <= t_target)

@@ -37,7 +37,6 @@ class DriverParams:
     tau_max: int = 4
     base_e: int = 4
     paper_mode: bool = False
-    seed: int = 0
     budget_ms: int = None
     strategy: str = "peel"
 
@@ -212,7 +211,7 @@ def find_be_s_configuration(lts, e, params=None):
             break
         result = find_dense_2deg(
             simple.graph, k, params.t, strategy=params.strategy,
-            seed=params.seed + len(frames), budget_ms=params.budget_ms, order=order,
+            budget_ms=params.budget_ms, order=order,
         )
         cand = result.candidate
         cfg, trace = unpack(cand, None, sub, simple=simple)

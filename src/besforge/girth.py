@@ -37,7 +37,7 @@ def side_of(v):
     return "AB"[v % 2]
 
 
-def grow_girth_graph(k, t, g, seed=0, deterministic=False):
+def grow_girth_graph(k, t, g, seed=0):
     """Grow a k-vertex graph of girth >= g; returns (Graph, GrowthCertificate).
 
     Raises GrowthError when no valid attachment pair exists at some step,
@@ -66,7 +66,7 @@ def grow_girth_graph(k, t, g, seed=0, deterministic=False):
             "step %d: %d eligible vertices on side %s (counting gate %d pairs)",
             v, len(eligible), other, gate,
         )
-        pair = _pick_pair(graph, eligible, g, rng, deterministic)
+        pair = _pick_pair(graph, eligible, g, rng)
         if pair is None:
             raise GrowthError(v, graph.n)
         u1, u2 = pair
@@ -83,15 +83,9 @@ def grow_girth_graph(k, t, g, seed=0, deterministic=False):
     return graph, cert
 
 
-def _pick_pair(graph, eligible, g, rng, deterministic):
+def _pick_pair(graph, eligible, g, rng):
     limit = g - 2
     if len(eligible) < 2:
-        return None
-    if deterministic:
-        for i, u in enumerate(eligible):
-            for w in eligible[i + 1 :]:
-                if not within_distance(graph, u, w, limit):
-                    return (u, w)
         return None
     for _ in range(_RANDOM_ATTEMPTS):
         u, w = rng.sample(eligible, 2)

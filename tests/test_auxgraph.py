@@ -43,6 +43,14 @@ def test_empty_system_gives_empty_aux():
     assert simple_subgraph(aux).graph.n == 0
 
 
+def test_count_law_does_not_allocate_by_the_declared_apex_part():
+    # the count law's degrees are counted over the apexes in the edges; a list
+    # indexed by every c in a part of 10**12 apexes would not fit in memory
+    assert build_aux(TripartiteLinearSystem((1, 1, 10**12), ())).multi_edge_count == 0
+    one = TripartiteLinearSystem((1, 1, 10**12), ((0, 0, 10**12 - 1),))
+    assert build_aux(one).multi_edge_count == 0
+
+
 def test_nonlinear_input_raises_with_witness():
     bad = TripartiteLinearSystem((2, 2, 2), ((0, 0, 0), (0, 0, 1)))
     with pytest.raises(LinearityError) as err:

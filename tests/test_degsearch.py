@@ -16,7 +16,6 @@ from besforge import (
 from besforge import degsearch
 from besforge.degsearch import (
     _counts_without_one,
-    _greedy_candidate,
     _induced,
     _peel,
     _score,
@@ -83,6 +82,8 @@ def test_parameter_errors():
         find_dense_2deg(c4(), 1, 3)
     with pytest.raises(ParameterError):
         find_dense_2deg(c4(), 2, 3, strategy="anneal")
+    with pytest.raises(ParameterError):
+        find_dense_2deg(c4(), 2, 3, strategy="greedy")
     for budget_ms in (0, -1):
         with pytest.raises(ParameterError):
             find_dense_2deg(c4(), 2, 3, budget_ms=budget_ms)
@@ -123,10 +124,9 @@ def test_exhaustive_matches_brute_force_and_heuristics_never_exceed():
         opt, _w = brute_force_best_2deg(g, k)
         exact = find_dense_2deg(g, k, 0, strategy="exhaustive")
         assert len(exact.candidate.edges) == opt
-        for strategy in ("peel", "greedy"):
-            res = find_dense_2deg(g, k, 0, strategy=strategy, seed=1)
-            res.candidate.validate(g)
-            assert len(res.candidate.edges) <= opt
+        res = find_dense_2deg(g, k, 0, strategy="peel")
+        res.candidate.validate(g)
+        assert len(res.candidate.edges) <= opt
 
 
 def test_candidate_revalidates_by_reverse_peeling():
@@ -219,36 +219,6 @@ def test_counts_without_one_match_a_fresh_score():
         count = _counts_without_one(_induced(g.adjacency(), verts))
         for i, v in enumerate(verts):
             assert count(i) == _score(g, set(verts) - {v})[0]
-
-
-def _reference_greedy(g, k, rng):
-    """The greedy pick that rescored every outside vertex on every step, kept
-    as the reference for its pools and its rng draws."""
-    adj = g.adjacency()
-    edges = g.edges
-    verts = g.vertices
-    if not edges:
-        return verts[:k]
-    best_score = max(len(adj[u]) + len(adj[v]) for u, v in edges)
-    seeds = [e for e in edges if len(adj[e[0]]) + len(adj[e[1]]) == best_score]
-    chosen = set(seeds[rng.randrange(len(seeds))])
-    while len(chosen) < k:
-        scored = [(min(2, sum(1 for w in adj[v] if w in chosen)), v)
-                  for v in verts if v not in chosen]
-        best_sc = max(sc for sc, _ in scored)
-        pool = [v for sc, v in scored if sc == best_sc]
-        chosen.add(pool[rng.randrange(len(pool))])
-    return _trim_on_set(g, chosen).vertices
-
-
-def test_greedy_candidate_matches_the_rescoring_reference():
-    rng = random.Random(17)
-    for _ in range(300):
-        g = _tied_graph(rng)
-        k = rng.randint(0, g.n)
-        seed = rng.randrange(1000)
-        cand = _greedy_candidate(g, k, random.Random(seed))
-        assert cand.vertices == _reference_greedy(g, k, random.Random(seed))
 
 
 def _reference_window_scan(g, k):

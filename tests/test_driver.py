@@ -52,8 +52,7 @@ def test_group3_e7_matches_oracle():
 
 def test_group20_e40_contract():
     lts = group_system(20)
-    params = DriverParams(t=4, tau_max=4, base_e=4, seed=1)
-    report = find_be_s_configuration(lts, 40, params)
+    report = find_be_s_configuration(lts, 40, PRACTICAL)
     assert report.configuration.e == 40
     assert verify_configuration(lts, report.configuration, report.span, 40)
     assert report.span <= 2 * 40  # greedy base alone achieves span <= 3e
@@ -78,9 +77,8 @@ def test_recurse_frames_were_self_sustaining():
 
 def test_determinism_per_seed():
     lts = group_system(9)
-    params = DriverParams(t=4, tau_max=4, base_e=4, seed=5)
-    a = find_be_s_configuration(lts, 25, params)
-    b = find_be_s_configuration(lts, 25, params)
+    a = find_be_s_configuration(lts, 25, PRACTICAL)
+    b = find_be_s_configuration(lts, 25, PRACTICAL)
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
@@ -100,7 +98,7 @@ def test_exhaustion_error():
 
 @pytest.mark.parametrize("fields", [
     {"t": 0}, {"k0": 0}, {"budget_ms": 0}, {"budget_ms": -1}, {"strategy": "anneal"},
-    {"tau_max": -1}, {"base_e": 0},
+    {"tau_max": -1}, {"base_e": 0}, {"strategy": "greedy"},
 ])
 def test_params_rejected_when_built(fields):
     with pytest.raises(ParameterError):
@@ -194,14 +192,17 @@ def _cold_solve(lts, e, params):
 
 def test_solves_through_the_host_cache_equal_cold_solves():
     a, b = group_system(10), group_system(9)
-    a_copy = textio.loads_system(textio.dumps_system(a))
+    # the exhaustive search needs a pair graph of at most 20 vertices
+    c = group_system(4)
+    a_copy, c_copy = (textio.loads_system(textio.dumps_system(x)) for x in (a, c))
     assert a_copy == a and a_copy is not a
-    greedy = DriverParams(k0=3, tau_max=2, strategy="greedy")
-    # A, B, then A again: its second solve is greedy, so the multigraph is
-    # kept without an order and the peel solve after it adds the order; then
-    # an equal copy of A
-    runs = [(a, 94, PRACTICAL), (b, 40, PRACTICAL), (a, 60, PRACTICAL), (a, 50, greedy),
-            (a, 61, PRACTICAL), (a, 30, PRACTICAL), (a_copy, 94, PRACTICAL), (a_copy, 45, greedy)]
+    exhaustive = DriverParams(tau_max=8, strategy="exhaustive")
+    # A, B, then A again, then an equal copy of A; then C, whose second solve
+    # is exhaustive, so the multigraph is kept without an order and the peel
+    # solve after it adds the order
+    runs = [(a, 94, PRACTICAL), (b, 40, PRACTICAL), (a, 60, PRACTICAL), (a, 61, PRACTICAL),
+            (a, 30, PRACTICAL), (a_copy, 94, PRACTICAL), (c, 16, PRACTICAL), (c, 12, exhaustive),
+            (c, 15, PRACTICAL), (c, 13, PRACTICAL), (c_copy, 10, exhaustive)]
     warm = [find_be_s_configuration(lts, e, params).to_json_dict() for lts, e, params in runs]
     assert warm == [_cold_solve(lts, e, params) for lts, e, params in runs]
 

@@ -51,12 +51,11 @@ HOSTS = {
 
 PARAMS = {
     "default": DriverParams(),
-    "tau8": DriverParams(tau_max=8, seed=4),
-    "greedy": DriverParams(k0=3, tau_max=2, strategy="greedy"),
+    "tau8": DriverParams(tau_max=8),
     "paper": DriverParams(paper_mode=True),
 }
 
-STRATEGIES = ("peel", "greedy", "exhaustive")
+STRATEGIES = ("peel", "exhaustive")
 
 
 def _solve_corpus(host_name, params_name):
@@ -141,21 +140,20 @@ CLI_CASES = {
                          "--out", "{tmp}/out.tls", *_REPORT),
     "aux": ("aux", "--input", "{tmp}/g5.tls", "--out", "{tmp}/out.aux", *_REPORT),
     **{f"findf/{s}": ("findf", "--input", "{tmp}/g5.tls", "--k", "7", "--t", "3",
-                      "--strategy", s, "--seed", "1", *_REPORT) for s in STRATEGIES},
-    "unpack/greedy": ("unpack", "--input", "{tmp}/g5.tls", "--k", "7", "--t", "3",
-                      "--strategy", "greedy", "--seed", "2", "--budget-ms", "600000",
-                      "--trace", "{tmp}/trace.json", *_REPORT),
-    # flag values picked so that the output changes when any of t, tau_max,
-    # seed or strategy (solve/flags), base_e (solve/base-e) or k0 (sweep) is
-    # left out
-    "solve/flags": ("solve", "--input", "{tmp}/g5.tls", "--e", "20", "--t", "3", "--k0", "2",
-                    "--tau-max", "8", "--base-e", "5", "--strategy", "greedy", "--seed", "7",
+                      "--strategy", s, *_REPORT) for s in STRATEGIES},
+    "unpack/peel": ("unpack", "--input", "{tmp}/g5.tls", "--k", "7", "--t", "3",
+                    "--strategy", "peel", "--budget-ms", "600000",
+                    "--trace", "{tmp}/trace.json", *_REPORT),
+    # flag values picked so that the output changes when any of t, tau_max or
+    # strategy (solve/flags), base_e (solve/base-e) or k0 (sweep) is left out
+    "solve/flags": ("solve", "--input", "{tmp}/g5.tls", "--e", "25", "--t", "3", "--k0", "2",
+                    "--tau-max", "8", "--base-e", "5", "--strategy", "exhaustive",
                     "--budget-ms", "600000", *_REPORT),
     "solve/base-e": ("solve", "--input", "{tmp}/g5.tls", "--e", "5", "--base-e", "5", *_REPORT),
     "solve/paper": ("solve", "--input", "{tmp}/g5.tls", "--e", "20", "--paper-mode", *_REPORT),
     "solve/plain": ("solve", "--input", "{tmp}/g5.tls", "--e", "20"),
     "sweep/flags": ("sweep", "--input", "{tmp}/g5.tls", "--e-min", "3", "--e-max", "25",
-                    "--t", "3", "--k0", "4", "--tau-max", "10", "--base-e", "5", "--seed", "7"),
+                    "--t", "3", "--k0", "4", "--tau-max", "10", "--base-e", "5"),
     "oracle/min": ("oracle", "--input", "{tmp}/g3.tls", "--e", "4"),
     "oracle/v": ("oracle", "--input", "{tmp}/g3.tls", "--e", "4", "--v", "6", "--guard", "100000"),
     "girth/grow": ("girth", "grow", "--k", "60", "--t", "16", "--g", "5", "--seed", "4",

@@ -210,46 +210,44 @@ def test_cli_girth_grow_check_round_trip(tmp_path, capsys):
     assert "certificate ok" in capsys.readouterr().out
 
 
+_GEN_RANDOM = ["gen", "random", "--na", "6", "--nb", "7", "--nc", "8", "--target", "20"]
+
+
 def test_cli_seed_determinism(tmp_path):
-    g6 = tmp_path / "g6.tls"
-    main(["gen", "group", "--m", "6", "--out", str(g6)])
-    r1 = tmp_path / "r1.json"
-    r2 = tmp_path / "r2.json"
-    for r in (r1, r2):
-        main(["solve", "--input", str(g6), "--e", "14", "--seed", "3",
-              "--report", str(r), "--no-timestamp"])
-    assert r1.read_bytes() == r2.read_bytes()
+    outs = [tmp_path / "a.tls", tmp_path / "b.tls"]
+    for out in outs:
+        assert main([*_GEN_RANDOM, "--seed", "3", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_cli_seed_defaults_to_besforge_seed(tmp_path, monkeypatch):
-    g6 = tmp_path / "g6.tls"
-    g6.write_text(textio.dumps_system(group_system(6)))
-    reports = {}
+    outs = {}
     for name, env, flags in (("unset", None, []), ("flag", None, ["--seed", "3"]),
                              ("env", "3", []), ("flag_over_bad_env", "x", ["--seed", "3"])):
         if env is None:
             monkeypatch.delenv("BESFORGE_SEED", raising=False)
         else:
             monkeypatch.setenv("BESFORGE_SEED", env)
-        reports[name] = tmp_path / f"{name}.json"
-        # greedy at e=25 gives a different report for seeds 0 and 3
-        assert main(["solve", "--input", str(g6), "--e", "25", "--strategy", "greedy", *flags,
-                     "--report", str(reports[name]), "--no-timestamp"]) == 0
-    assert reports["unset"].read_bytes() != reports["flag"].read_bytes()
-    assert reports["env"].read_bytes() == reports["flag"].read_bytes()
-    assert reports["flag_over_bad_env"].read_bytes() == reports["flag"].read_bytes()
+        outs[name] = tmp_path / f"{name}.tls"
+        # seeds 0 and 3 generate different systems
+        assert main([*_GEN_RANDOM, *flags, "--out", str(outs[name])]) == 0
+    assert outs["unset"].read_bytes() != outs["flag"].read_bytes()
+    assert outs["env"].read_bytes() == outs["flag"].read_bytes()
+    assert outs["flag_over_bad_env"].read_bytes() == outs["flag"].read_bytes()
 
 
 def test_cli_malformed_besforge_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    g3 = tmp_path / "g3.tls"
-    g3.write_text(textio.dumps_system(group_system(3)))
     monkeypatch.setenv("BESFORGE_SEED", "x")
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--input", str(g3), "--e", "4"])
+        main([*_GEN_RANDOM, "--out", str(tmp_path / "out.tls")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --seed: invalid int value: 'x'" in err
     assert "Traceback" not in err
+    # solve takes no seed, so it does not read BESFORGE_SEED
+    g3 = tmp_path / "g3.tls"
+    g3.write_text(textio.dumps_system(group_system(3)))
+    assert main(["solve", "--input", str(g3), "--e", "4"]) == 0
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -283,7 +281,7 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize("flags", [["--budget-ms", "0"], ["--budget-ms", "-5"],
-                                   ["--strategy", "anneal"]])
+                                   ["--strategy", "anneal"], ["--strategy", "greedy"]])
 def test_cli_rejects_bad_driver_flags_as_usage_errors(tmp_path, flags):
     g3 = tmp_path / "g3.tls"
     g3.write_text(textio.dumps_system(group_system(3)))

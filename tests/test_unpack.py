@@ -14,6 +14,7 @@ from besforge import (
     unpack,
     verify_configuration,
 )
+from random_candidates import random_candidate
 
 DELTA_CAPS = {4: 4, 3: 2, 2: 1, 1: 0, 0: 0}
 
@@ -116,10 +117,8 @@ def test_random_candidates_obey_step_laws_and_audit(m):
     aux = build_aux(lts)
     simple = simple_subgraph(aux)
     rng = random.Random(m)
-    for trial in range(40):
-        k = rng.randint(2, 8)
-        res = find_dense_2deg(simple.graph, k, 2 * k, strategy="greedy", seed=trial)
-        cand = res.candidate
+    for _ in range(40):
+        cand = random_candidate(simple.graph, rng.randint(2, 8), rng)
         _cfg, trace = unpack(cand, aux, lts, simple=simple)
         singulars = 0
         for s in trace.steps:
