@@ -17,7 +17,6 @@ from .auxgraph import build_aux, simple_subgraph
 from .core import (
     TripartiteLinearSystem,
     to_triple_system,
-    validate_linear,
     verify_configuration,
     Configuration,
     reduce_or_win,

@@ -10,7 +10,7 @@ Vertex addressing conventions:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DegenerateInputError, ParameterError

@@ -257,7 +257,7 @@ def _counts_without_one(nbrs):
     return count
 
 
-def _local_search(g, cand, k, budget_end):
+def _local_search(g, cand, budget_end):
     """Single-swap hill climbing around a candidate's vertex set.
 
     A swap of inside vertex v for boundary vertex u is taken as soon as its
@@ -437,7 +437,7 @@ def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=No
     else:
         cand = _window_candidates(g, k, 2 * k - t_target, budget_end, order)
         if cand.achieved_t > t_target:
-            cand = _local_search(g, cand, k, budget_end)
+            cand = _local_search(g, cand, budget_end)
 
     cand.validate(g)
     return SearchResult(cand, cand.achieved_t <= t_target)

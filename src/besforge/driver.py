@@ -173,11 +173,32 @@ def _frame0(lts, peel):
     return simple, order
 
 
+# The note of the designed end of the recursion: no frame at this e' can keep
+# its candidate, so nothing was missed and the base frame is not flagged.
+_END_NOTE = "no frame can recurse or top up; base"
+
+
+def _frame_can_succeed(e_prime, k, tau_max):
+    """Whether a frame at e_prime, with k = e_prime // 4, can keep its
+    candidate: recurse (fe >= v) or top up (e_prime - fe <= tau_max).
+
+    There is no search at k = 1. The pair graph is bipartite, so a candidate
+    on k <= 3 vertices has no cycle and at most k - 1 edges, each unpacking
+    into at most two hyperedges: fe <= 2(k - 1), below v (at least 5 at
+    k = 2 and 6 at k = 3), so only a top-up can keep it.
+    """
+    if k < 2:
+        return False
+    return k > 3 or e_prime - 2 * (k - 1) <= tau_max
+
+
 def find_be_s_configuration(lts, e, params=None):
     """Produce exactly e hyperedges of lts with small span; see module docstring.
 
     Each pass records a top_up or recurse frame and removes its hyperedges from
     the residual, or stops with a note; one greedy base pick supplies the rest.
+    The base frame is flagged when its note names a miss, not when no frame
+    could have kept a candidate.
     """
     if params is None:
         params = DriverParams()
@@ -196,7 +217,10 @@ def find_be_s_configuration(lts, e, params=None):
     used = set()
     while e_prime > params.base_threshold:
         k = e_prime // 4
-        if k < max(2, params.k0):
+        if not _frame_can_succeed(e_prime, k, params.tau_max):
+            note = _END_NOTE
+            break
+        if k < params.k0:
             note = "k below minimum; base fallback"
             break
         if simple is None:
@@ -239,7 +263,8 @@ def find_be_s_configuration(lts, e, params=None):
     span = {key for x in chosen for key in lts.edge_keys(x)}
     chosen.extend(_greedy_pick(residual, e_prime, span, lts.edge_keys))
     if not (frames and frames[-1].branch == "top_up"):
-        frames.append(FrameReport(e_prime, "base", bool(note), len(residual), note=note))
+        frames.append(FrameReport(
+            e_prime, "base", note not in ("", _END_NOTE), len(residual), note=note))
 
     cfg = Configuration.from_edges(lts, chosen)
     if cfg.e != e or not verify_configuration(lts, cfg, cfg.v, e):

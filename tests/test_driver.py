@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -16,12 +17,17 @@ from besforge import (
     group_system,
     min_span,
     paper_constant_d,
+    random_linear,
     verify_configuration,
 )
 from besforge import io as textio
 from besforge.auxgraph import SimpleSubgraph, build_aux, simple_subgraph
 from besforge.cli import main
-from besforge.driver import _greedy_pick
+from besforge.degsearch import _trim_on_set
+from besforge.driver import _frame_can_succeed, _greedy_pick
+from besforge.unpack import unpack
+
+import test_golden
 
 PRACTICAL = DriverParams(t=4, tau_max=4, base_e=4)
 
@@ -250,7 +256,80 @@ def test_the_host_cache_holds_only_the_last_host():
     hosts = [group_system(m) for m in (4, 5, 6)]
     refs = [weakref.ref(lts) for lts in hosts]
     for lts in hosts:
-        find_be_s_configuration(lts, 10, PRACTICAL)
+        # k = 4, so frame 0 runs
+        find_be_s_configuration(lts, 16, PRACTICAL)
     del hosts, lts
     gc.collect()
     assert [ref() is None for ref in refs] == [True, True, False]
+
+
+def test_a_solve_stopped_before_frame_0_builds_nothing_and_keeps_the_cache(monkeypatch):
+    a, b = group_system(8), group_system(7)
+    find_be_s_configuration(a, 20, PRACTICAL)
+    find_be_s_configuration(a, 21, PRACTICAL)
+    entry = besforge.driver._last_host
+    assert entry[0] is a and entry[1] is not None
+
+    def no_build(*args):
+        raise AssertionError("a solve that stops before frame 0 built a pair graph")
+
+    monkeypatch.setattr(besforge.driver, "build_aux", no_build)
+    monkeypatch.setattr(besforge.driver, "simple_subgraph", no_build)
+    # e' <= 15 at the default tau_max: k <= 3 and e' - 2(k - 1) > 4
+    for lts, e in ((b, 15), (b, 8), (a, 12), (b, 5)):
+        report = find_be_s_configuration(lts, e, PRACTICAL)
+        assert [f.branch for f in report.frames] == ["base"]
+        assert report.frames[0].note == besforge.driver._END_NOTE
+        assert not report.any_flagged
+        assert besforge.driver._last_host is entry
+
+
+def _connected_sets(g, k):
+    """Every connected k-set of g's vertices, for k in (2, 3)."""
+    adj = g.adjacency()
+    if k == 2:
+        return [set(edge) for edge in g.edges]
+    # a bipartite graph has no triangle, so a connected 3-set is a path u-w-x
+    return [{u, w, x} for w in g.vertices for u, x in combinations(sorted(adj[w]), 2)]
+
+
+def test_no_frame_at_k_up_to_3_can_keep_its_candidate():
+    hosts = [group_system(m) for m in range(3, 7)]
+    hosts += [random_linear(8, 8, 8, 40, seed) for seed in range(3)]
+    checked = 0
+    for lts in hosts:
+        simple = simple_subgraph(build_aux(lts))
+        for k in (2, 3):
+            for vertex_set in _connected_sets(simple.graph, k):
+                cand = _trim_on_set(simple.graph, vertex_set)
+                trace = unpack(cand, None, lts, simple=simple)[1]
+                fe, v = trace.e_total, trace.v_total
+                assert 0 < fe <= 2 * (k - 1) and fe < v
+                for e_prime in range(4 * k, 4 * k + 4):
+                    for tau_max in range(12):
+                        if not _frame_can_succeed(e_prime, k, tau_max):
+                            assert e_prime - fe > tau_max
+                checked += 1
+    assert checked > 1000
+
+
+def _without_last_note_and_flags(report):
+    out = report.to_json_dict()
+    del out["any_flagged"]
+    last = out["frames"][-1]
+    del last["note"], last["flagged"]
+    return out
+
+
+def test_the_stop_rule_changes_only_the_last_frames_note_and_flag(monkeypatch):
+    hosts = [make(*args) for make, args in test_golden.HOSTS.values()]
+    runs = [(lts, e, params) for lts in hosts for params in (DriverParams(), DriverParams(tau_max=8))
+            for e in range(1, min(lts.m, 40) + 1)]
+    ruled = [find_be_s_configuration(*run) for run in runs]
+    # every frame with a search to run is built, as before the rule
+    monkeypatch.setattr(besforge.driver, "_frame_can_succeed", lambda e_prime, k, tau_max: k >= 2)
+    unruled = [find_be_s_configuration(*run) for run in runs]
+    assert ([_without_last_note_and_flags(r) for r in ruled]
+            == [_without_last_note_and_flags(r) for r in unruled])
+    # the rule unflags the solves whose only miss was the discarded last frame
+    assert sum(r.any_flagged for r in ruled) < sum(r.any_flagged for r in unruled)

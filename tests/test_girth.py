@@ -71,13 +71,10 @@ def test_girth_of_basics():
 
 
 def test_girth_of_matches_enumeration_oracle():
-    from itertools import combinations
     import random
 
     def cycle_oracle(g):
         # shortest cycle by DFS enumeration over simple cycles via edge subsets
-        best = None
-        verts = g.vertices
         for L in range(3, g.n + 1):
             for cyc in _cycles_of_length(g, L):
                 return L

@@ -3,8 +3,11 @@
 Refactors that must not change behaviour are checked here: every case below
 hashes the exact output text of a corpus of solves or CLI runs, and the
 recorded digests in golden_digests.json were produced by the code before the
-refactor. The corpus reaches every driver frame kind (base, the three flagged
-base fallbacks, top_up and recurse), and runs every subcommand at least once.
+refactor. The default and tau8 solve corpora reach every driver frame kind
+(base, top_up and recurse) and every base note but `k below minimum`, which
+needs k0 >= 3 and which cli/sweep/flags reaches, as
+test_corpus_reaches_every_branch_and_note checks. The corpus runs every
+subcommand at least once.
 cli_flags.json lists every subcommand's options with their defaults, types,
 choices and required flags, so a CLI refactor can show that it added or
 dropped no flag.
@@ -15,8 +18,10 @@ To record the digests and the flag table of a checkout, run from its root:
 """
 
 import argparse
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -35,6 +40,7 @@ from besforge import (
     grow_girth_graph,
     random_linear,
 )
+from besforge import driver
 from besforge import io as textio
 from besforge.cli import build_parser, main
 
@@ -189,6 +195,37 @@ def test_solve_corpus_span_sum_does_not_grow():
         for line in _solve_corpus(h, p).splitlines()
     )
     assert total <= SPAN_SUM_BOUND
+
+
+def _base_notes():
+    """Every note find_be_s_configuration can give a base frame."""
+    tree = ast.parse(inspect.getsource(driver.find_be_s_configuration))
+    values = [node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["note"]]
+    return {v.value if isinstance(v, ast.Constant) else getattr(driver, v.id) for v in values}
+
+
+def _frames(reports):
+    return [frame for report in reports for frame in report["frames"]]
+
+
+def test_corpus_reaches_every_branch_and_note():
+    k0_note = "k below minimum; base fallback"
+    notes = _base_notes()
+    assert k0_note in notes
+    frames = _frames(json.loads(line) for h in HOSTS for p in ("default", "tau8")
+                     for line in _solve_corpus(h, p).splitlines())
+    assert {f["branch"] for f in frames} == {"base", "top_up", "recurse"}
+    assert {f["note"] for f in frames} == notes - {k0_note}
+    # the driver parameters of cli/sweep/flags
+    params = DriverParams(t=3, k0=4, tau_max=10, base_e=5)
+    sweep = _frames(find_be_s_configuration(group_system(5), e, params).to_json_dict()
+                    for e in range(3, 26))
+    assert k0_note in {f["note"] for f in sweep}
+    # a base frame is flagged when its note names a miss
+    for f in frames + sweep:
+        if f["branch"] == "base":
+            assert f["flagged"] == (f["note"] not in ("", driver._END_NOTE))
 
 
 def _leaf_parsers(parser, path=()):
