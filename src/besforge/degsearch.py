@@ -5,9 +5,9 @@ vertex has at most 2 edges to earlier vertices; the quality measure is the
 edge count (equivalently achieved_t = 2k - |edges|, smaller is denser).
 
 The 'peel' search scans windows of the degeneracy ordering and stops at the
-first one that meets the target t, not at the densest window overall; only
-when no window meets it does it take the densest and try local search.
-The 'exhaustive' search is exact and serves as the oracle on small hosts.
+first one that meets the target t, not at the densest window overall; when
+no window meets it, it returns the densest window. The 'exhaustive' search
+is exact and serves as the oracle on small hosts.
 """
 
 from __future__ import annotations
@@ -91,21 +91,16 @@ def _induced(adj, verts):
     return [[rank[w] for w in adj.get(v, ()) if w in rank] for v in verts]
 
 
-def _peel_core(nbrs, skip=None):
+def _peel_core(nbrs):
     """Smallest-last peeling (Matula-Beck) of rank-indexed neighbour lists.
 
     Repeatedly removes the vertex of least (degree, rank), found with a
-    lazy-deletion heap; the vertex `skip`, if given, is left out. Returns the
-    removal order and each vertex's degree at removal, which is its number of
-    neighbours removed after it.
+    lazy-deletion heap. Returns the removal order and each vertex's degree at
+    removal, which is its number of neighbours removed after it.
     """
     deg = [len(ws) for ws in nbrs]
     alive = [True] * len(nbrs)
-    if skip is not None:
-        alive[skip] = False
-        for w in nbrs[skip]:
-            deg[w] -= 1
-    heap = [(d, v) for v, d in enumerate(deg) if alive[v]]
+    heap = [(d, v) for v, d in enumerate(deg)]
     heapify(heap)
     removal = []
     removal_deg = []
@@ -234,62 +229,6 @@ def _window_candidates(g, k, goal, budget_end, order=None):
     return _trim_on_set(g, order[best_s : best_s + k])
 
 
-def _counts_without_one(nbrs):
-    """Return count(v): the trim edge count of the graph of rank-indexed
-    neighbour lists without vertex v.
-
-    The graph is peeled once. A trim drops d - 2 edges at each removal of
-    degree d > 2, and such removals happen only once the peel has reached the
-    3-core. Removing a v outside the 3-core leaves the core and its peel
-    unchanged, so only v inside the core need a peel of their own.
-    """
-    removal, removal_deg = _peel_core(nbrs)
-    edges = sum(removal_deg)
-    loss = edges - _trim_count(removal_deg)
-    first_core = next((i for i, d in enumerate(removal_deg) if d > 2), len(removal))
-    core = set(removal[first_core:])
-
-    def count(v):
-        if v in core:
-            return _trim_count(_peel_core(nbrs, v)[1])
-        return edges - len(nbrs[v]) - loss
-
-    return count
-
-
-def _local_search(g, cand, budget_end):
-    """Single-swap hill climbing around a candidate's vertex set.
-
-    A swap of inside vertex v for boundary vertex u is taken as soon as its
-    trim has more edges; the subgraph induced on inside + u is built and
-    scored once per u, and a trim is built only for an accepted swap.
-    Returns cand itself or a trim with strictly more edges.
-    """
-    adj = g.adjacency()
-    current = cand
-    count = len(cand.edges)
-    improved = True
-    while improved:
-        improved = False
-        inside = set(current.vertices)
-        boundary = sorted({w for v in inside for w in adj[v] if w not in inside})
-        for u in boundary:
-            verts = sorted(inside | {u})
-            count_without = _counts_without_one(_induced(adj, verts))
-            for skip, v in enumerate(verts):
-                if v == u or count_without(skip) <= count:
-                    continue
-                current = _trim_on_set(g, (inside - {v}) | {u})
-                count = len(current.edges)
-                improved = True
-                break
-            if improved or (budget_end is not None and time.monotonic() > budget_end):
-                break
-        if budget_end is not None and time.monotonic() > budget_end:
-            break
-    return current
-
-
 def _exhaustive_best(g, k):
     """Exact maximum via bottom-up DP over vertex subsets up to size k.
 
@@ -413,10 +352,11 @@ def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=No
     """Search for a k-vertex 2-degenerate subgraph with >= 2k - t_target edges.
 
     Strategies: 'peel' (the first degeneracy window that reaches the goal,
-    else the densest window improved by local search) and 'exhaustive'
-    (exact, small hosts only). Failure is first-class: on a miss the densest
-    candidate found is returned.
+    else the densest window) and 'exhaustive' (exact, small hosts only).
+    Failure is first-class: on a miss the densest candidate found is returned.
 
+    `budget_ms` caps only the 'peel' window scan: once it has passed, the
+    densest window peeled so far is returned. 'exhaustive' ignores it.
     `order`, if given, must be degeneracy_ordering(g).order; 'peel' then
     scans it instead of peeling g again, and 'exhaustive' ignores it.
     """
@@ -436,8 +376,6 @@ def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=No
         cand = _exhaustive_best(g, k)
     else:
         cand = _window_candidates(g, k, 2 * k - t_target, budget_end, order)
-        if cand.achieved_t > t_target:
-            cand = _local_search(g, cand, budget_end)
 
     cand.validate(g)
     return SearchResult(cand, cand.achieved_t <= t_target)

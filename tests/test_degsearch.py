@@ -1,4 +1,6 @@
 import random
+from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,8 +17,6 @@ from besforge import (
 )
 from besforge import degsearch
 from besforge.degsearch import (
-    _counts_without_one,
-    _induced,
     _peel,
     _score,
     _trim_on_set,
@@ -205,22 +205,6 @@ def test_peel_on_pair_graph_vertices_matches_reference():
     assert _peel(adj) == _reference_peel(adj)
 
 
-def test_counts_without_one_match_a_fresh_score():
-    rng = random.Random(13)
-    for _ in range(200):
-        g = _tied_graph(rng)
-        if rng.random() < 0.5:  # a dense piece gives a non-empty 3-core
-            piece = [v for v in g.vertices if v < 6]
-            for i, u in enumerate(piece):
-                for v in piece[i + 1 :]:
-                    if not g.has_edge(u, v):
-                        g.add_edge(u, v)
-        verts = list(g.vertices)
-        count = _counts_without_one(_induced(g.adjacency(), verts))
-        for i, v in enumerate(verts):
-            assert count(i) == _score(g, set(verts) - {v})[0]
-
-
 def _reference_window_scan(g, k):
     """The scan that peeled every window and kept the densest, kept as the
     reference for the (-count, order) tie-break when no window reaches the
@@ -295,25 +279,57 @@ def test_window_scan_stops_at_the_first_window_reaching_the_goal():
     assert reached > 1000
 
 
-def test_peel_search_takes_the_first_window_reaching_t(monkeypatch):
-    def no_local_search(*args):
-        raise AssertionError("local search ran after a window reached t")
+def _assert_search_is_the_scan(g, k, t):
+    """Check that peel's result is the window scan's, and return whether a
+    window reached t."""
+    res = find_dense_2deg(g, k, t)
+    assert res.candidate == _window_candidates(g, k, 2 * k - t, None)
+    first = _first_window_reaching(g, k, 2 * k - t)
+    if first is None:
+        assert not res.success and res.candidate == _reference_window_scan(g, k)
+    else:
+        assert res.success and res.candidate == first
+    return first is not None
 
-    monkeypatch.setattr(degsearch, "_local_search", no_local_search)
+
+def test_peel_search_is_the_window_scan():
     rng = random.Random(29)
     graphs = [_tied_graph(rng) for _ in range(40)]
     graphs += [simple_subgraph(build_aux(group_system(6))).graph, _k4_and_strip(14)]
-    checked = 0
-    for g in graphs:
-        for k in range(2, min(g.n, 14) + 1):
-            for t in range(3, 2 * k + 1):
-                first = _first_window_reaching(g, k, 2 * k - t)
-                if first is None:
-                    continue
-                res = find_dense_2deg(g, k, t)
-                assert res.success and res.candidate == first
-                checked += 1
-    assert checked > 500
+    reached = [
+        _assert_search_is_the_scan(g, k, t)
+        for g in graphs
+        for k in range(2, min(g.n, 14) + 1)
+        for t in range(2 * k + 1)
+    ]
+    assert reached.count(True) > 500 and reached.count(False) > 500
+    # every window misses t here, and the densest one is returned as it is
+    # (achieved_t 9), not improved towards t
+    assert not _assert_search_is_the_scan(_pair_graph(0, size=24, edges=320), 20, 4)
+
+
+def test_budget_stops_the_scan_after_the_first_window(monkeypatch):
+    # each clock reading is 1 s after the last, so a 1 ms budget has passed
+    # at the first check, which follows the first peeled window
+    clock = count()
+    monkeypatch.setattr(degsearch, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+    calls = []
+
+    def counted(graph, vertex_set):
+        calls.append(vertex_set)
+        return _score(graph, vertex_set)
+
+    monkeypatch.setattr(degsearch, "_score", counted)
+    g = _k4_and_strip(14)
+    k, t = 6, 2
+    res = find_dense_2deg(g, k, t, budget_ms=1)
+    assert len(calls) == 1
+    assert res.candidate == _trim_on_set(g, degeneracy_ordering(g).order[:k])
+    assert not res.success
+    # unbudgeted, the scan goes on to a denser window in the strip
+    assert find_dense_2deg(g, k, t).achieved_t < res.achieved_t
+    exact = find_dense_2deg(g, k, t, strategy="exhaustive")
+    assert find_dense_2deg(g, k, t, strategy="exhaustive", budget_ms=1) == exact
 
 
 def test_pruned_window_scan_peels_few_windows(monkeypatch):
