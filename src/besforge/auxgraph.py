@@ -9,8 +9,7 @@ underlying hyperedges.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -50,78 +49,32 @@ class AuxGraph:
             mult[(ed.u, ed.w)] = mult.get((ed.u, ed.w), 0) + 1
         return mult
 
-    @cached_property
-    def by_hyperedge(self):
-        """hyperedge -> the multigraph edges through it. Built on first use;
-        callers only read it, so every subgraph shrinking from this graph
-        can share it."""
-        index = {}
-        for ed in self.edges:
-            index.setdefault(ed.h1, []).append(ed)
-            index.setdefault(ed.h2, []).append(ed)
-        return index
+    def restricted(self, residual):
+        """The multigraph of `residual`, a system whose edges are some of the
+        host's: the edges whose two hyperedges are both in residual, on the
+        pair-vertices they support. Equals build_aux(residual).
 
-
-@dataclass
-class SimpleSubgraph:
-    """One kept AuxEdge per pair of pair-vertices, with the annotation map.
-
-    `aux` is the multigraph it was built from, `spare` maps each pair that
-    still has two parallel edges to the one not kept, and `multi_edge_count`
-    counts the multigraph edges that remain. `remove_hyperedges` shrinks the
-    graph, the annotation, the spares and the count in place and only reads
-    `aux`. simple_subgraph sets all three; a subgraph built without them can
-    be read but not shrunk.
-    """
-
-    graph: Graph
-    annot: dict  # (u, w) -> AuxEdge
-    multi_edge_count: int = None
-    aux: AuxGraph = field(default=None, repr=False, compare=False)
-    spare: dict = field(default=None, repr=False, compare=False)
-
-    def remove_hyperedges(self, used, residual):
-        """Shrink to the simple subgraph of `residual`, the system this one
-        describes without the hyperedges `used`.
-
-        Drops the multigraph edges through a used hyperedge. A pair that
-        loses its kept edge keeps its spare if it has one (a pair has at most
-        two parallel edges, so the kept-edge rule picks the survivor), and
-        otherwise loses its edge; a pair-vertex without edges is deleted. The
-        result equals simple_subgraph(build_aux(residual)). Then runs
-        build_aux's self-checks on `residual` against the remaining multigraph
-        edges: linearity, the count law and the lower bound, each raising
+        Runs build_aux's self-checks on residual against the kept edges:
+        linearity, the count law and the lower bound, each raising
         IntegrityError.
         """
-        if self.aux is None:
-            raise IntegrityError("cannot shrink a simple subgraph built without its multigraph edges")
-        index = self.aux.by_hyperedge
-        annot = self.annot
-        spare = self.spare
-        graph = self.graph
-        for h in used:
-            for ed in index.get(h, ()):
-                key = (ed.u, ed.w)
-                if spare.get(key) == ed:
-                    del spare[key]
-                elif annot.get(key) == ed:
-                    survivor = spare.pop(key, None)
-                    if survivor is not None:
-                        annot[key] = survivor
-                    else:
-                        del annot[key]
-                        graph.remove_edge(ed.u, ed.w)
-                        for v in key:
-                            if not graph.degree(v):
-                                graph.remove_vertex(v)
-                else:
-                    continue  # removed earlier, through its other hyperedge
-                self.multi_edge_count -= 1
-
         verdict = validate_linear(residual)
         if not verdict:
             raise IntegrityError(f"residual system is not linear: {LinearityError(verdict)}")
-        _check_count(residual, self.multi_edge_count)
+        left = set(residual.edges)
+        edges = tuple(ed for ed in self.edges if ed.h1 in left and ed.h2 in left)
+        _check_count(residual, len(edges))
+        return AuxGraph(
+            tuple(sorted({ed.u for ed in edges})), tuple(sorted({ed.w for ed in edges})), edges
+        )
+
+
+@dataclass(frozen=True)
+class SimpleSubgraph:
+    """One kept AuxEdge per pair of pair-vertices, with the annotation map."""
+
+    graph: Graph
+    annot: dict  # (u, w) -> AuxEdge
 
 
 def build_aux(lts):
@@ -206,8 +159,7 @@ def _check_count(lts, count):
 
 def simple_subgraph(aux):
     """Keep one parallel edge per pair-vertex pair: prefer straight pairing,
-    then the smaller apex id. The other edge of a pair that has two is its
-    spare.
+    then the smaller apex id.
 
     aux.edges are sorted by (u, w, apex), so the parallel edges of a pair
     come in a run ordered by apex; the kept edge is the run's first straight
@@ -216,7 +168,6 @@ def simple_subgraph(aux):
     g = Graph(vertices=aux.a_vertices + aux.b_vertices)
     adj = g.adjacency()
     annot = {}
-    spare = {}
     for ed in aux.edges:
         key = (ed.u, ed.w)
         kept = annot.get(key)
@@ -226,7 +177,4 @@ def simple_subgraph(aux):
             adj[ed.w].add(ed.u)
         elif ed.pairing == "S" and kept.pairing != "S":
             annot[key] = ed
-            spare[key] = kept
-        else:
-            spare[key] = ed
-    return SimpleSubgraph(g, annot, len(aux.edges), aux, spare)
+    return SimpleSubgraph(g, annot)

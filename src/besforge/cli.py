@@ -218,18 +218,17 @@ def _find_candidate(args, lts):
     # as in DriverParams; find_dense_2deg itself takes t_target=0 as "best found"
     if args.t < 1:
         raise ParameterError("t must be positive")
-    aux = build_aux(lts)
-    simple = simple_subgraph(aux)
+    simple = simple_subgraph(build_aux(lts))
     result = find_dense_2deg(
         simple.graph, args.k, args.t,
         strategy=args.strategy, budget_ms=args.budget_ms,
     )
-    return aux, simple, result
+    return simple, result
 
 
 def _cmd_findf(args):
     lts = _read_tls(args.input)
-    _aux, _simple, result = _find_candidate(args, lts)
+    _simple, result = _find_candidate(args, lts)
     cand = result.candidate
     payload = {
         "success": result.success,
@@ -246,9 +245,9 @@ def _cmd_findf(args):
 
 def _cmd_unpack(args):
     lts = _read_tls(args.input)
-    aux, simple, result = _find_candidate(args, lts)
+    simple, result = _find_candidate(args, lts)
     cand = result.candidate
-    cfg, trace = unpack(cand, aux, lts, simple=simple)
+    cfg, trace = unpack(cand, simple, lts)
     bounds = check_lemma_bounds(trace, cand.k, cand.achieved_t)
     audit_involvement(trace)
     if args.trace:

@@ -352,7 +352,7 @@ def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=No
     """Search for a k-vertex 2-degenerate subgraph with >= 2k - t_target edges.
 
     Strategies: 'peel' (the first degeneracy window that reaches the goal,
-    else the densest window) and 'exhaustive' (exact, small hosts only).
+    else the densest window) and 'exhaustive' (exact, on at most 20 vertices).
     Failure is first-class: on a miss the densest candidate found is returned.
 
     `budget_ms` caps only the 'peel' window scan: once it has passed, the

@@ -5,6 +5,9 @@ Paper mode uses the literal thresholds (which at desk scale collapse every
 run to the base case); practical mode takes small configurable thresholds so
 the recursive machinery is actually exercised.
 
+Frame 0 takes the host's pair multigraph; every later frame restricts the
+previous frame's multigraph to its residual. No frame changes what it reads.
+
 A host solved again keeps its pair multigraph and the degeneracy order of
 its pair graph until another host is solved, so solving one host at many e
 builds them twice (once for the first solve, once to keep), not per solve.
@@ -145,20 +148,21 @@ def _greedy_pick(available, count, span, edge_keys):
 
 
 # (host, its AuxGraph, the degeneracy order of its pair graph) for the last
-# host solved; the AuxGraph is None until the host is solved a second time,
-# and the order None until a peel search needs it. Replaced whole and read
-# once per solve, so two entries are never mixed. Hosts are frozen: a host
-# equal to the cached one has passed build_aux's checks.
+# host solved; the AuxGraph and the order are None until the host is solved a
+# second time. Replaced whole and read once per solve, so two entries are
+# never mixed. Hosts are frozen: a host equal to the cached one has passed
+# build_aux's checks.
 _last_host = None
 
 
-def _frame0(lts, peel):
-    """A fresh pair graph of lts, and with `peel` its degeneracy order.
+def _frame0(lts):
+    """The multigraph of lts, a fresh pair graph of it and its degeneracy order.
 
     The AuxGraph and the order come from the one-entry cache when lts is, or
     equals, the last host solved and was solved before that too; otherwise
     they are built. The first solve of a host keeps only the host, so a host
-    solved once leaves no multigraph resident.
+    solved once leaves no multigraph resident. 'exhaustive' ignores the order,
+    which costs little on its pair graphs of at most 20 vertices.
     """
     global _last_host
     entry = _last_host
@@ -167,10 +171,10 @@ def _frame0(lts, peel):
     if aux is None:
         aux = build_aux(lts)
     simple = simple_subgraph(aux)
-    if peel and order is None:
+    if order is None:
         order = degsearch.degeneracy_ordering(simple.graph).order
     _last_host = (lts, aux, order) if seen else (lts, None, None)
-    return simple, order
+    return aux, simple, order
 
 
 # The note of the designed end of the recursion: no frame at this e' can keep
@@ -212,9 +216,8 @@ def find_be_s_configuration(lts, e, params=None):
     frames = []
     e_prime = e
     note = ""
-    simple = None  # the pair graph of the residual, made once and then shrunk
+    aux = None  # the pair multigraph of the residual
     order = None  # the degeneracy order of the frame-0 pair graph
-    used = set()
     while e_prime > params.base_threshold:
         k = e_prime // 4
         if not _frame_can_succeed(e_prime, k, params.tau_max):
@@ -223,12 +226,13 @@ def find_be_s_configuration(lts, e, params=None):
         if k < params.k0:
             note = "k below minimum; base fallback"
             break
-        if simple is None:
+        if aux is None:
             sub = lts
-            simple, order = _frame0(lts, params.strategy == "peel")
+            aux, simple, order = _frame0(lts)
         else:
             sub = TripartiteLinearSystem(lts.sizes, tuple(residual))
-            simple.remove_hyperedges(used, sub)
+            aux = aux.restricted(sub)
+            simple = simple_subgraph(aux)
             order = None
         if simple.graph.n < k or simple.graph.m == 0:
             note = "pair graph too small; base fallback"
@@ -238,7 +242,7 @@ def find_be_s_configuration(lts, e, params=None):
             budget_ms=params.budget_ms, order=order,
         )
         cand = result.candidate
-        cfg, trace = unpack(cand, None, sub, simple=simple)
+        cfg, trace = unpack(cand, simple, sub)
         fe = trace.e_total
         top_up = e_prime - fe <= params.tau_max
         if not top_up and not (fe >= trace.v_total and fe > 0):

@@ -36,29 +36,31 @@ def random_linear(na, nb, nc, target_edges, seed=0):
     if target_edges < 0:
         raise ParameterError("target_edges must be non-negative")
     rng = random.Random(f"{na},{nb},{nc},{target_edges},{seed}")
-    used = set()
+    # covered pairs a*nb+b, a*nc+c, b*nc+c: int hashes ignore the hash seed
+    ab, ac, bc = set(), set(), set()
     edges = []
     rejections = 0
     while len(edges) < target_edges and rejections < _REJECTION_RUN:
         a = rng.randrange(na)
         b = rng.randrange(nb)
         c = rng.randrange(nc)
-        pairs = ((("A", a), ("B", b)), (("A", a), ("C", c)), (("B", b), ("C", c)))
-        if any(p in used for p in pairs):
+        if a * nb + b in ab or a * nc + c in ac or b * nc + c in bc:
             rejections += 1
             continue
         rejections = 0
         edges.append((a, b, c))
-        used.update(pairs)
+        ab.add(a * nb + b)
+        ac.add(a * nc + c)
+        bc.add(b * nc + c)
     if len(edges) < target_edges:
-        free_a = [{c for c in range(nc) if (("A", a), ("C", c)) not in used} for a in range(na)]
-        free_b = [{c for c in range(nc) if (("B", b), ("C", c)) not in used} for b in range(nb)]
+        free_a = [{c for c in range(nc) if a * nc + c not in ac} for a in range(na)]
+        free_b = [{c for c in range(nc) if b * nc + c not in bc} for b in range(nb)]
         # every triple that still fits: a free (a, b) pair and a c free for both
         fits = [
             (a, b, c)
             for a in range(na)
             for b in range(nb)
-            if (("A", a), ("B", b)) not in used
+            if a * nb + b not in ab
             for c in sorted(free_a[a] & free_b[b])
         ]
         while fits and len(edges) < target_edges:

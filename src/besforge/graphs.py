@@ -30,14 +30,6 @@ class Graph:
         self._adj.setdefault(u, set()).add(v)
         self._adj.setdefault(v, set()).add(u)
 
-    def remove_edge(self, u, v):
-        self._adj[u].remove(v)
-        self._adj[v].remove(u)
-
-    def remove_vertex(self, v):
-        for w in self._adj.pop(v):
-            self._adj[w].remove(v)
-
     @property
     def vertices(self):
         return tuple(sorted(self._adj))

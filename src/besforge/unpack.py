@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .auxgraph import simple_subgraph
 from .core import Configuration
 from .errors import AuditError, IntegrityError
 from .graphs import canon_edge
@@ -137,14 +136,12 @@ def _check_step_laws(rec):
             )
 
 
-def unpack(candidate, aux, host, simple=None):
+def unpack(candidate, simple, host):
     """Run the unpacking process and return (Configuration, UnpackTrace).
 
-    The annotations come from `simple`, or from simple_subgraph(aux) when
-    simple is None; aux is not read otherwise.
+    The annotations come from `simple`, the pair graph the candidate was
+    found in.
     """
-    if simple is None:
-        simple = simple_subgraph(aux)
     annot = simple.annot
     host_edges = set(host.edges)
 

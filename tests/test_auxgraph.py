@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besforge import (
+    AuxGraph,
     Graph,
     IntegrityError,
     LinearityError,
@@ -14,7 +15,6 @@ from besforge import (
     random_linear,
     simple_subgraph,
 )
-from besforge.auxgraph import SimpleSubgraph
 
 
 def test_group2_multiplicity_two_with_both_pairings():
@@ -117,28 +117,30 @@ def _reference_simple_subgraph(aux):
     return g, annot
 
 
-def _assert_same_pair_graph(simple, lts):
+def _assert_same_restriction(aux, residual):
+    """aux.restricted(residual) against a fresh build of residual, as
+    multigraphs and as pair graphs; returns the restriction."""
+    restricted = aux.restricted(residual)
+    fresh = build_aux(residual)
+    assert restricted == fresh
+    simple, fresh_simple = simple_subgraph(restricted), simple_subgraph(fresh)
+    assert simple.graph.vertices == fresh_simple.graph.vertices
+    assert simple.graph.edges == fresh_simple.graph.edges
+    assert simple.annot == fresh_simple.annot
+    return restricted
+
+
+def _restrict_to_empty(lts, rng):
+    """Remove random batches of hyperedges until none is left, restricting
+    the previous multigraph to what is left and checking it against a fresh
+    build after every batch."""
     aux = build_aux(lts)
-    fresh = simple_subgraph(aux)
-    assert simple.graph.vertices == fresh.graph.vertices
-    assert simple.graph.edges == fresh.graph.edges
-    assert simple.annot == fresh.annot
-    assert simple.spare == fresh.spare
-    assert simple.multi_edge_count == fresh.multi_edge_count == aux.multi_edge_count
-
-
-def _shrink_to_empty(lts, rng):
-    """Remove random batches of hyperedges until none is left, checking the
-    shrunk pair graph against a fresh build after every batch."""
-    simple = simple_subgraph(build_aux(lts))
     left = list(lts.edges)
     while left:
         used = set(rng.sample(left, rng.randint(1, max(1, len(left) // 3))))
         left = [x for x in left if x not in used]
-        residual = TripartiteLinearSystem(lts.sizes, tuple(left))
-        simple.remove_hyperedges(used, residual)
-        _assert_same_pair_graph(simple, residual)
-    assert simple.graph.n == 0 and simple.annot == {} and simple.multi_edge_count == 0
+        aux = _assert_same_restriction(aux, TripartiteLinearSystem(lts.sizes, tuple(left)))
+    assert aux.a_vertices == aux.b_vertices == aux.edges == ()
 
 
 def test_one_pass_simple_subgraph_matches_the_grouping_reference():
@@ -155,14 +157,14 @@ def test_one_pass_simple_subgraph_matches_the_grouping_reference():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_shrinking_equals_rebuilding_on_group_systems(m):
     for seed in range(10):
-        _shrink_to_empty(group_system(m), random.Random(f"{m}:{seed}"))
+        _restrict_to_empty(group_system(m), random.Random(f"{m}:{seed}"))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.integers(0, 60),
        st.integers(0, 10**6))
 def test_shrinking_equals_rebuilding_on_random_hosts(na, nb, nc, target, seed):
-    _shrink_to_empty(random_linear(na, nb, nc, target, seed=seed), random.Random(seed))
+    _restrict_to_empty(random_linear(na, nb, nc, target, seed=seed), random.Random(seed))
 
 
 @pytest.mark.parametrize("lts", [group_system(6), random_linear(9, 9, 9, 60, seed=3)],
@@ -170,23 +172,16 @@ def test_shrinking_equals_rebuilding_on_random_hosts(na, nb, nc, target, seed):
 def test_subgraphs_of_one_aux_graph_shrink_independently(lts):
     aux = build_aux(lts)
     edges_before = aux.edges
-    index_before = {h: tuple(eds) for h, eds in aux.by_hyperedge.items()}
     rng = random.Random(1)
-    shrinking = []
-    for _ in range(2):
-        # the same AuxGraph under two different removal sequences
-        order = list(lts.edges)
-        rng.shuffle(order)
-        shrinking.append((simple_subgraph(aux), order))
+    # the same AuxGraph under two different removal sequences
+    orders = [rng.sample(lts.edges, lts.m) for _ in range(2)]
+    restricted = [aux, aux]
     for start in range(0, lts.m, 4):
-        for simple, order in shrinking:
-            used, left = order[start : start + 4], order[start + 4 :]
-            residual = TripartiteLinearSystem(lts.sizes, tuple(left))
-            simple.remove_hyperedges(used, residual)
-            _assert_same_pair_graph(simple, residual)
-    assert all(simple.graph.n == 0 for simple, _ in shrinking)
-    assert aux.edges is edges_before
-    assert {h: tuple(eds) for h, eds in aux.by_hyperedge.items()} == index_before
+        for i, order in enumerate(orders):
+            residual = TripartiteLinearSystem(lts.sizes, tuple(order[start + 4 :]))
+            restricted[i] = _assert_same_restriction(restricted[i], residual)
+    assert restricted[0].edges == restricted[1].edges == ()
+    assert aux.edges is edges_before and aux == build_aux(lts)
 
 
 def test_build_aux_shares_pair_vertices_and_host_edges():
@@ -201,22 +196,14 @@ def test_build_aux_shares_pair_vertices_and_host_edges():
 
 def test_shrinking_checks_the_residual():
     lts = group_system(4)
-    simple = simple_subgraph(build_aux(lts))
-    simple.multi_edge_count += 1
-    used = lts.edges[:2]
-    residual = TripartiteLinearSystem(lts.sizes, lts.edges[2:])
-    with pytest.raises(IntegrityError, match="multi-edge count"):
-        simple.remove_hyperedges(used, residual)
-    simple = simple_subgraph(build_aux(lts))
+    aux = build_aux(lts)
     nonlinear = TripartiteLinearSystem(lts.sizes, ((0, 0, 0), (0, 0, 1)))
     with pytest.raises(IntegrityError, match="not linear"):
-        simple.remove_hyperedges(lts.edges[2:], nonlinear)
-
-
-def test_hand_built_subgraph_cannot_shrink():
-    lts = group_system(3)
-    simple = simple_subgraph(build_aux(lts))
-    hand_built = SimpleSubgraph(simple.graph, dict(simple.annot))
-    residual = TripartiteLinearSystem(lts.sizes, lts.edges[1:])
-    with pytest.raises(IntegrityError, match="without its multigraph edges"):
-        hand_built.remove_hyperedges(lts.edges[:1], residual)
+        aux.restricted(nonlinear)
+    residual = TripartiteLinearSystem(lts.sizes, lts.edges[2:])
+    left = set(residual.edges)
+    drop = next(ed for ed in aux.edges if ed.h1 in left and ed.h2 in left)
+    missing_one = AuxGraph(aux.a_vertices, aux.b_vertices,
+                           tuple(ed for ed in aux.edges if ed != drop))
+    with pytest.raises(IntegrityError, match="multi-edge count"):
+        missing_one.restricted(residual)

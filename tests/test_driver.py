@@ -21,7 +21,7 @@ from besforge import (
     verify_configuration,
 )
 from besforge import io as textio
-from besforge.auxgraph import SimpleSubgraph, build_aux, simple_subgraph
+from besforge.auxgraph import AuxGraph, build_aux, simple_subgraph
 from besforge.cli import main
 from besforge.degsearch import _trim_on_set
 from besforge.driver import _frame_can_succeed, _greedy_pick
@@ -164,7 +164,7 @@ def test_greedy_pick_matches_the_rescanning_reference():
 
 
 def test_pair_graph_is_built_once_per_solve(monkeypatch):
-    calls = {"build": 0, "shrink": 0}
+    calls = {"build": 0, "restrict": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -173,20 +173,19 @@ def test_pair_graph_is_built_once_per_solve(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(besforge.driver, "build_aux", counting("build", besforge.driver.build_aux))
-    monkeypatch.setattr(SimpleSubgraph, "remove_hyperedges",
-                        counting("shrink", SimpleSubgraph.remove_hyperedges))
+    monkeypatch.setattr(AuxGraph, "restricted", counting("restrict", AuxGraph.restricted))
     report = find_be_s_configuration(group_system(10), 94, PRACTICAL)
     assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
-    assert calls == {"build": 1, "shrink": 2}
+    assert calls == {"build": 1, "restrict": 2}
 
 
 def test_corrupted_multi_edge_count_raises_on_the_next_frame(monkeypatch):
-    def corrupted(aux):
-        simple = simple_subgraph(aux)
-        simple.multi_edge_count -= 1
-        return simple
+    def corrupted(lts):
+        # a multigraph missing an edge whose hyperedges frame 0 does not take
+        aux = build_aux(lts)
+        return AuxGraph(aux.a_vertices, aux.b_vertices, aux.edges[1:])
 
-    monkeypatch.setattr(besforge.driver, "simple_subgraph", corrupted)
+    monkeypatch.setattr(besforge.driver, "build_aux", corrupted)
     with pytest.raises(IntegrityError, match="multi-edge count"):
         find_be_s_configuration(group_system(10), 94, PRACTICAL)
 
@@ -204,8 +203,8 @@ def test_solves_through_the_host_cache_equal_cold_solves():
     assert a_copy == a and a_copy is not a
     exhaustive = DriverParams(tau_max=8, strategy="exhaustive")
     # A, B, then A again, then an equal copy of A; then C, whose second solve
-    # is exhaustive, so the multigraph is kept without an order and the peel
-    # solve after it adds the order
+    # is exhaustive and keeps the multigraph and the order that the peel
+    # solves after it read
     runs = [(a, 94, PRACTICAL), (b, 40, PRACTICAL), (a, 60, PRACTICAL), (a, 61, PRACTICAL),
             (a, 30, PRACTICAL), (a_copy, 94, PRACTICAL), (c, 16, PRACTICAL), (c, 12, exhaustive),
             (c, 15, PRACTICAL), (c, 13, PRACTICAL), (c_copy, 10, exhaustive)]
@@ -244,12 +243,10 @@ def test_solves_leave_the_cached_pair_multigraph_unchanged():
     find_be_s_configuration(lts, 21, PRACTICAL)
     aux = besforge.driver._last_host[1]
     edges = aux.edges
-    index = {h: tuple(eds) for h, eds in aux.by_hyperedge.items()}
     report = find_be_s_configuration(lts, 94, PRACTICAL)
     assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
     assert besforge.driver._last_host[1] is aux
     assert aux.edges is edges and aux == build_aux(lts)
-    assert {h: tuple(eds) for h, eds in aux.by_hyperedge.items()} == index
 
 
 def test_the_host_cache_holds_only_the_last_host():
@@ -302,7 +299,7 @@ def test_no_frame_at_k_up_to_3_can_keep_its_candidate():
         for k in (2, 3):
             for vertex_set in _connected_sets(simple.graph, k):
                 cand = _trim_on_set(simple.graph, vertex_set)
-                trace = unpack(cand, None, lts, simple=simple)[1]
+                trace = unpack(cand, simple, lts)[1]
                 fe, v = trace.e_total, trace.v_total
                 assert 0 < fe <= 2 * (k - 1) and fe < v
                 for e_prime in range(4 * k, 4 * k + 4):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -111,3 +112,21 @@ def test_random_linear_listing_phase_honours_the_target():
     assert lts.m == 85
     assert validate_linear(lts).ok
     assert _can_add_a_triple(lts)
+
+
+@pytest.mark.parametrize(
+    "sizes, target, digest",
+    [
+        ((5, 5, 5), 40, "20a40a55dd9ea90e51cad8dee07eabe50973d1942cfa74e0a292e50cb55b31db"),
+        ((4, 5, 3), 21, "96cc8c1b87aca399e8a47817227ff34e9759b39621a91ac21fb30e3f93c58b06"),
+        ((10, 10, 10), 101, "1141c1fc5da46bce9f95d6c1c994603d69ffe11ac555d5f2b39680a6dc969944"),
+    ],
+)
+def test_saturating_edge_lists_are_pinned(sizes, target, digest):
+    # every call stops short of its target, so each one runs the listing phase
+    h = hashlib.sha256()
+    for seed in range(10):
+        lts = random_linear(*sizes, target, seed=seed)
+        assert lts.m < target
+        h.update(repr(lts.edges).encode())
+    assert h.hexdigest() == digest

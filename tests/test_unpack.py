@@ -21,22 +21,20 @@ DELTA_CAPS = {4: 4, 3: 2, 2: 1, 1: 0, 0: 0}
 
 def _fixture(m):
     lts = group_system(m)
-    aux = build_aux(lts)
-    simple = simple_subgraph(aux)
-    return lts, aux, simple
+    return lts, simple_subgraph(build_aux(lts))
 
 
 def test_single_edge_unpacks_to_two_hyperedges_on_five_vertices():
-    lts, aux, simple = _fixture(3)
+    lts, simple = _fixture(3)
     u, w = simple.graph.edges[0]
     F = CandidateF((u, w), ((u, w),))
-    cfg, trace = unpack(F, aux, lts, simple=simple)
+    cfg, trace = unpack(F, simple, lts)
     assert trace.e_total == 2 and trace.v_total == 5
     assert trace.steps[0].cls == "singular" and trace.steps[1].cls == "singular"
 
 
 def test_worked_4_cycle_example():
-    lts, aux, simple = _fixture(3)
+    lts, simple = _fixture(3)
     F = CandidateF(
         (("A", 0, 1), ("B", 0, 2), ("A", 1, 2), ("B", 1, 2)),
         (
@@ -47,7 +45,7 @@ def test_worked_4_cycle_example():
         ),
     )
     F.validate(simple.graph)
-    cfg, trace = unpack(F, aux, lts, simple=simple)
+    cfg, trace = unpack(F, simple, lts)
     assert [(s.delta_v, s.delta_e) for s in trace.steps] == [(2, 0), (3, 2), (2, 2), (2, 3)]
     assert trace.v_total == 9 and trace.e_total == 7
     assert verify_configuration(lts, cfg, 9, 7)
@@ -62,27 +60,27 @@ def test_worked_4_cycle_example():
 
 
 def test_isolated_vertices_inflate_v_only():
-    lts, aux, simple = _fixture(3)
+    lts, simple = _fixture(3)
     F = CandidateF((("A", 0, 1), ("B", 0, 1)), ())
-    cfg, trace = unpack(F, aux, lts, simple=simple)
+    cfg, trace = unpack(F, simple, lts)
     assert trace.e_total == 0 and trace.v_total == 4
     assert all(s.cls == "singular" and s.delta_e == 0 for s in trace.steps)
     assert cfg.e == 0
 
 
 def test_empty_candidate_reports_empty_branch():
-    lts, aux, simple = _fixture(3)
+    lts, simple = _fixture(3)
     F = CandidateF((), ())
-    _cfg, trace = unpack(F, aux, lts, simple=simple)
+    _cfg, trace = unpack(F, simple, lts)
     report = check_lemma_bounds(trace, 0, 0)
     assert report.assertion2_branch == "empty"
 
 
 def test_small_t_flagged_outside_hypotheses():
-    lts, aux, simple = _fixture(3)
+    lts, simple = _fixture(3)
     u, w = simple.graph.edges[0]
     F = CandidateF((u, w), ((u, w),))
-    _cfg, trace = unpack(F, aux, lts, simple=simple)
+    _cfg, trace = unpack(F, simple, lts)
     report = check_lemma_bounds(trace, 2, F.achieved_t)
     assert F.achieved_t == 3
     assert not report.within_hypotheses
@@ -90,7 +88,7 @@ def test_small_t_flagged_outside_hypotheses():
 
 
 def test_missing_annotation_raises():
-    lts, aux, simple = _fixture(3)
+    lts, simple = _fixture(3)
     F = CandidateF(
         (("A", 0, 1), ("B", 0, 1)),
         ((("A", 0, 1), ("B", 0, 1)),),
@@ -98,13 +96,13 @@ def test_missing_annotation_raises():
     # forge an annotation map without this edge
     fake = type(simple)(simple.graph, {})
     with pytest.raises(IntegrityError):
-        unpack(F, aux, lts, simple=fake)
+        unpack(F, fake, lts)
 
 
 def test_prefix_sums_match_totals():
-    lts, aux, simple = _fixture(4)
+    lts, simple = _fixture(4)
     res = find_dense_2deg(simple.graph, 6, 12, strategy="peel")
-    _cfg, trace = unpack(res.candidate, aux, lts, simple=simple)
+    _cfg, trace = unpack(res.candidate, simple, lts)
     assert sum(s.delta_e for s in trace.steps) == trace.e_total
     assert sum(s.delta_v for s in trace.steps) == trace.v_total
     series = trace.running_difference()
@@ -114,12 +112,11 @@ def test_prefix_sums_match_totals():
 @pytest.mark.parametrize("m", [4, 5])
 def test_random_candidates_obey_step_laws_and_audit(m):
     lts = group_system(m)
-    aux = build_aux(lts)
-    simple = simple_subgraph(aux)
+    simple = simple_subgraph(build_aux(lts))
     rng = random.Random(m)
     for _ in range(40):
         cand = random_candidate(simple.graph, rng.randint(2, 8), rng)
-        _cfg, trace = unpack(cand, aux, lts, simple=simple)
+        _cfg, trace = unpack(cand, simple, lts)
         singulars = 0
         for s in trace.steps:
             assert 0 <= s.delta_e <= 2 * s.d <= 4
@@ -136,10 +133,10 @@ def test_random_candidates_obey_step_laws_and_audit(m):
 
 
 def test_trace_json_field_names():
-    lts, aux, simple = _fixture(3)
+    lts, simple = _fixture(3)
     u, w = simple.graph.edges[0]
     F = CandidateF((u, w), ((u, w),))
-    _cfg, trace = unpack(F, aux, lts, simple=simple)
+    _cfg, trace = unpack(F, simple, lts)
     d = trace.steps[1].to_json_dict()
     assert set(d) == {
         "i", "vertex", "side", "d", "class", "dE", "dV",
