@@ -76,6 +76,8 @@ class CandidateF:
 class SearchResult:
     candidate: CandidateF
     success: bool
+    # True iff the deadline stopped the 'peel' window scan with windows unscanned
+    budget_exhausted: bool = False
 
     @property
     def achieved_t(self):
@@ -185,7 +187,9 @@ def _trim_on_set(g, vertex_set):
 
 def _window_candidates(g, k, goal, budget_end, order=None):
     """Scan the windows of k consecutive vertices of the degeneracy ordering
-    and return the trim of the first window whose edge count reaches `goal`.
+    and return (trim, budget_exhausted), where trim is the trim of the first
+    window whose edge count reaches `goal` and budget_exhausted says whether
+    the deadline `budget_end` stopped the scan before its last window.
     `order` is that ordering's vertex order if the caller already has it.
 
     If no window reaches it, return the densest trim, ties to the smallest
@@ -207,7 +211,9 @@ def _window_candidates(g, k, goal, budget_end, order=None):
     induced = sum(1 for i in range(k) for w in adj[order[i]] if i < pos[w] < k)
     best = None
     best_s = None
-    for s in range(len(order) - k + 1):
+    last = len(order) - k
+    exhausted = False
+    for s in range(last + 1):
         if s:
             # order[s - 1] leaves and order[s + k - 1] joins; both count only
             # their edges to the k - 1 vertices the two windows share
@@ -224,9 +230,10 @@ def _window_candidates(g, k, goal, budget_end, order=None):
         if best is None or key < best:
             best = key
             best_s = s
-        if budget_end is not None and time.monotonic() > budget_end:
+        if budget_end is not None and s < last and time.monotonic() > budget_end:
+            exhausted = True
             break
-    return _trim_on_set(g, order[best_s : best_s + k])
+    return _trim_on_set(g, order[best_s : best_s + k]), exhausted
 
 
 def _exhaustive_best(g, k):
@@ -356,7 +363,8 @@ def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=No
     Failure is first-class: on a miss the densest candidate found is returned.
 
     `budget_ms` caps only the 'peel' window scan: once it has passed, the
-    densest window peeled so far is returned. 'exhaustive' ignores it.
+    densest window peeled so far is returned, with budget_exhausted set if
+    windows were left unscanned. 'exhaustive' ignores it.
     `order`, if given, must be degeneracy_ordering(g).order; 'peel' then
     scans it instead of peeling g again, and 'exhaustive' ignores it.
     """
@@ -372,10 +380,11 @@ def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=No
             raise ParameterError("budget_ms must be positive (None for unlimited)")
         budget_end = time.monotonic() + budget_ms / 1000.0
 
+    exhausted = False
     if strategy == "exhaustive":
         cand = _exhaustive_best(g, k)
     else:
-        cand = _window_candidates(g, k, 2 * k - t_target, budget_end, order)
+        cand, exhausted = _window_candidates(g, k, 2 * k - t_target, budget_end, order)
 
     cand.validate(g)
-    return SearchResult(cand, cand.achieved_t <= t_target)
+    return SearchResult(cand, cand.achieved_t <= t_target, exhausted)

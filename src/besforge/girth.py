@@ -4,6 +4,12 @@ Vertices are labeled 0..k-1 in construction order. The first t form an
 independent set; each later vertex joins the smaller bipartition side and
 attaches to two vertices of the larger side that have degree at most 7 and
 no path of length at most g-2 between them.
+
+Each side keeps an open list of its members of degree at most 7, in
+insertion order, updated as vertices join and fill up, so a step does not
+rescan the side. The distance test is graphs.within_distance, which meets
+in the middle: a ball of half the radius around one end, then a search of
+the other half from the other end.
 """
 
 from __future__ import annotations
@@ -49,19 +55,23 @@ def grow_girth_graph(k, t, g, seed=0):
         raise ParameterError("girth target must be at least 3")
     rng = random.Random(seed)
     graph = Graph()
-    side_members = {"A": [], "B": []}
+    side_size = {"A": 0, "B": 0}
+    # per side, the members of degree at most _PAIR_DEGREE_CAP in insertion
+    # order: exactly the vertices a new vertex of the other side may attach to
+    open_members = {"A": [], "B": []}
     attachments = []
 
     for v in range(t):
         s = side_of(v)
         graph.add_vertex(v)
-        side_members[s].append(v)
+        side_size[s] += 1
+        open_members[s].append(v)
 
     for v in range(t, k):
         s = side_of(v)
         other = "B" if s == "A" else "A"
-        eligible = [u for u in side_members[other] if graph.degree(u) <= _PAIR_DEGREE_CAP]
-        gate = comb(max((len(side_members[other]) + 3) // 4, 0), 2)
+        eligible = open_members[other]
+        gate = comb(max((side_size[other] + 3) // 4, 0), 2)
         log.debug(
             "step %d: %d eligible vertices on side %s (counting gate %d pairs)",
             v, len(eligible), other, gate,
@@ -71,10 +81,16 @@ def grow_girth_graph(k, t, g, seed=0):
             raise GrowthError(v, graph.n)
         u1, u2 = pair
         graph.add_vertex(v)
-        side_members[s].append(v)
         graph.add_edge(v, u1)
         graph.add_edge(v, u2)
         attachments.append((v, u1, u2))
+        side_size[s] += 1
+        open_members[s].append(v)
+        for u in (u1, u2):
+            # degrees grow by one per attachment, so u leaves the open list
+            # at the attachment that takes it one past the cap
+            if graph.degree(u) == _PAIR_DEGREE_CAP + 1:
+                eligible.remove(u)
         if graph.degree(u1) > _MAX_DEGREE or graph.degree(u2) > _MAX_DEGREE:
             raise IntegrityError(f"degree cap {_MAX_DEGREE} violated at step {v}")
 

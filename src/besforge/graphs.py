@@ -82,22 +82,41 @@ def two_coloring(g):
 
 
 def within_distance(g, u, v, limit):
-    """True iff there is a u-v path of length at most limit."""
+    """True iff there is a u-v path of length at most limit.
+
+    Meets in the middle: collects the ball of radius ceil(limit/2) around u,
+    then searches out from v to radius floor(limit/2) and stops at the first
+    vertex inside that ball.
+    """
     if u == v:
         return True
     if limit <= 0:
         return False
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if dist[x] == limit:
-            continue
-        for w in g.neighbors(x):
-            if w in dist:
-                continue
-            if w == v:
-                return True
-            dist[w] = dist[x] + 1
-            queue.append(w)
+    adj = g.adjacency()
+    ball = {u}
+    frontier = [u]
+    for _ in range((limit + 1) // 2):
+        nxt = []
+        for x in frontier:
+            for w in adj[x]:
+                if w not in ball:
+                    ball.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    if v in ball:
+        return True
+    if v not in adj:
+        return False
+    seen = {v}
+    frontier = [v]
+    for _ in range(limit // 2):
+        nxt = []
+        for x in frontier:
+            for w in adj[x]:
+                if w in ball:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
     return False

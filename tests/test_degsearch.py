@@ -253,11 +253,11 @@ def test_window_scan_out_of_reach_matches_the_full_scan():
     for _ in range(150):
         g = _tied_graph(rng)
         for k in range(2, g.n + 1):
-            assert _window_candidates(g, k, 2 * k - 2, None) == _reference_window_scan(g, k)
+            assert _window_candidates(g, k, 2 * k - 2, None) == (_reference_window_scan(g, k), False)
     for seed in range(4):
         g = _pair_graph(seed)
         for k in range(2, min(g.n, 24) + 1, 3):
-            assert _window_candidates(g, k, 2 * k - 2, None) == _reference_window_scan(g, k)
+            assert _window_candidates(g, k, 2 * k - 2, None) == (_reference_window_scan(g, k), False)
 
 
 def test_window_scan_stops_at_the_first_window_reaching_the_goal():
@@ -270,7 +270,7 @@ def test_window_scan_stops_at_the_first_window_reaching_the_goal():
         for k in range(2, min(g.n, 16) + 1):
             for goal in range(2 * k - 2):
                 first = _first_window_reaching(g, k, goal)
-                cand = _window_candidates(g, k, goal, None)
+                cand, _ = _window_candidates(g, k, goal, None)
                 if first is None:
                     assert cand == _reference_window_scan(g, k)
                 else:
@@ -283,7 +283,7 @@ def _assert_search_is_the_scan(g, k, t):
     """Check that peel's result is the window scan's, and return whether a
     window reached t."""
     res = find_dense_2deg(g, k, t)
-    assert res.candidate == _window_candidates(g, k, 2 * k - t, None)
+    assert (res.candidate, res.budget_exhausted) == _window_candidates(g, k, 2 * k - t, None)
     first = _first_window_reaching(g, k, 2 * k - t)
     if first is None:
         assert not res.success and res.candidate == _reference_window_scan(g, k)
@@ -326,10 +326,16 @@ def test_budget_stops_the_scan_after_the_first_window(monkeypatch):
     assert len(calls) == 1
     assert res.candidate == _trim_on_set(g, degeneracy_ordering(g).order[:k])
     assert not res.success
+    assert res.budget_exhausted
     # unbudgeted, the scan goes on to a denser window in the strip
-    assert find_dense_2deg(g, k, t).achieved_t < res.achieved_t
+    full = find_dense_2deg(g, k, t)
+    assert full.achieved_t < res.achieved_t
+    assert not full.budget_exhausted
     exact = find_dense_2deg(g, k, t, strategy="exhaustive")
+    assert not exact.budget_exhausted
     assert find_dense_2deg(g, k, t, strategy="exhaustive", budget_ms=1) == exact
+    # a deadline that passes at the last window leaves nothing unscanned
+    assert not find_dense_2deg(g, g.n, t, budget_ms=1).budget_exhausted
 
 
 def test_pruned_window_scan_peels_few_windows(monkeypatch):
@@ -342,7 +348,7 @@ def test_pruned_window_scan_peels_few_windows(monkeypatch):
         return _score(graph, vertex_set)
 
     monkeypatch.setattr(degsearch, "_score", counted)
-    cand = _window_candidates(g, k, 2 * k - 2, None)
+    cand, _ = _window_candidates(g, k, 2 * k - 2, None)
     windows = g.n - k + 1
     assert len(calls) * 10 <= windows
     monkeypatch.undo()

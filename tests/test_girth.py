@@ -1,3 +1,7 @@
+import hashlib
+import random
+from collections import deque
+
 import pytest
 
 import besforge.girth
@@ -12,7 +16,9 @@ from besforge import (
     grow_girth_graph,
     two_coloring,
     verify_certificate,
+    within_distance,
 )
+from besforge.girth import side_of
 
 
 def test_k_equals_t_is_isolated():
@@ -71,8 +77,6 @@ def test_girth_of_basics():
 
 
 def test_girth_of_matches_enumeration_oracle():
-    import random
-
     def cycle_oracle(g):
         # shortest cycle by DFS enumeration over simple cycles via edge subsets
         for L in range(3, g.n + 1):
@@ -128,3 +132,117 @@ def test_find_growth_t_doubles_until_success():
     assert g.n == 50 and g.m == 2 * (50 - t)
     assert girth_of(g) is None or girth_of(g) >= 5
     assert verify_certificate(g, cert)
+
+
+@pytest.mark.parametrize(
+    "k, g, seed, digest",
+    [
+        (2000, 4, 0, "eaacb28e3b11495e282c2c9d673d3347c2d9615bbc8ad4583c07cdba4f4b687e"),
+        (2000, 4, 1, "0c7441a8c03acda61dee9b6dbc4490b8b35000d81cd2877d0170ab5ccf8475d2"),
+        (2000, 5, 0, "eaacb28e3b11495e282c2c9d673d3347c2d9615bbc8ad4583c07cdba4f4b687e"),
+        (2000, 5, 1, "0c7441a8c03acda61dee9b6dbc4490b8b35000d81cd2877d0170ab5ccf8475d2"),
+        (2000, 6, 0, "71200d87f5afe1bf4e13b5ca452f76fd28b87d163f34409b2f7f5b6896c23ce9"),
+        (2000, 6, 1, "b46863ad5f64af56849fe01b2b963d7c859df1d4287f0efe941b8e5de9e1e574"),
+        (2000, 7, 0, "71200d87f5afe1bf4e13b5ca452f76fd28b87d163f34409b2f7f5b6896c23ce9"),
+        (2000, 7, 1, "b46863ad5f64af56849fe01b2b963d7c859df1d4287f0efe941b8e5de9e1e574"),
+        (5000, 6, 1, "d75e0b27a92bc340c158b95386abbb9434f8806c19abd07941b70d4d39922a1a"),
+    ],
+)
+def test_growth_outputs_are_pinned(k, g, seed, digest):
+    # each growth fills vertices past the pair-degree cap and restarts after
+    # at least one GrowthError; in a bipartite graph g = 2j and 2j + 1 agree
+    t, graph, cert = find_growth_t(k, g, seed=seed)
+    assert t > 2
+    assert hashlib.sha256(repr((t, graph.edges, cert.attachments)).encode()).hexdigest() == digest
+
+
+def test_open_lists_equal_the_degree_filter(monkeypatch):
+    pick = besforge.girth._pick_pair
+    cap = besforge.girth._PAIR_DEGREE_CAP
+    steps = 0
+    shorter = 0
+
+    def checked(graph, eligible, g, rng):
+        nonlocal steps, shorter
+        # vertices 0..graph.n-1 are placed and graph.n is about to join; the
+        # members of the other side, in insertion order, are its candidates
+        members = [u for u in range(graph.n) if side_of(u) != side_of(graph.n)]
+        expected = [u for u in members if graph.degree(u) <= cap]
+        assert len(eligible) == len(expected)
+        assert eligible == expected
+        steps += 1
+        shorter += len(expected) < len(members)
+        return pick(graph, eligible, g, rng)
+
+    monkeypatch.setattr(besforge.girth, "_pick_pair", checked)
+    final_steps = 0
+    for g in (4, 5, 6):
+        t, graph, _cert = find_growth_t(2000, g, seed=g)
+        final_steps += 2000 - t
+    assert steps > final_steps  # failed attempts before each final one
+    assert shorter > 1000  # the lists did lose full vertices
+
+
+def _reference_within_distance(g, u, v, limit):
+    """Breadth-first search of radius limit from u, stopping at v."""
+    if u == v:
+        return True
+    if limit <= 0:
+        return False
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        if dist[x] == limit:
+            continue
+        for w in g.neighbors(x):
+            if w in dist:
+                continue
+            if w == v:
+                return True
+            dist[w] = dist[x] + 1
+            queue.append(w)
+    return False
+
+
+def _assert_distance_tests_agree(graph, u, v, limits=range(-1, 9)):
+    for limit in limits:
+        expected = _reference_within_distance(graph, u, v, limit)
+        assert within_distance(graph, u, v, limit) == expected, (u, v, limit)
+        assert within_distance(graph, v, u, limit) == expected, (v, u, limit)
+
+
+def test_within_distance_matches_the_reference_bfs():
+    rng = random.Random(31)
+    queries = 0
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        graph = Graph(vertices=range(n))
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.sample(range(n), 2)
+            graph.add_edge(u, v)
+        for _ in range(10):
+            _assert_distance_tests_agree(graph, rng.randrange(n), rng.randrange(n))
+            queries += 1
+        u = rng.randrange(n)
+        _assert_distance_tests_agree(graph, u, u)
+    assert queries == 600
+
+
+def test_within_distance_across_components_and_on_grown_graphs():
+    # two 8-cycles: every pair across them is out of reach at any limit
+    graph = Graph(edges=[(i, (i + 1) % 8) for i in range(8)])
+    for i in range(8):
+        graph.add_edge(8 + i, 8 + (i + 1) % 8)
+    graph.add_vertex(16)
+    # a target outside the graph is out of reach, as for the reference
+    assert not within_distance(graph, 0, 99, 4) and not _reference_within_distance(graph, 0, 99, 4)
+    for u in range(8):
+        for v in (8 + u, 15 - u, 16):
+            _assert_distance_tests_agree(graph, u, v, limits=range(0, 20))
+            assert not within_distance(graph, u, v, 19)
+    rng = random.Random(37)
+    for g in (4, 6, 7):
+        _t, grown, _cert = find_growth_t(300, g, seed=g)
+        for _ in range(200):
+            _assert_distance_tests_agree(grown, *rng.sample(range(300), 2))
