@@ -113,10 +113,6 @@ class Configuration:
     def v(self):
         return len(self.span)
 
-    @property
-    def deficiency(self):
-        return self.v - self.e
-
 
 @dataclass(frozen=True)
 class LinearityVerdict:

@@ -4,10 +4,13 @@ A candidate is an ordered vertex list v1..vk plus an edge list where every
 vertex has at most 2 edges to earlier vertices; the quality measure is the
 edge count (equivalently achieved_t = 2k - |edges|, smaller is denser).
 
-The 'peel' search scans windows of the degeneracy ordering and stops at the
-first one that meets the target t, not at the densest window overall; when
-no window meets it, it returns the densest window. The 'exhaustive' search
-is exact and serves as the oracle on small hosts.
+Every search turns a vertex ordering into a candidate through _candidate,
+the one place that keeps at most two back-edges per vertex. The 'peel'
+search scans windows of the degeneracy ordering, trims each window it peels
+once, and stops at the first trim that meets the target t, not at the
+densest window overall; when no window meets it, it returns the densest
+trim. The 'exhaustive' search is exact and serves as the oracle on small
+hosts, and brute_force_best_2deg checks it by enumerating vertex subsets.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from itertools import combinations
 from math import comb
 
 from .errors import GuardExceededError, ParameterError
-from .graphs import canon_edge
 
 STRATEGIES = ("peel", "exhaustive")
 _ENUM_GUARD = 10**7
@@ -120,12 +122,6 @@ def _peel_core(nbrs):
     return removal, removal_deg
 
 
-def _trim_count(removal_deg):
-    # each vertex keeps at most 2 of its back-edges, and its back-degree is
-    # its degree at removal
-    return sum(d if d < 2 else 2 for d in removal_deg)
-
-
 def _candidate(verts, order, nbrs, key=None):
     """Ordering -> at most two back-edges: the candidate on `order` (ranks
     into the sorted list verts) in which each vertex keeps its first two
@@ -146,28 +142,17 @@ def _candidate(verts, order, nbrs, key=None):
     )
 
 
-def _peel(adj, restrict=None):
-    """Min-degree peeling with smallest-id tie-break.
-
-    Returns (order, back_degrees, degeneracy) where order reverses removal,
-    so each back-degree equals the vertex's degree at removal time.
-    """
-    verts = sorted(adj if restrict is None else restrict)
-    removal, removal_deg = _peel_core(_induced(adj, verts))
-    order = tuple(verts[v] for v in reversed(removal))
-    return order, tuple(reversed(removal_deg)), max(removal_deg, default=0)
-
-
 def degeneracy_ordering(g):
-    order, back, degen = _peel(g.adjacency())
-    return DegeneracyOrdering(order, back, degen)
-
-
-def _score(g, vertex_set):
-    """(edge count, vertex order) of _trim_on_set(g, vertex_set), without
-    building its edges."""
-    order, back, _ = _peel(g.adjacency(), vertex_set)
-    return _trim_count(back), order
+    """Smallest-last ordering of g, ties to the smallest vertex. The order
+    reverses removal, so each back-degree is the vertex's degree at removal."""
+    adj = g.adjacency()
+    verts = sorted(adj)
+    removal, removal_deg = _peel_core(_induced(adj, verts))
+    return DegeneracyOrdering(
+        tuple(verts[v] for v in reversed(removal)),
+        tuple(reversed(removal_deg)),
+        max(removal_deg, default=0),
+    )
 
 
 def _trim_on_set(g, vertex_set):
@@ -192,9 +177,11 @@ def _window_candidates(g, k, goal, budget_end, order=None):
     the deadline `budget_end` stopped the scan before its last window.
     `order` is that ordering's vertex order if the caller already has it.
 
-    If no window reaches it, return the densest trim, ties to the smallest
-    vertex order (windows have distinct vertex sets, so the orders differ).
-    In a smallest-last order the first windows hold the densest core.
+    Each window that is peeled is trimmed once, by _trim_on_set, and that
+    trim is both its score and, if it wins, the result. If no window reaches
+    the goal, return the densest trim, ties to the smallest vertex order
+    (windows have distinct vertex sets, so the orders differ). In a
+    smallest-last order the first windows hold the densest core.
 
     A trim keeps at most 2 back-edges per vertex, none for the first and at
     most one for the second, so a window's count is at most
@@ -209,10 +196,8 @@ def _window_candidates(g, k, goal, budget_end, order=None):
     cap = 2 * k - 3
     # induced edges of the window order[s : s + k], kept up to date as it slides
     induced = sum(1 for i in range(k) for w in adj[order[i]] if i < pos[w] < k)
-    best = None
-    best_s = None
+    best = best_key = None
     last = len(order) - k
-    exhausted = False
     for s in range(last + 1):
         if s:
             # order[s - 1] leaves and order[s + k - 1] joins; both count only
@@ -220,20 +205,17 @@ def _window_candidates(g, k, goal, budget_end, order=None):
             hi = s + k - 1
             induced -= sum(1 for w in adj[order[s - 1]] if s <= pos[w] < hi)
             induced += sum(1 for w in adj[order[hi]] if s <= pos[w] < hi)
-        if best is not None and min(induced, cap) < -best[0]:
+        if best is not None and min(induced, cap) < len(best.edges):
             continue
-        count, trimmed = _score(g, order[s : s + k])
-        if count >= goal:
-            best_s = s
-            break
-        key = (-count, trimmed)
-        if best is None or key < best:
-            best = key
-            best_s = s
+        trim = _trim_on_set(g, order[s : s + k])
+        if len(trim.edges) >= goal:
+            return trim, False
+        key = (-len(trim.edges), trim.vertices)
+        if best is None or key < best_key:
+            best, best_key = trim, key
         if budget_end is not None and s < last and time.monotonic() > budget_end:
-            exhausted = True
-            break
-    return _trim_on_set(g, order[best_s : best_s + k]), exhausted
+            return best, True
+    return best, False
 
 
 def _exhaustive_best(g, k):
@@ -299,8 +281,7 @@ def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):
         raise GuardExceededError("per-subset DP work exceeds the feasibility cap")
     adj = g.adjacency()
     best_val = -1
-    best_subset = None
-    best_table = None
+    best_subset = best_ch = None
     for subset in combinations(range(n), k):
         local_nbr = []
         for pos, i in enumerate(subset):
@@ -330,29 +311,16 @@ def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):
         full = size - 1
         if f[full] > best_val:
             best_val = f[full]
-            best_subset = subset
-            best_table = (list(local_nbr), list(ch))
-    if best_subset is None:
-        return 0, CandidateF((), ())
-    local_nbr, ch = best_table
+            best_subset, best_ch = subset, ch
+    # every k-subset has f >= 0 > -1, so the first one sets best_subset
     rev = []
     mask = (1 << k) - 1
     while mask:
-        i = ch[mask]
+        i = best_ch[mask]
         rev.append(i)
         mask ^= 1 << i
-    order_local = list(reversed(rev))
-    order = []
-    edges = []
-    seen = 0
-    for i in order_local:
-        earlier = sorted(j for j in range(k) if (local_nbr[i] >> j) & 1 and (seen >> j) & 1)
-        for j in earlier[:2]:
-            edges.append(canon_edge(verts[best_subset[i]], verts[best_subset[j]]))
-        seen |= 1 << i
-        order.append(verts[best_subset[i]])
-    witness = CandidateF(tuple(order), tuple(sorted(edges)))
-    return best_val, witness
+    sub_verts = [verts[i] for i in best_subset]
+    return best_val, _candidate(sub_verts, rev[::-1], _induced(adj, sub_verts))
 
 
 def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=None):

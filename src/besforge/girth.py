@@ -14,16 +14,12 @@ the other half from the other end.
 
 from __future__ import annotations
 
-import logging
 import random
 from collections import deque
 from dataclasses import dataclass
-from math import comb
 
 from .errors import GrowthError, IntegrityError, ParameterError
 from .graphs import Graph, two_coloring, within_distance
-
-log = logging.getLogger(__name__)
 
 _MAX_DEGREE = 8
 _PAIR_DEGREE_CAP = 7
@@ -55,7 +51,6 @@ def grow_girth_graph(k, t, g, seed=0):
         raise ParameterError("girth target must be at least 3")
     rng = random.Random(seed)
     graph = Graph()
-    side_size = {"A": 0, "B": 0}
     # per side, the members of degree at most _PAIR_DEGREE_CAP in insertion
     # order: exactly the vertices a new vertex of the other side may attach to
     open_members = {"A": [], "B": []}
@@ -64,18 +59,12 @@ def grow_girth_graph(k, t, g, seed=0):
     for v in range(t):
         s = side_of(v)
         graph.add_vertex(v)
-        side_size[s] += 1
         open_members[s].append(v)
 
     for v in range(t, k):
         s = side_of(v)
         other = "B" if s == "A" else "A"
         eligible = open_members[other]
-        gate = comb(max((side_size[other] + 3) // 4, 0), 2)
-        log.debug(
-            "step %d: %d eligible vertices on side %s (counting gate %d pairs)",
-            v, len(eligible), other, gate,
-        )
         pair = _pick_pair(graph, eligible, g, rng)
         if pair is None:
             raise GrowthError(v, graph.n)
@@ -84,7 +73,6 @@ def grow_girth_graph(k, t, g, seed=0):
         graph.add_edge(v, u1)
         graph.add_edge(v, u2)
         attachments.append((v, u1, u2))
-        side_size[s] += 1
         open_members[s].append(v)
         for u in (u1, u2):
             # degrees grow by one per attachment, so u leaves the open list

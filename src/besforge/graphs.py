@@ -52,9 +52,6 @@ class Graph:
     def neighbors(self, v):
         return self._adj[v]
 
-    def has_vertex(self, v):
-        return v in self._adj
-
     def has_edge(self, u, v):
         return u in self._adj and v in self._adj[u]
 

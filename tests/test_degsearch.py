@@ -16,12 +16,7 @@ from besforge import (
     simple_subgraph,
 )
 from besforge import degsearch
-from besforge.degsearch import (
-    _peel,
-    _score,
-    _trim_on_set,
-    _window_candidates,
-)
+from besforge.degsearch import DegeneracyOrdering, _trim_on_set, _window_candidates
 
 
 def path3():
@@ -121,7 +116,8 @@ def test_exhaustive_matches_brute_force_and_heuristics_never_exceed():
         k = rng.randint(2, g.n) if g.n >= 2 else 2
         if g.n < 2:
             continue
-        opt, _w = brute_force_best_2deg(g, k)
+        opt, witness = brute_force_best_2deg(g, k)
+        assert len(witness.edges) == opt
         exact = find_dense_2deg(g, k, 0, strategy="exhaustive")
         assert len(exact.candidate.edges) == opt
         res = find_dense_2deg(g, k, 0, strategy="peel")
@@ -183,26 +179,19 @@ def test_peel_core_matches_the_min_based_peel():
     for _ in range(300):
         g = _tied_graph(rng)
         adj = g.adjacency()
-        assert _peel(adj) == _reference_peel(adj)
+        assert degeneracy_ordering(g) == DegeneracyOrdering(*_reference_peel(adj))
         subset = [v for v in g.vertices if rng.random() < 0.6]
-        assert _peel(adj, restrict=subset) == _reference_peel(adj, restrict=subset)
-
-
-def test_score_agrees_with_the_materialised_trim():
-    rng = random.Random(11)
-    for _ in range(300):
-        g = _tied_graph(rng)
-        subset = [v for v in g.vertices if rng.random() < 0.7] or list(g.vertices)
+        order, back, _ = _reference_peel(adj, restrict=subset)
         trim = _trim_on_set(g, subset)
         trim.validate(g)
-        count, order = _score(g, subset)
-        assert count == len(trim.edges)
-        assert order == trim.vertices
+        assert trim.vertices == order
+        # the trim keeps min(back-degree, 2) back-edges per vertex
+        assert len(trim.edges) == sum(min(d, 2) for d in back)
 
 
 def test_peel_on_pair_graph_vertices_matches_reference():
-    adj = simple_subgraph(build_aux(group_system(5))).graph.adjacency()
-    assert _peel(adj) == _reference_peel(adj)
+    g = simple_subgraph(build_aux(group_system(5))).graph
+    assert degeneracy_ordering(g) == DegeneracyOrdering(*_reference_peel(g.adjacency()))
 
 
 def _reference_window_scan(g, k):
@@ -210,15 +199,8 @@ def _reference_window_scan(g, k):
     reference for the (-count, order) tie-break when no window reaches the
     goal."""
     order = degeneracy_ordering(g).order
-    best = None
-    best_s = None
-    for s in range(len(order) - k + 1):
-        count, trimmed = _score(g, order[s : s + k])
-        key = (-count, trimmed)
-        if best is None or key < best:
-            best = key
-            best_s = s
-    return _trim_on_set(g, order[best_s : best_s + k])
+    trims = [_trim_on_set(g, order[s : s + k]) for s in range(len(order) - k + 1)]
+    return min(trims, key=lambda trim: (-len(trim.edges), trim.vertices))
 
 
 def _first_window_reaching(g, k, goal):
@@ -226,8 +208,9 @@ def _first_window_reaching(g, k, goal):
     or None."""
     order = degeneracy_ordering(g).order
     for s in range(len(order) - k + 1):
-        if _score(g, order[s : s + k])[0] >= goal:
-            return _trim_on_set(g, order[s : s + k])
+        trim = _trim_on_set(g, order[s : s + k])
+        if len(trim.edges) >= goal:
+            return trim
     return None
 
 
@@ -317,9 +300,9 @@ def test_budget_stops_the_scan_after_the_first_window(monkeypatch):
 
     def counted(graph, vertex_set):
         calls.append(vertex_set)
-        return _score(graph, vertex_set)
+        return _trim_on_set(graph, vertex_set)
 
-    monkeypatch.setattr(degsearch, "_score", counted)
+    monkeypatch.setattr(degsearch, "_trim_on_set", counted)
     g = _k4_and_strip(14)
     k, t = 6, 2
     res = find_dense_2deg(g, k, t, budget_ms=1)
@@ -345,11 +328,32 @@ def test_pruned_window_scan_peels_few_windows(monkeypatch):
 
     def counted(graph, vertex_set):
         calls.append(vertex_set)
-        return _score(graph, vertex_set)
+        return _trim_on_set(graph, vertex_set)
 
-    monkeypatch.setattr(degsearch, "_score", counted)
+    monkeypatch.setattr(degsearch, "_trim_on_set", counted)
     cand, _ = _window_candidates(g, k, 2 * k - 2, None)
     windows = g.n - k + 1
     assert len(calls) * 10 <= windows
     monkeypatch.undo()
     assert cand == _reference_window_scan(g, k)
+
+
+def test_scan_peels_a_window_that_reaches_the_goal_once(monkeypatch):
+    # the K4 opens the ordering and its trim has 2k - 3 = 5 edges, so the
+    # first window reaches t = 3 and is the result, trimmed only once
+    g = _k4_and_strip(14)
+    k, t = 4, 3
+    order = degeneracy_ordering(g).order
+    peel_core = degsearch._peel_core
+    calls = []
+
+    def counted(nbrs):
+        calls.append(len(nbrs))
+        return peel_core(nbrs)
+
+    monkeypatch.setattr(degsearch, "_peel_core", counted)
+    res = find_dense_2deg(g, k, t, order=order)
+    assert calls == [k]
+    monkeypatch.undo()
+    assert res.success
+    assert res.candidate == _trim_on_set(g, order[:k])

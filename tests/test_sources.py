@@ -6,6 +6,8 @@ from pathlib import Path
 import besforge
 
 SOURCES = Path(besforge.__file__).parent
+TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _unused_imports(tree):
@@ -36,16 +38,22 @@ def test_no_module_level_import_is_unused():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
-def _orphan_functions(trees):
-    """Module-level _private functions, by 'module:name', that no tree in
-    trees (a dict of module name to ast) reads, with their lines."""
+def _read_names(trees):
+    """The names that the asts in trees load, bare or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def _orphan_functions(trees):
+    """Module-level _private functions, by 'module:name', that no tree in
+    trees (a dict of module name to ast) reads, with their lines."""
+    read = _read_names(trees.values())
     return {
         f"{module}:{node.name}": node.lineno
         for module, tree in trees.items()
@@ -68,3 +76,43 @@ def test_orphan_private_function_is_found():
 def test_no_private_function_is_orphaned():
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCES.glob("*.py"))}
     assert _orphan_functions(trees) == {}
+
+
+def _orphan_methods(package, readers):
+    """Methods and properties of the top-level classes in package (a dict of
+    module name to ast), by 'module:Class.name', that no ast in readers
+    reads, with their lines. Dunder methods are called by the language, so
+    they are skipped."""
+    read = _read_names(readers)
+    return {
+        f"{module}:{cls.name}.{node.name}": node.lineno
+        for module, tree in package.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    }
+
+
+def test_orphan_method_is_found():
+    package = {
+        "a": ast.parse(
+            "class A:\n    def used(self):\n        pass\n\n    @property\n    def prop(self):\n"
+            "        return 1\n\n    def orphan(self):\n        pass\n\n    def __len__(self):\n"
+            "        return 0\n"
+        ),
+    }
+    readers = [*package.values(), ast.parse("from a import A\n\nA().used()\nprint(A().prop)\n")]
+    assert _orphan_methods(package, readers) == {"a:A.orphan": 9}
+
+
+def test_no_method_is_orphaned():
+    # a method counts as read when src/, tests/ or perfbench/ reads its name
+    package = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCES.glob("*.py"))}
+    readers = [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted([*TESTS.rglob("*.py"), *PERFBENCH.rglob("*.py")])
+    ]
+    assert _orphan_methods(package, [*package.values(), *readers]) == {}
