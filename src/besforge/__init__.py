@@ -3,7 +3,7 @@
 search, configuration unpacking with proof-level audits, the assembly loop,
 high-girth degenerate growth, and exhaustive small-instance oracles."""
 
-from .auxgraph import AuxEdge, AuxGraph, SimpleSubgraph, build_aux, simple_subgraph
+from .auxgraph import AuxEdge, AuxGraph, build_aux, simple_subgraph
 from .core import (
     Configuration,
     LinearityVerdict,

@@ -8,9 +8,11 @@ underlying hyperedges.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import validate_linear
@@ -33,6 +35,9 @@ class AuxEdge(NamedTuple):
         return (self.h1, self.h2)
 
 
+_pair = itemgetter(0, 1)  # an AuxEdge's (u, w)
+
+
 @dataclass(frozen=True)
 class AuxGraph:
     a_vertices: tuple  # supported A-side pair-vertices
@@ -48,6 +53,14 @@ class AuxGraph:
         for ed in self.edges:
             mult[(ed.u, ed.w)] = mult.get((ed.u, ed.w), 0) + 1
         return mult
+
+    def kept_edge(self, u, w):
+        """The multigraph edge that the pair graph's u-w edge stands for: the
+        first straight edge of the pair's run in the sorted edges, else the
+        run's first (the smaller apex); None when no edge joins u and w."""
+        lo = bisect_left(self.edges, (u, w), key=_pair)
+        run = self.edges[lo : bisect_right(self.edges, (u, w), lo, key=_pair)]
+        return next((ed for ed in run if ed.pairing == "S"), run[0] if run else None)
 
     def restricted(self, residual):
         """The multigraph of `residual`, a system whose edges are some of the
@@ -67,14 +80,6 @@ class AuxGraph:
         return AuxGraph(
             tuple(sorted({ed.u for ed in edges})), tuple(sorted({ed.w for ed in edges})), edges
         )
-
-
-@dataclass(frozen=True)
-class SimpleSubgraph:
-    """One kept AuxEdge per pair of pair-vertices, with the annotation map."""
-
-    graph: Graph
-    annot: dict  # (u, w) -> AuxEdge
 
 
 def build_aux(lts):
@@ -158,23 +163,12 @@ def _check_count(lts, count):
 
 
 def simple_subgraph(aux):
-    """Keep one parallel edge per pair-vertex pair: prefer straight pairing,
-    then the smaller apex id.
-
-    aux.edges are sorted by (u, w, apex), so the parallel edges of a pair
-    come in a run ordered by apex; the kept edge is the run's first straight
-    edge, or else its first edge.
-    """
+    """The pair graph: one u-w edge for each pair of pair-vertices the
+    multigraph joins, on all of its pair-vertices. aux.kept_edge(u, w) is
+    the multigraph edge it stands for."""
     g = Graph(vertices=aux.a_vertices + aux.b_vertices)
     adj = g.adjacency()
-    annot = {}
     for ed in aux.edges:
-        key = (ed.u, ed.w)
-        kept = annot.get(key)
-        if kept is None:
-            annot[key] = ed
-            adj[ed.u].add(ed.w)
-            adj[ed.w].add(ed.u)
-        elif ed.pairing == "S" and kept.pairing != "S":
-            annot[key] = ed
-    return SimpleSubgraph(g, annot)
+        adj[ed.u].add(ed.w)
+        adj[ed.w].add(ed.u)
+    return g

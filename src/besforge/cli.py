@@ -206,7 +206,7 @@ def _cmd_aux(args):
         "a_vertices": len(aux.a_vertices),
         "b_vertices": len(aux.b_vertices),
         "multi_edges": aux.multi_edge_count,
-        "simple_edges": simple_subgraph(aux).graph.m,
+        "simple_edges": simple_subgraph(aux).m,
     }
     _write_report(args, payload)
     print(f"aux: {aux.multi_edge_count} multi-edges on "
@@ -218,17 +218,17 @@ def _find_candidate(args, lts):
     # as in DriverParams; find_dense_2deg itself takes t_target=0 as "best found"
     if args.t < 1:
         raise ParameterError("t must be positive")
-    simple = simple_subgraph(build_aux(lts))
+    aux = build_aux(lts)
     result = find_dense_2deg(
-        simple.graph, args.k, args.t,
+        simple_subgraph(aux), args.k, args.t,
         strategy=args.strategy, budget_ms=args.budget_ms,
     )
-    return simple, result
+    return aux, result
 
 
 def _cmd_findf(args):
     lts = _read_tls(args.input)
-    _simple, result = _find_candidate(args, lts)
+    _aux, result = _find_candidate(args, lts)
     cand = result.candidate
     payload = {
         "success": result.success,
@@ -245,9 +245,9 @@ def _cmd_findf(args):
 
 def _cmd_unpack(args):
     lts = _read_tls(args.input)
-    simple, result = _find_candidate(args, lts)
+    aux, result = _find_candidate(args, lts)
     cand = result.candidate
-    cfg, trace = unpack(cand, simple, lts)
+    cfg, trace = unpack(cand, aux, lts)
     bounds = check_lemma_bounds(trace, cand.k, cand.achieved_t)
     audit_involvement(trace)
     if args.trace:

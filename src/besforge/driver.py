@@ -156,7 +156,8 @@ _last_host = None
 
 
 def _frame0(lts):
-    """The multigraph of lts, a fresh pair graph of it and its degeneracy order.
+    """The multigraph of lts, its pair graph and the pair graph's degeneracy
+    order.
 
     The AuxGraph and the order come from the one-entry cache when lts is, or
     equals, the last host solved and was solved before that too; otherwise
@@ -170,11 +171,11 @@ def _frame0(lts):
     aux, order = entry[1:] if seen else (None, None)
     if aux is None:
         aux = build_aux(lts)
-    simple = simple_subgraph(aux)
+    graph = simple_subgraph(aux)
     if order is None:
-        order = degsearch.degeneracy_ordering(simple.graph).order
+        order = degsearch.degeneracy_ordering(graph).order
     _last_host = (lts, aux, order) if seen else (lts, None, None)
-    return aux, simple, order
+    return aux, graph, order
 
 
 # The note of the designed end of the recursion: no frame at this e' can keep
@@ -228,21 +229,21 @@ def find_be_s_configuration(lts, e, params=None):
             break
         if aux is None:
             sub = lts
-            aux, simple, order = _frame0(lts)
+            aux, graph, order = _frame0(lts)
         else:
             sub = TripartiteLinearSystem(lts.sizes, tuple(residual))
             aux = aux.restricted(sub)
-            simple = simple_subgraph(aux)
+            graph = simple_subgraph(aux)
             order = None
-        if simple.graph.n < k or simple.graph.m == 0:
+        if graph.n < k or graph.m == 0:
             note = "pair graph too small; base fallback"
             break
         result = find_dense_2deg(
-            simple.graph, k, params.t, strategy=params.strategy,
+            graph, k, params.t, strategy=params.strategy,
             budget_ms=params.budget_ms, order=order,
         )
         cand = result.candidate
-        cfg, trace = unpack(cand, simple, sub)
+        cfg, trace = unpack(cand, aux, sub)
         fe = trace.e_total
         top_up = e_prime - fe <= params.tau_max
         if not top_up and not (fe >= trace.v_total and fe > 0):

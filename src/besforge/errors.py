@@ -32,7 +32,7 @@ class GuardExceededError(BesforgeError):
 
 
 class IntegrityError(BesforgeError):
-    """Internal cross-reference failed (missing annotation, foreign hyperedge)."""
+    """Internal cross-reference failed (edge missing from the multigraph, foreign hyperedge)."""
 
 
 class AuditError(BesforgeError):

@@ -43,21 +43,23 @@ def min_span(host, e, guard=DEFAULT_GUARD, _target=None):
 
     def rec(idx, picked, union):
         nonlocal best_v, best_pick
-        if best_v is not None and _target is not None and best_v <= _target:
-            return
         if len(picked) == e:
             if best_v is None or len(union) < best_v:
                 best_v = len(union)
                 best_pick = list(picked)
             return
-        if m - idx < e - len(picked):
-            return
-        if best_v is not None and len(union) >= best_v:
-            return
-        picked.append(idx)
-        rec(idx + 1, picked, union | keys[idx])
-        picked.pop()
-        rec(idx + 1, picked, union)
+        # skipping idx goes on to idx + 1 here, not in a call: depth <= e
+        while True:
+            if best_v is not None and _target is not None and best_v <= _target:
+                return
+            if m - idx < e - len(picked):
+                return
+            if best_v is not None and len(union) >= best_v:
+                return
+            picked.append(idx)
+            rec(idx + 1, picked, union | keys[idx])
+            picked.pop()
+            idx += 1
 
     rec(0, [], frozenset())
     witness = Configuration.from_edges(host, [edges[i] for i in best_pick])

@@ -1,9 +1,10 @@
 """Unpack a 2-degenerate pair-graph candidate into a hyperedge configuration.
 
 Processing the candidate's vertices in certificate order, each step adds the
-pair's two part elements and, per new candidate edge, the annotated apex and
-its two hyperedges. Every step is recorded, classified and checked against
-the per-step accounting rules, which are theorems for well-formed inputs.
+pair's two part elements and, per new candidate edge, the apex and the two
+hyperedges of the multigraph edge that the pair graph keeps for it. Every
+step is recorded, classified and checked against the per-step accounting
+rules, which are theorems for well-formed inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class StepRecord:
     cls: str
     delta_e: int
     delta_v: int
-    apexes: tuple  # apexes of the step's annotations (<= 2)
+    apexes: tuple  # apexes of the step's kept multigraph edges (<= 2)
     involved: tuple  # all hyperedges playing a role, new or not (<= 4)
     new_edges: tuple
     new_vertices: tuple
@@ -136,13 +137,12 @@ def _check_step_laws(rec):
             )
 
 
-def unpack(candidate, simple, host):
+def unpack(candidate, aux, host):
     """Run the unpacking process and return (Configuration, UnpackTrace).
 
-    The annotations come from `simple`, the pair graph the candidate was
-    found in.
+    `aux` is the multigraph whose pair graph the candidate was found in;
+    each candidate edge unpacks into aux.kept_edge of its pair.
     """
-    annot = simple.annot
     host_edges = set(host.edges)
 
     pos = {v: i for i, v in enumerate(candidate.vertices)}
@@ -157,9 +157,9 @@ def unpack(candidate, simple, host):
     for i, v in enumerate(candidate.vertices, start=1):
         anns = []
         for fe in by_later[v]:
-            ann = annot.get(fe)
+            ann = aux.kept_edge(*fe)
             if ann is None:
-                raise IntegrityError(f"candidate edge {fe} has no pair-graph annotation")
+                raise IntegrityError(f"candidate edge {fe} is not in the pair multigraph")
             for h in ann.hyperedges():
                 if h not in host_edges:
                     raise IntegrityError(f"hyperedge {h} absent from the host system")

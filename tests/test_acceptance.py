@@ -43,16 +43,17 @@ def unpack_corpus():
     hosts += [random_linear(8, 8, 8, 28, seed=s) for s in range(4)]
     prepared = []
     for lts in hosts:
-        prepared.append((lts, simple_subgraph(build_aux(lts))))
+        aux = build_aux(lts)
+        prepared.append((lts, aux, simple_subgraph(aux)))
     rng = random.Random(0)
     traces = []
     runs = 10_000
     start = time.monotonic()
     for i in range(runs):
-        lts, simple = prepared[i % len(prepared)]
-        k = rng.randint(2, min(12, simple.graph.n))
-        cand = random_candidate(simple.graph, k, rng)
-        _cfg, trace = unpack(cand, simple, lts)
+        lts, aux, graph = prepared[i % len(prepared)]
+        k = rng.randint(2, min(12, graph.n))
+        cand = random_candidate(graph, k, rng)
+        _cfg, trace = unpack(cand, aux, lts)
         traces.append((cand, trace))
     return traces, time.monotonic() - start
 

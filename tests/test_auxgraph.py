@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besforge import (
+    AuxEdge,
     AuxGraph,
     Graph,
     IntegrityError,
@@ -40,7 +41,7 @@ def test_empty_system_gives_empty_aux():
     aux = build_aux(TripartiteLinearSystem((2, 2, 2), ()))
     assert aux.multi_edge_count == 0
     assert aux.a_vertices == () and aux.b_vertices == ()
-    assert simple_subgraph(aux).graph.n == 0
+    assert simple_subgraph(aux).n == 0
 
 
 def test_count_law_does_not_allocate_by_the_declared_apex_part():
@@ -78,17 +79,24 @@ def test_aux_edges_revalidate_against_source():
 
 def test_simple_subgraph_prefers_straight_pairing():
     aux = build_aux(group_system(2))
-    simple = simple_subgraph(aux)
-    assert simple.graph.m == 1
-    kept = simple.annot[(("A", 0, 1), ("B", 0, 1))]
+    assert simple_subgraph(aux).m == 1
+    u, w = ("A", 0, 1), ("B", 0, 1)
+    kept = aux.kept_edge(u, w)
     assert kept.pairing == "S" and kept.apex == 0
+    # with only the crossed edge left, it is kept
+    crossed = AuxGraph(aux.a_vertices, aux.b_vertices, aux.edges[1:])
+    assert crossed.kept_edge(u, w) == aux.edges[1]
+    # a straight edge wins over a crossed one of smaller apex
+    straight_last = (AuxEdge(u, w, 0, "X", (0, 1, 0), (1, 0, 0)),
+                     AuxEdge(u, w, 1, "S", (0, 0, 1), (1, 1, 1)))
+    assert AuxGraph((u,), (w,), straight_last).kept_edge(u, w) is straight_last[1]
 
 
 def test_simple_subgraph_keeps_all_when_already_simple():
     aux = build_aux(group_system(3))
-    simple = simple_subgraph(aux)
-    assert simple.graph.m == 9
-    assert 2 * simple.graph.m >= aux.multi_edge_count
+    graph = simple_subgraph(aux)
+    assert graph.m == 9
+    assert 2 * graph.m >= aux.multi_edge_count
 
 
 def test_multiplicity_law_on_random_instances():
@@ -104,8 +112,8 @@ def test_multiplicity_law_on_random_instances():
 
 
 def _reference_simple_subgraph(aux):
-    """The grouping build that the one-pass simple_subgraph replaced, kept as
-    the reference for its kept edges."""
+    """The grouping build of the pair graph and its kept edge per pair, kept
+    as the reference for simple_subgraph and AuxGraph.kept_edge."""
     groups = {}
     for ed in aux.edges:
         groups.setdefault((ed.u, ed.w), []).append(ed)
@@ -123,10 +131,9 @@ def _assert_same_restriction(aux, residual):
     restricted = aux.restricted(residual)
     fresh = build_aux(residual)
     assert restricted == fresh
-    simple, fresh_simple = simple_subgraph(restricted), simple_subgraph(fresh)
-    assert simple.graph.vertices == fresh_simple.graph.vertices
-    assert simple.graph.edges == fresh_simple.graph.edges
-    assert simple.annot == fresh_simple.annot
+    graph, fresh_graph = simple_subgraph(restricted), simple_subgraph(fresh)
+    assert graph.vertices == fresh_graph.vertices
+    assert graph.edges == fresh_graph.edges
     return restricted
 
 
@@ -146,12 +153,17 @@ def _restrict_to_empty(lts, rng):
 def test_one_pass_simple_subgraph_matches_the_grouping_reference():
     hosts = [group_system(m) for m in range(1, 9)]
     hosts += [random_linear(9, 9, 9, 40, seed=s) for s in range(10)]
+    unjoined = 0
     for lts in hosts:
         aux = build_aux(lts)
-        simple = simple_subgraph(aux)
+        graph = simple_subgraph(aux)
         g, annot = _reference_simple_subgraph(aux)
-        assert (simple.graph.vertices, simple.graph.edges) == (g.vertices, g.edges)
-        assert simple.annot == annot
+        assert (graph.vertices, graph.edges) == (g.vertices, g.edges)
+        for u in aux.a_vertices:
+            for w in aux.b_vertices:
+                assert aux.kept_edge(u, w) == annot.get((u, w))
+                unjoined += (u, w) not in annot
+    assert unjoined > 0  # kept_edge returned None for each of them
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -52,8 +52,8 @@ def test_degeneracy_back_degrees_consistent():
 
 
 def test_find_on_aux_k33_hits_a_4_cycle():
-    simple = simple_subgraph(build_aux(group_system(3)))
-    res = find_dense_2deg(simple.graph, 4, 4, strategy="exhaustive")
+    graph = simple_subgraph(build_aux(group_system(3)))
+    res = find_dense_2deg(graph, 4, 4, strategy="exhaustive")
     assert res.success
     assert res.candidate.k == 4 and len(res.candidate.edges) == 4
 
@@ -126,8 +126,8 @@ def test_exhaustive_matches_brute_force_and_heuristics_never_exceed():
 
 
 def test_candidate_revalidates_by_reverse_peeling():
-    simple = simple_subgraph(build_aux(group_system(4)))
-    res = find_dense_2deg(simple.graph, 6, 6, strategy="peel")
+    graph = simple_subgraph(build_aux(group_system(4)))
+    res = find_dense_2deg(graph, 6, 6, strategy="peel")
     cand = res.candidate
     pos = {v: i for i, v in enumerate(cand.vertices)}
     for v in cand.vertices:
@@ -190,7 +190,7 @@ def test_peel_core_matches_the_min_based_peel():
 
 
 def test_peel_on_pair_graph_vertices_matches_reference():
-    g = simple_subgraph(build_aux(group_system(5))).graph
+    g = simple_subgraph(build_aux(group_system(5)))
     assert degeneracy_ordering(g) == DegeneracyOrdering(*_reference_peel(g.adjacency()))
 
 
@@ -227,7 +227,7 @@ def _k4_and_strip(n):
 
 
 def _pair_graph(seed, size=12, edges=60):
-    return simple_subgraph(build_aux(random_linear(size, size, size, edges, seed=seed))).graph
+    return simple_subgraph(build_aux(random_linear(size, size, size, edges, seed=seed)))
 
 
 def test_window_scan_out_of_reach_matches_the_full_scan():
@@ -246,7 +246,7 @@ def test_window_scan_out_of_reach_matches_the_full_scan():
 def test_window_scan_stops_at_the_first_window_reaching_the_goal():
     rng = random.Random(23)
     graphs = [_tied_graph(rng) for _ in range(80)]
-    graphs += [simple_subgraph(build_aux(group_system(m))).graph for m in (4, 5)]
+    graphs += [simple_subgraph(build_aux(group_system(m))) for m in (4, 5)]
     graphs.append(_k4_and_strip(14))
     reached = 0
     for g in graphs:
@@ -278,7 +278,7 @@ def _assert_search_is_the_scan(g, k, t):
 def test_peel_search_is_the_window_scan():
     rng = random.Random(29)
     graphs = [_tied_graph(rng) for _ in range(40)]
-    graphs += [simple_subgraph(build_aux(group_system(6))).graph, _k4_and_strip(14)]
+    graphs += [simple_subgraph(build_aux(group_system(6))), _k4_and_strip(14)]
     reached = [
         _assert_search_is_the_scan(g, k, t)
         for g in graphs

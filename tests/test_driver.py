@@ -295,11 +295,12 @@ def test_no_frame_at_k_up_to_3_can_keep_its_candidate():
     hosts += [random_linear(8, 8, 8, 40, seed) for seed in range(3)]
     checked = 0
     for lts in hosts:
-        simple = simple_subgraph(build_aux(lts))
+        aux = build_aux(lts)
+        graph = simple_subgraph(aux)
         for k in (2, 3):
-            for vertex_set in _connected_sets(simple.graph, k):
-                cand = _trim_on_set(simple.graph, vertex_set)
-                trace = unpack(cand, simple, lts)[1]
+            for vertex_set in _connected_sets(graph, k):
+                cand = _trim_on_set(graph, vertex_set)
+                trace = unpack(cand, aux, lts)[1]
                 fe, v = trace.e_total, trace.v_total
                 assert 0 < fe <= 2 * (k - 1) and fe < v
                 for e_prime in range(4 * k, 4 * k + 4):

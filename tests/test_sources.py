@@ -38,6 +38,25 @@ def test_no_module_level_import_is_unused():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+def _asserts(tree):
+    """The lines of the assert statements in tree."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_assert_statement_is_found():
+    tree = ast.parse("def f(x):\n    assert x, 'x'\n    if not x:\n        raise ValueError(x)\n\n\nassert f\n")
+    assert _asserts(tree) == [2, 7]
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so the package's self-checks raise
+    found = {
+        path.name: _asserts(ast.parse(path.read_text(), str(path)))
+        for path in sorted(SOURCES.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _read_names(trees):
     """The names that the asts in trees load, bare or as an attribute."""
     read = set()

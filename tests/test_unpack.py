@@ -3,6 +3,7 @@ import random
 import pytest
 
 from besforge import (
+    AuxGraph,
     CandidateF,
     IntegrityError,
     audit_involvement,
@@ -21,20 +22,21 @@ DELTA_CAPS = {4: 4, 3: 2, 2: 1, 1: 0, 0: 0}
 
 def _fixture(m):
     lts = group_system(m)
-    return lts, simple_subgraph(build_aux(lts))
+    aux = build_aux(lts)
+    return lts, aux, simple_subgraph(aux)
 
 
 def test_single_edge_unpacks_to_two_hyperedges_on_five_vertices():
-    lts, simple = _fixture(3)
-    u, w = simple.graph.edges[0]
+    lts, aux, graph = _fixture(3)
+    u, w = graph.edges[0]
     F = CandidateF((u, w), ((u, w),))
-    cfg, trace = unpack(F, simple, lts)
+    cfg, trace = unpack(F, aux, lts)
     assert trace.e_total == 2 and trace.v_total == 5
     assert trace.steps[0].cls == "singular" and trace.steps[1].cls == "singular"
 
 
 def test_worked_4_cycle_example():
-    lts, simple = _fixture(3)
+    lts, aux, graph = _fixture(3)
     F = CandidateF(
         (("A", 0, 1), ("B", 0, 2), ("A", 1, 2), ("B", 1, 2)),
         (
@@ -44,8 +46,8 @@ def test_worked_4_cycle_example():
             (("A", 0, 1), ("B", 1, 2)),
         ),
     )
-    F.validate(simple.graph)
-    cfg, trace = unpack(F, simple, lts)
+    F.validate(graph)
+    cfg, trace = unpack(F, aux, lts)
     assert [(s.delta_v, s.delta_e) for s in trace.steps] == [(2, 0), (3, 2), (2, 2), (2, 3)]
     assert trace.v_total == 9 and trace.e_total == 7
     assert verify_configuration(lts, cfg, 9, 7)
@@ -60,27 +62,27 @@ def test_worked_4_cycle_example():
 
 
 def test_isolated_vertices_inflate_v_only():
-    lts, simple = _fixture(3)
+    lts, aux, _graph = _fixture(3)
     F = CandidateF((("A", 0, 1), ("B", 0, 1)), ())
-    cfg, trace = unpack(F, simple, lts)
+    cfg, trace = unpack(F, aux, lts)
     assert trace.e_total == 0 and trace.v_total == 4
     assert all(s.cls == "singular" and s.delta_e == 0 for s in trace.steps)
     assert cfg.e == 0
 
 
 def test_empty_candidate_reports_empty_branch():
-    lts, simple = _fixture(3)
+    lts, aux, _graph = _fixture(3)
     F = CandidateF((), ())
-    _cfg, trace = unpack(F, simple, lts)
+    _cfg, trace = unpack(F, aux, lts)
     report = check_lemma_bounds(trace, 0, 0)
     assert report.assertion2_branch == "empty"
 
 
 def test_small_t_flagged_outside_hypotheses():
-    lts, simple = _fixture(3)
-    u, w = simple.graph.edges[0]
+    lts, aux, graph = _fixture(3)
+    u, w = graph.edges[0]
     F = CandidateF((u, w), ((u, w),))
-    _cfg, trace = unpack(F, simple, lts)
+    _cfg, trace = unpack(F, aux, lts)
     report = check_lemma_bounds(trace, 2, F.achieved_t)
     assert F.achieved_t == 3
     assert not report.within_hypotheses
@@ -88,21 +90,21 @@ def test_small_t_flagged_outside_hypotheses():
 
 
 def test_missing_annotation_raises():
-    lts, simple = _fixture(3)
-    F = CandidateF(
-        (("A", 0, 1), ("B", 0, 1)),
-        ((("A", 0, 1), ("B", 0, 1)),),
-    )
-    # forge an annotation map without this edge
-    fake = type(simple)(simple.graph, {})
-    with pytest.raises(IntegrityError):
-        unpack(F, fake, lts)
+    lts, aux, _graph = _fixture(3)
+    u, w = ("A", 0, 1), ("B", 0, 1)
+    F = CandidateF((u, w), ((u, w),))
+    # a multigraph that lacks this edge
+    lacking = AuxGraph(aux.a_vertices, aux.b_vertices,
+                       tuple(ed for ed in aux.edges if (ed.u, ed.w) != (u, w)))
+    assert lacking.kept_edge(u, w) is None
+    with pytest.raises(IntegrityError, match="not in the pair multigraph"):
+        unpack(F, lacking, lts)
 
 
 def test_prefix_sums_match_totals():
-    lts, simple = _fixture(4)
-    res = find_dense_2deg(simple.graph, 6, 12, strategy="peel")
-    _cfg, trace = unpack(res.candidate, simple, lts)
+    lts, aux, graph = _fixture(4)
+    res = find_dense_2deg(graph, 6, 12, strategy="peel")
+    _cfg, trace = unpack(res.candidate, aux, lts)
     assert sum(s.delta_e for s in trace.steps) == trace.e_total
     assert sum(s.delta_v for s in trace.steps) == trace.v_total
     series = trace.running_difference()
@@ -111,12 +113,11 @@ def test_prefix_sums_match_totals():
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_random_candidates_obey_step_laws_and_audit(m):
-    lts = group_system(m)
-    simple = simple_subgraph(build_aux(lts))
+    lts, aux, graph = _fixture(m)
     rng = random.Random(m)
     for _ in range(40):
-        cand = random_candidate(simple.graph, rng.randint(2, 8), rng)
-        _cfg, trace = unpack(cand, simple, lts)
+        cand = random_candidate(graph, rng.randint(2, 8), rng)
+        _cfg, trace = unpack(cand, aux, lts)
         singulars = 0
         for s in trace.steps:
             assert 0 <= s.delta_e <= 2 * s.d <= 4
@@ -133,10 +134,10 @@ def test_random_candidates_obey_step_laws_and_audit(m):
 
 
 def test_trace_json_field_names():
-    lts, simple = _fixture(3)
-    u, w = simple.graph.edges[0]
+    lts, aux, graph = _fixture(3)
+    u, w = graph.edges[0]
     F = CandidateF((u, w), ((u, w),))
-    _cfg, trace = unpack(F, simple, lts)
+    _cfg, trace = unpack(F, aux, lts)
     d = trace.steps[1].to_json_dict()
     assert set(d) == {
         "i", "vertex", "side", "d", "class", "dE", "dV",
