@@ -226,6 +226,16 @@ def _find_candidate(args, lts):
     return aux, result
 
 
+def _mark_budget_cut(payload, result):
+    """Add budget_exhausted to payload, and return a note for the text line,
+    when the budget cut the search; an uncut search reports exactly as if no
+    budget had been set."""
+    if not result.budget_exhausted:
+        return ""
+    payload["budget_exhausted"] = True
+    return "; budget exhausted"
+
+
 def _cmd_findf(args):
     lts = _read_tls(args.input)
     _aux, result = _find_candidate(args, lts)
@@ -237,9 +247,10 @@ def _cmd_findf(args):
         "achieved_t": cand.achieved_t,
         "vertices": [list(v[1:]) + [v[0]] for v in cand.vertices],
     }
+    cut = _mark_budget_cut(payload, result)
     _write_report(args, payload)
     print(f"candidate: k={cand.k} edges={len(cand.edges)} achieved_t={cand.achieved_t} "
-          f"({'ok' if result.success else 'best-found'})")
+          f"({'ok' if result.success else 'best-found'}){cut}")
     return 0
 
 
@@ -262,9 +273,10 @@ def _cmd_unpack(args):
         "assertion2_branch": bounds.assertion2_branch,
         "within_hypotheses": bounds.within_hypotheses,
     }
+    cut = _mark_budget_cut(payload, result)
     _write_report(args, payload)
     print(f"unpacked: {trace.e_total} hyperedges on {trace.v_total} vertices "
-          f"(branch {bounds.assertion2_branch})")
+          f"(branch {bounds.assertion2_branch}){cut}")
     return 0
 
 
@@ -281,7 +293,9 @@ def _cmd_solve(args):
     )
     report = find_be_s_configuration(lts, args.e, params)
     _write_report(args, report.to_json_dict())
-    print(f"solved: {report.e} edges on {report.span} vertices (d={report.d_achieved})")
+    cut = sum(f.budget_exhausted for f in report.frames)
+    print(f"solved: {report.e} edges on {report.span} vertices (d={report.d_achieved})"
+          + (f"; budget exhausted in {cut} of {len(report.frames)} frames" if cut else ""))
     return 0
 
 

@@ -15,7 +15,7 @@ builds them twice (once for the first solve, once to keep), not per solve.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from . import degsearch
@@ -74,9 +74,15 @@ class FrameReport:
     unpack_v: int = 0
     unpack_e: int = 0
     note: str = ""
+    budget_exhausted: bool = False  # the budget cut this frame's search
 
     def to_json_dict(self):
-        return asdict(self)
+        out = dict(vars(self))  # every field is a scalar, so no asdict deep copy
+        # only a cut search makes the frame depend on the clock; an uncut one
+        # reports exactly as if no budget had been set
+        if not self.budget_exhausted:
+            del out["budget_exhausted"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -217,6 +223,7 @@ def find_be_s_configuration(lts, e, params=None):
     frames = []
     e_prime = e
     note = ""
+    cut = False  # whether the budget cut the search of a discarded candidate
     aux = None  # the pair multigraph of the residual
     order = None  # the degeneracy order of the frame-0 pair graph
     while e_prime > params.base_threshold:
@@ -248,6 +255,7 @@ def find_be_s_configuration(lts, e, params=None):
         top_up = e_prime - fe <= params.tau_max
         if not top_up and not (fe >= trace.v_total and fe > 0):
             note = "candidate neither dense nor self-sustaining"
+            cut = result.budget_exhausted
             break
         chosen.extend(cfg.edges)
         before = len(residual)
@@ -259,6 +267,7 @@ def find_be_s_configuration(lts, e, params=None):
                 before if top_up else len(residual),
                 k=k, f_edges=len(cand.edges), achieved_t=cand.achieved_t,
                 unpack_v=trace.v_total, unpack_e=fe,
+                budget_exhausted=result.budget_exhausted,
             )
         )
         e_prime -= fe
@@ -269,7 +278,8 @@ def find_be_s_configuration(lts, e, params=None):
     chosen.extend(_greedy_pick(residual, e_prime, span, lts.edge_keys))
     if not (frames and frames[-1].branch == "top_up"):
         frames.append(FrameReport(
-            e_prime, "base", note not in ("", _END_NOTE), len(residual), note=note))
+            e_prime, "base", note not in ("", _END_NOTE), len(residual), note=note,
+            budget_exhausted=cut))
 
     cfg = Configuration.from_edges(lts, chosen)
     if cfg.e != e or not verify_configuration(lts, cfg, cfg.v, e):

@@ -2,7 +2,8 @@ import gc
 import json
 import random
 import weakref
-from itertools import combinations
+from itertools import combinations, count
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +21,7 @@ from besforge import (
     random_linear,
     verify_configuration,
 )
+from besforge import degsearch
 from besforge import io as textio
 from besforge.auxgraph import AuxGraph, build_aux, simple_subgraph
 from besforge.cli import main
@@ -331,3 +333,62 @@ def test_the_stop_rule_changes_only_the_last_frames_note_and_flag(monkeypatch):
             == [_without_last_note_and_flags(r) for r in unruled])
     # the rule unflags the solves whose only miss was the discarded last frame
     assert sum(r.any_flagged for r in ruled) < sum(r.any_flagged for r in unruled)
+
+
+def _step_clock(monkeypatch):
+    # as in test_degsearch's budget case on _k4_and_strip(14): each clock
+    # reading is 1 s after the last, so a 1 ms budget stops every window scan
+    # after its first peeled window
+    clock = count()
+    monkeypatch.setattr(degsearch, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+
+
+def test_frames_report_a_search_the_budget_cut(monkeypatch):
+    lts = random_linear(12, 12, 12, 90, seed=1)
+    free = find_be_s_configuration(lts, 41, DriverParams())
+    _step_clock(monkeypatch)
+    cut = find_be_s_configuration(lts, 41, DriverParams(budget_ms=1))
+    # the kept frame and the frame whose candidate is discarded both say so
+    discarded = "candidate neither dense nor self-sustaining"
+    for report in (free, cut):
+        assert [(f.branch, f.note) for f in report.frames] == [("recurse", ""), ("base", discarded)]
+    assert [f.budget_exhausted for f in cut.frames] == [True, True]
+    assert [f["budget_exhausted"] for f in cut.to_json_dict()["frames"]] == [True, True]
+    assert not any(f.budget_exhausted for f in free.frames)
+    assert all("budget_exhausted" not in f for f in free.to_json_dict()["frames"])
+    # e = 38 keeps a candidate only when the scan runs to the end
+    assert [(f.branch, f.budget_exhausted) for f in
+            find_be_s_configuration(lts, 38, DriverParams(budget_ms=1)).frames] == [("base", True)]
+    # a budget that cuts no scan reports exactly as no budget: on group hosts
+    # every scan stops at its first window, which reaches t
+    host = group_system(6)
+    for e in (9, 20, 33):
+        assert (json.dumps(find_be_s_configuration(host, e, DriverParams(budget_ms=1)).to_json_dict())
+                == json.dumps(find_be_s_configuration(host, e, DriverParams()).to_json_dict()))
+
+
+def test_cli_shows_a_search_the_budget_cut(monkeypatch, tmp_path, capsys):
+    host = tmp_path / "r.tls"
+    host.write_text(textio.dumps_system(random_linear(12, 12, 12, 90, seed=1)))
+    report = tmp_path / "report.json"
+    runs = {  # command: its flags, the end of its text line when cut
+        "solve": (["--e", "41"], "; budget exhausted in 2 of 2 frames\n"),
+        "findf": (["--k", "10", "--t", "4"], "; budget exhausted\n"),
+        "unpack": (["--k", "10", "--t", "4"], "; budget exhausted\n"),
+    }
+    for budget in ([], ["--budget-ms", "1"]):
+        if budget:
+            _step_clock(monkeypatch)
+        for command, (flags, note) in runs.items():
+            assert main([command, "--input", str(host), *flags, *budget,
+                         "--report", str(report), "--no-timestamp"]) == 0
+            text, payload = capsys.readouterr().out, report.read_text()
+            if not budget:
+                assert "budget" not in text and "budget" not in payload
+                continue
+            assert text.endswith(note)
+            payload = json.loads(payload)
+            if command == "solve":
+                assert [f["budget_exhausted"] for f in payload["frames"]] == [True, True]
+            else:
+                assert payload["budget_exhausted"] is True

@@ -67,13 +67,52 @@ def test_parameter_validation():
         grow_girth_graph(4, 2, 2)
 
 
+def _reference_girth_of(graph):
+    """Exact girth by a full breadth-first search from every vertex."""
+    best = None
+    adj = graph.adjacency()
+    for root in graph.vertices:
+        dist = {root: 0}
+        parent = {root: None}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            if best is not None and 2 * dist[u] >= best:
+                break
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    cycle = dist[u] + dist[w] + 1
+                    if best is None or cycle < best:
+                        best = cycle
+    return best
+
+
+def _assert_girths_agree(graph):
+    """Check girth_of against the reference, leaving the graph as it was."""
+    before = {v: set(nbrs) for v, nbrs in graph.adjacency().items()}
+    girth = girth_of(graph)
+    assert graph.adjacency() == before
+    assert girth == _reference_girth_of(graph)
+    return girth
+
+
 def test_girth_of_basics():
     c6 = Graph(edges=[(i, (i + 1) % 6) for i in range(6)])
-    assert girth_of(c6) == 6
+    assert _assert_girths_agree(c6) == 6
     tree = Graph(edges=[(0, 1), (1, 2), (1, 3)])
-    assert girth_of(tree) is None
+    assert _assert_girths_agree(tree) is None
     k33 = Graph(edges=[(i, j) for i in range(3) for j in range(3, 6)])
-    assert girth_of(k33) == 4
+    assert _assert_girths_agree(k33) == 4
+    k4 = Graph(edges=[(u, w) for u in range(4) for w in range(u + 1, 4)])
+    assert _assert_girths_agree(k4) == 3
+    petersen = Graph(edges=[(i, (i + 1) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    assert _assert_girths_agree(petersen) == 5
 
 
 def test_girth_of_matches_enumeration_oracle():
@@ -109,6 +148,66 @@ def test_girth_of_matches_enumeration_oracle():
         assert girth_of(g) == cycle_oracle(g)
 
 
+def _graph_of_girth(rng, girth):
+    """A random graph of girth exactly `girth` on 20-200 vertices: two
+    components, one around a planted girth-cycle and one around a
+    (girth + 1)-cycle, each filled out with a random tree and random edges
+    that close no cycle shorter than `girth`, plus 1-3 isolated vertices."""
+    n = rng.randint(20, 200)
+    rest = n - rng.randint(1, 3)
+    split = rng.randint(girth, rest - girth - 1)
+    graph = Graph(vertices=range(n))
+    for lo, hi, length in ((0, split, girth), (split, rest, girth + 1)):
+        for i in range(length):
+            graph.add_edge(lo + i, lo + (i + 1) % length)
+        for v in range(lo + length, hi):
+            graph.add_edge(v, rng.randrange(lo, v))
+        for _ in range(2 * (hi - lo)):
+            u, w = rng.sample(range(lo, hi), 2)
+            if not _reference_within_distance(graph, u, w, girth - 2):
+                graph.add_edge(u, w)
+    return graph
+
+
+def test_girth_of_matches_the_reference_on_grown_graphs():
+    for g, girth in ((4, 6), (5, 6), (6, 8)):
+        _t, graph, _cert = find_growth_t(2000, g, seed=1)
+        assert _assert_girths_agree(graph) == girth
+
+
+def test_girth_of_matches_the_reference_on_random_graphs_of_known_girth():
+    rng = random.Random(41)
+    for girth in (4, 5, 6, 7, 8):
+        for _ in range(4):
+            graph = _graph_of_girth(rng, girth)
+            assert any(graph.degree(v) == 0 for v in graph.vertices)
+            assert _assert_girths_agree(graph) == girth
+    # tuple labels, shuffled so that label order is not construction order
+    graph = _graph_of_girth(rng, 5)
+    labels = list(range(graph.n))
+    rng.shuffle(labels)
+    relabelled = Graph(vertices=[(labels[v] % 3, labels[v]) for v in graph.vertices],
+                       edges=[((labels[u] % 3, labels[u]), (labels[w] % 3, labels[w]))
+                              for u, w in graph.edges])
+    assert _assert_girths_agree(relabelled) == 5
+
+
+def test_girth_of_deletes_each_root_after_its_search(monkeypatch):
+    popped = []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            popped.append(super().popleft())
+            return popped[-1]
+
+    monkeypatch.setattr(besforge.girth, "deque", CountingDeque)
+    star = Graph(edges=[(0, leaf) for leaf in range(1, 51)])
+    assert girth_of(star) is None
+    # the hub goes first and reaches all 51 vertices; each leaf is then
+    # alone, so its search pops only itself
+    assert popped[0] == 0 and len(popped) == 51 + 50
+
+
 def test_verify_certificate_c4_by_hand():
     g = Graph(edges=[(0, 2), (0, 3), (1, 2), (1, 3)])
     cert = GrowthCertificate(2, (0, 1, 2, 3), ((2, 0, 1), (3, 0, 1)), ("A", "A", "B", "B"))
@@ -125,6 +224,14 @@ def test_verify_certificate_rejects_edge_mismatch():
     g = Graph(edges=[(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     cert = GrowthCertificate(2, (0, 1, 2, 3), ((2, 0, 1), (3, 0, 1)), ("A", "A", "B", "B"))
     assert not verify_certificate(g, cert)
+
+
+def test_verify_certificate_rejects_an_edge_between_seeds():
+    # seeds 0, 1, 2 and vertex 3 on 0 and 2; the seed edge 0-1 joins two
+    # sides and closes no cycle, so only the edge comparison rejects it
+    cert = GrowthCertificate(3, (0, 1, 2, 3), ((3, 0, 2),), ("A", "B", "A", "B"))
+    assert verify_certificate(Graph(vertices=range(4), edges=[(0, 3), (2, 3)]), cert)
+    assert not verify_certificate(Graph(edges=[(0, 1), (0, 3), (2, 3)]), cert)
 
 
 def test_find_growth_t_doubles_until_success():
