@@ -54,7 +54,6 @@ from .girth import (
 from .graphs import Graph, two_coloring, within_distance
 from .oracle import OracleResult, exists_config, min_span
 from .unpack import (
-    InvolvementAudit,
     LemmaBoundsReport,
     StepRecord,
     UnpackTrace,

@@ -177,7 +177,6 @@ class ReduceOrWin:
     tripartite_edges: int = 0
     kept_edges: int = 0
     coloring: tuple = ()
-    part_vertices: tuple = ()  # (globals in A, in B, in C) for the reduction
 
     @property
     def is_win(self):
@@ -260,5 +259,4 @@ def reduce_or_win(ts, e, seed=0):
         tripartite_edges=len(tri_edges),
         kept_edges=len(kept),
         coloring=coloring,
-        part_vertices=tuple(tuple(p) for p in parts),
     )

@@ -62,15 +62,8 @@ class StepRecord:
 @dataclass(frozen=True)
 class UnpackTrace:
     steps: tuple
-    configuration: Configuration
     v_total: int  # includes pair elements of isolated candidate vertices
     e_total: int
-
-    def class_counts(self):
-        counts = {CLASS_SINGULAR: 0, CLASS_ZERO: 0, CLASS_FOUR: 0, CLASS_GOOD: 0}
-        for s in self.steps:
-            counts[s.cls] += 1
-        return counts
 
     def running_difference(self):
         """The series |E_i| - |V_i| after each step."""
@@ -85,28 +78,9 @@ class UnpackTrace:
 
 @dataclass(frozen=True)
 class LemmaBoundsReport:
-    k: int
-    t: int
-    v_count: int
-    e_count: int
     assertion1_ok: bool
     assertion2_branch: str  # near_4k | self_sustaining | violated | empty
-    s_threshold: int  # 6t(12t+2)^2
-    singular_count: int
-    good_count: int
-    zero_count: int
-    four_count: int
     within_hypotheses: bool
-
-
-@dataclass(frozen=True)
-class InvolvementAudit:
-    apex_steps: dict  # apex -> tuple of step indices involving it
-    pair_steps: dict  # frozenset{h1, h2} -> tuple of step indices
-    zero_apexes: frozenset  # Z: apexes involved in 0-steps
-    zero_apex_bound: int  # the 12t threshold
-    zero_apex_within_bound: bool
-    apex_first_new: dict  # apex -> (j0, tuple J) over steps adding a hyperedge at the apex
 
 
 def _classify(d, delta_e, delta_v):
@@ -204,7 +178,7 @@ def unpack(candidate, aux, host):
         steps.append(rec)
 
     cfg = Configuration.from_edges(host, sorted(hyperedges))
-    return cfg, UnpackTrace(tuple(steps), cfg, len(span_keys), len(hyperedges))
+    return cfg, UnpackTrace(tuple(steps), len(span_keys), len(hyperedges))
 
 
 def check_lemma_bounds(trace, k, t):
@@ -213,18 +187,11 @@ def check_lemma_bounds(trace, k, t):
     The guarantee assumes k >= t >= 4; smaller parameters are still processed
     but flagged as outside the hypotheses.
     """
-    counts = trace.class_counts()
-    v_count = trace.v_total
-    e_count = trace.e_total
-    s_threshold = 6 * t * (12 * t + 2) ** 2
     within = t >= 4 and k >= t
     if k == 0:
-        return LemmaBoundsReport(
-            k, t, v_count, e_count, True, "empty", s_threshold,
-            counts[CLASS_SINGULAR],
-            counts[CLASS_GOOD] + counts[CLASS_SINGULAR],
-            counts[CLASS_ZERO], counts[CLASS_FOUR], within,
-        )
+        return LemmaBoundsReport(True, "empty", within)
+    v_count = trace.v_total
+    e_count = trace.e_total
     assertion1 = v_count - 4 * t <= e_count <= 4 * k
     if e_count >= 4 * k - 10**4 * t**3:
         branch = "near_4k"
@@ -232,16 +199,12 @@ def check_lemma_bounds(trace, k, t):
         branch = "self_sustaining"
     else:
         branch = "violated"
-    return LemmaBoundsReport(
-        k, t, v_count, e_count, assertion1, branch, s_threshold,
-        counts[CLASS_SINGULAR],
-        counts[CLASS_GOOD] + counts[CLASS_SINGULAR],
-        counts[CLASS_ZERO], counts[CLASS_FOUR], within,
-    )
+    return LemmaBoundsReport(assertion1, branch, within)
 
 
 def audit_involvement(trace):
-    """Verify the involvement theorems and compile the apex bookkeeping.
+    """Verify the involvement theorems and return Z, the frozenset of the
+    apexes involved in 0-steps.
 
     (i) no apex-sharing hyperedge pair is involved in two steps;
     (ii) every 0-step apex was involved in an earlier good (good-regular or
@@ -249,7 +212,6 @@ def audit_involvement(trace):
     """
     apex_steps = {}
     pair_steps = {}
-    apex_first_new = {}
     step_by_index = {s.i: s for s in trace.steps}
     for s in trace.steps:
         for apex in set(s.apexes):
@@ -261,9 +223,6 @@ def audit_involvement(trace):
                 continue
             seen_pairs.add(pair)
             pair_steps.setdefault(pair, []).append(s.i)
-        for h in s.new_edges:
-            apex = h[2]
-            apex_first_new.setdefault(apex, []).append(s.i)
 
     for pair, where in pair_steps.items():
         if len(where) > 1:
@@ -271,33 +230,15 @@ def audit_involvement(trace):
                 f"hyperedge pair {tuple(sorted(pair))} involved in steps {where}", where
             )
 
-    t = 2 * len(trace.steps) - sum(s.d for s in trace.steps)
     zero_apexes = set()
     for s in trace.steps:
         if s.cls != CLASS_ZERO:
             continue
         zero_apexes.update(s.apexes)
         for apex in set(s.apexes):
-            earlier_good = [
-                j
-                for j in apex_steps[apex]
-                if j < s.i and step_by_index[j].is_good
-            ]
-            if not earlier_good:
+            if not any(j < s.i and step_by_index[j].is_good for j in apex_steps[apex]):
                 raise AuditError(
                     f"0-step {s.i} involves apex {apex} with no preceding good step",
                     (s.i,),
                 )
-
-    bound = 12 * t
-    first_new = {
-        apex: (min(js), tuple(sorted(set(js)))) for apex, js in apex_first_new.items()
-    }
-    return InvolvementAudit(
-        apex_steps={a: tuple(js) for a, js in apex_steps.items()},
-        pair_steps={p: tuple(js) for p, js in pair_steps.items()},
-        zero_apexes=frozenset(zero_apexes),
-        zero_apex_bound=bound,
-        zero_apex_within_bound=len(zero_apexes) <= bound,
-        apex_first_new=first_new,
-    )
+    return frozenset(zero_apexes)

@@ -220,6 +220,16 @@ def test_verify_certificate_rejects_triangle():
     assert not verify_certificate(g, cert)
 
 
+def test_verify_certificate_rejects_an_edge_inside_a_side():
+    # the path 0-2-1 is bipartite and every edge is built, but 0 and 2 are
+    # both on side A, so only the side check rejects it
+    g = Graph(edges=[(0, 2), (1, 2)])
+    cert = GrowthCertificate(2, (0, 1, 2), ((2, 0, 1),), ("A", "B", "A"))
+    assert two_coloring(g) is not None
+    assert not verify_certificate(g, cert)
+    assert verify_certificate(g, GrowthCertificate(2, (0, 1, 2), ((2, 0, 1),), ("A", "A", "B")))
+
+
 def test_verify_certificate_rejects_edge_mismatch():
     g = Graph(edges=[(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     cert = GrowthCertificate(2, (0, 1, 2, 3), ((2, 0, 1), (3, 0, 1)), ("A", "A", "B", "B"))

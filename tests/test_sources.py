@@ -135,3 +135,59 @@ def test_no_method_is_orphaned():
         for path in sorted([*TESTS.rglob("*.py"), *PERFBENCH.rglob("*.py")])
     ]
     assert _orphan_methods(package, [*package.values(), *readers]) == {}
+
+
+def _serializes_self(cls):
+    """Whether a method of cls passes self to vars() or asdict(), which
+    reads every field without naming it."""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("vars", "asdict")
+        and any(isinstance(arg, ast.Name) and arg.id == "self" for arg in node.args)
+        for node in ast.walk(cls)
+    )
+
+
+def _orphan_fields(package, readers):
+    """Annotated fields of the top-level classes in package (a dict of module
+    name to ast), by 'module:Class.name', that no ast in readers loads as an
+    attribute, with their lines."""
+    loaded = {
+        node.attr
+        for tree in readers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        f"{module}:{cls.name}.{node.target.id}": node.lineno
+        for module, tree in package.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not _serializes_self(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name)
+        and node.target.id not in loaded
+    }
+
+
+def test_orphan_field_is_found():
+    package = {
+        "a": ast.parse(
+            "class A:\n    used: int\n    orphan: int\n    stored: int\n\n\n"
+            "class B:\n    x: int\n\n    def to_dict(self):\n        return vars(self)\n"
+        ),
+    }
+    readers = [*package.values(), ast.parse("from a import A\n\na = A()\na.stored = 1\nprint(a.used)\n")]
+    assert _orphan_fields(package, readers) == {"a:A.orphan": 3, "a:A.stored": 4}
+
+
+def test_no_field_is_orphaned():
+    # a field counts as read when src/, tests/ or perfbench/ loads it as an
+    # attribute, or when its class serializes itself with vars() or asdict()
+    package = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCES.glob("*.py"))}
+    readers = [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted([*TESTS.rglob("*.py"), *PERFBENCH.rglob("*.py")])
+    ]
+    assert _orphan_fields(package, [*package.values(), *readers]) == {}

@@ -1,11 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from besforge import (
+    AuditError,
     AuxGraph,
     CandidateF,
     IntegrityError,
+    UnpackTrace,
     audit_involvement,
     build_aux,
     check_lemma_bounds,
@@ -57,8 +60,46 @@ def test_worked_4_cycle_example():
     assert bounds.assertion2_branch == "near_4k"  # 7 >= 16 - 640000
     assert bounds.within_hypotheses
 
-    audit = audit_involvement(trace)
-    assert audit.zero_apexes == frozenset()
+    assert audit_involvement(trace) == frozenset()
+
+
+def _zero_step_trace():
+    # group_system(5) holds the hyperedges (a, b, a + b mod 5). Steps 3-6
+    # are singular and add {(0,0,0), (4,1,0)}, {(1,0,1), (2,4,1)},
+    # {(0,1,1), (4,2,1)} and {(1,4,0), (2,3,0)}. Step 7 then joins ('A', 0, 1)
+    # to ('B', 0, 1) by {(0,1,1), (1,0,1)} at apex 1 and to ('B', 0, 4) by
+    # {(0,0,0), (1,4,0)} at apex 0: all four are already there, so it is a
+    # 0-step on apexes 0 and 1, each involved in an earlier singular step.
+    lts, aux, graph = _fixture(5)
+    F = CandidateF(
+        (("A", 0, 4), ("A", 1, 2), ("B", 0, 1), ("B", 0, 4), ("B", 1, 2), ("B", 3, 4), ("A", 0, 1)),
+        (
+            (("A", 0, 1), ("B", 0, 1)),
+            (("A", 0, 1), ("B", 0, 4)),
+            (("A", 0, 4), ("B", 0, 1)),
+            (("A", 0, 4), ("B", 1, 2)),
+            (("A", 1, 2), ("B", 0, 4)),
+            (("A", 1, 2), ("B", 3, 4)),
+        ),
+    )
+    F.validate(graph)
+    return unpack(F, aux, lts)[1]
+
+
+def test_a_zero_step_puts_its_apexes_in_z():
+    trace = _zero_step_trace()
+    assert [s.cls for s in trace.steps] == ["singular"] * 6 + ["zero_step"]
+    assert trace.steps[-1].apexes == (0, 1)
+    assert trace.steps[-1].delta_e == trace.steps[-1].delta_v == 0
+    assert audit_involvement(trace) == frozenset({0, 1})
+
+
+def test_audit_rejects_a_repeated_pair_and_a_zero_step_without_a_good_one():
+    steps = _zero_step_trace().steps
+    with pytest.raises(AuditError, match=r"involved in steps \[3, 8\]"):
+        audit_involvement(UnpackTrace((*steps, replace(steps[2], i=8)), 0, 0))
+    with pytest.raises(AuditError, match="0-step 7 involves apex 0 with no preceding good step"):
+        audit_involvement(UnpackTrace(steps[-1:], 0, 0))
 
 
 def test_isolated_vertices_inflate_v_only():
