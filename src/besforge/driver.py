@@ -8,9 +8,12 @@ the recursive machinery is actually exercised.
 Frame 0 takes the host's pair multigraph; every later frame restricts the
 previous frame's multigraph to its residual. No frame changes what it reads.
 
-A host solved again keeps its pair multigraph and the degeneracy order of
-its pair graph until another host is solved, so solving one host at many e
-builds them twice (once for the first solve, once to keep), not per solve.
+A host solved again keeps its pair multigraph, its pair graph, the pair
+graph's degeneracy order and an index of its edges by vertex key (which seeds
+the greedy base pick) until another host is solved. So solving one host at
+many e builds them twice (once for the first solve, once to keep), not per
+solve, and frame 0 of a warm solve builds nothing that depends only on the
+host.
 """
 
 from __future__ import annotations
@@ -110,77 +113,107 @@ class DriverReport:
         }
 
 
-def _greedy_pick(available, count, span, edge_keys):
+def _greedy_pick(available, count, span, edge_keys, by_key):
     """Pick `count` edges, each maximizing overlap with the running span;
     ties go to the lexicographically smallest edge.
 
-    Edges wait in one min-heap per overlap (0-3). A key joining the span
-    moves the edges through it, found with a key -> edges index, one heap
-    up; the entries they leave behind are skipped when popped.
+    `by_key` maps each key to the host edges through it and may list edges
+    outside `available`. Edges meeting the span wait in one min-heap per
+    overlap (1-3); a key joining the span moves the available edges through it
+    one heap up, and the entries they leave behind are skipped. When the
+    heaps hold no available edge, none meets the span, and the pick is the
+    first edge of sorted `available` not yet chosen, found by a pointer that
+    only moves forward.
     """
     if len(available) < count:
         raise ExhaustionError(count, len(available))
+    live = set(available)  # not yet chosen
+    pool = sorted(available)
     span = set(span)
-    overlap = {}  # edge not yet chosen -> its overlap with the span
-    by_key = {}
-    for x in available:
-        keys = edge_keys(x)
-        overlap[x] = sum(1 for key in keys if key in span)
-        for key in keys:
-            by_key.setdefault(key, []).append(x)
+    overlap = {}  # live edge meeting the span -> its overlap with the span
+    for key in span:
+        for y in by_key[key]:
+            if y in live:
+                overlap[y] = overlap.get(y, 0) + 1
     heaps = [[], [], [], []]
-    for x, ov in overlap.items():
-        heaps[ov].append(x)
+    for y, ov in overlap.items():
+        heaps[ov].append(y)
     for heap in heaps:
         heapify(heap)
     chosen = []
+    p = 0
     while len(chosen) < count:
-        ov = 3
-        while not heaps[ov]:
-            ov -= 1
-        x = heappop(heaps[ov])
-        if overlap.get(x) != ov:
-            continue  # chosen, or moved up since this entry was pushed
-        del overlap[x]
+        for ov in (3, 2, 1):
+            heap = heaps[ov]
+            while heap and overlap.get(heap[0]) != ov:
+                heappop(heap)  # chosen, or moved up since this entry was pushed
+            if heap:
+                x = heappop(heap)
+                del overlap[x]
+                break
+        else:
+            while pool[p] not in live:
+                p += 1
+            x = pool[p]
+        live.remove(x)
         chosen.append(x)
         for key in edge_keys(x):
             if key not in span:
                 span.add(key)
                 for y in by_key[key]:
-                    if y in overlap:
-                        overlap[y] += 1
-                        heappush(heaps[overlap[y]], y)
+                    if y in live:
+                        up = overlap[y] = overlap.get(y, 0) + 1
+                        heappush(heaps[up], y)
     return chosen
 
 
-# (host, its AuxGraph, the degeneracy order of its pair graph) for the last
-# host solved; the AuxGraph and the order are None until the host is solved a
-# second time. Replaced whole and read once per solve, so two entries are
-# never mixed. Hosts are frozen: a host equal to the cached one has passed
-# build_aux's checks.
+def _key_index(lts):
+    """Each vertex key of lts -> the host edges through it."""
+    by_key = {}
+    for x in lts.edges:
+        for key in lts.edge_keys(x):
+            by_key.setdefault(key, []).append(x)
+    return by_key
+
+
+# (host, its AuxGraph, its pair Graph, the pair graph's degeneracy order, its
+# key index) for the last host solved; every slot after the host is None
+# until the host is solved a second time. Replaced whole, so two entries are
+# never mixed, and no solve changes what a slot holds. Hosts are frozen: a
+# host equal to the cached one has passed build_aux's checks.
 _last_host = None
+
+
+def _cache_entry(lts):
+    """The cache entry when lts is, or equals, the last host solved, else None."""
+    entry = _last_host
+    if entry is not None and (entry[0] is lts or entry[0] == lts):
+        return entry
+    return None
 
 
 def _frame0(lts):
     """The multigraph of lts, its pair graph and the pair graph's degeneracy
     order.
 
-    The AuxGraph and the order come from the one-entry cache when lts is, or
-    equals, the last host solved and was solved before that too; otherwise
-    they are built. The first solve of a host keeps only the host, so a host
-    solved once leaves no multigraph resident. 'exhaustive' ignores the order,
-    which costs little on its pair graphs of at most 20 vertices.
+    They come from the one-entry cache when lts is, or equals, the last host
+    solved and was solved before that too; otherwise they are built. The
+    first solve of a host keeps only the host, so a host solved once leaves
+    nothing resident; the second also keeps the three and the key index.
+    'exhaustive' ignores the order, which costs little on its pair graphs of
+    at most 20 vertices.
     """
     global _last_host
-    entry = _last_host
-    seen = entry is not None and (entry[0] is lts or entry[0] == lts)
-    aux, order = entry[1:] if seen else (None, None)
-    if aux is None:
-        aux = build_aux(lts)
+    entry = _cache_entry(lts)
+    if entry is not None and entry[1] is not None:
+        return entry[1:4]
+    aux = build_aux(lts)
     graph = simple_subgraph(aux)
-    if order is None:
-        order = degsearch.degeneracy_ordering(graph).order
-    _last_host = (lts, aux, order) if seen else (lts, None, None)
+    order = degsearch.degeneracy_ordering(graph).order
+    if entry is None:
+        _last_host = (lts, None, None, None, None)
+    else:
+        _last_host = (lts, aux, graph, order, _key_index(lts))
     return aux, graph, order
 
 
@@ -242,7 +275,7 @@ def find_be_s_configuration(lts, e, params=None):
             aux = aux.restricted(sub)
             graph = simple_subgraph(aux)
             order = None
-        if graph.n < k or graph.m == 0:
+        if graph.n < k or not aux.edges:
             note = "pair graph too small; base fallback"
             break
         result = find_dense_2deg(
@@ -275,7 +308,9 @@ def find_be_s_configuration(lts, e, params=None):
             break
 
     span = {key for x in chosen for key in lts.edge_keys(x)}
-    chosen.extend(_greedy_pick(residual, e_prime, span, lts.edge_keys))
+    entry = _cache_entry(lts)
+    by_key = _key_index(lts) if entry is None or entry[4] is None else entry[4]
+    chosen.extend(_greedy_pick(residual, e_prime, span, lts.edge_keys, by_key))
     if not (frames and frames[-1].branch == "top_up"):
         frames.append(FrameReport(
             e_prime, "base", note not in ("", _END_NOTE), len(residual), note=note,

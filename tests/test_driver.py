@@ -26,7 +26,7 @@ from besforge import io as textio
 from besforge.auxgraph import AuxGraph, build_aux, simple_subgraph
 from besforge.cli import main
 from besforge.degsearch import _trim_on_set
-from besforge.driver import _frame_can_succeed, _greedy_pick
+from besforge.driver import _frame_can_succeed, _greedy_pick, _key_index
 from besforge.unpack import unpack
 
 import test_golden
@@ -151,6 +151,7 @@ def _reference_greedy_pick(available, count, span, edge_keys):
 
 def test_greedy_pick_matches_the_rescanning_reference():
     rng = random.Random(7)
+    seen = {"superset index": 0, "unsorted": 0, "empty span": 0}
     for _ in range(300):
         n = rng.randint(1, 6)
         lts = TripartiteLinearSystem((n, n, n), tuple(
@@ -158,11 +159,25 @@ def test_greedy_pick_matches_the_rescanning_reference():
             if rng.random() < 0.4))
         if not lts.m:
             continue
+        # the index covers every host edge, as the driver's does
+        by_key = _key_index(lts)
         pool = rng.sample(lts.edges, rng.randint(1, lts.m))
         count = rng.randint(0, len(pool))
         span = {key for x in rng.sample(lts.edges, rng.randint(0, min(3, lts.m))) for key in lts.edge_keys(x)}
-        assert (_greedy_pick(pool, count, span, lts.edge_keys)
+        seen["superset index"] += len(pool) < lts.m
+        seen["unsorted"] += pool != sorted(pool)
+        seen["empty span"] += not span and count > 0
+        assert (_greedy_pick(pool, count, span, lts.edge_keys, by_key)
                 == _reference_greedy_pick(pool, count, span, lts.edge_keys))
+    assert min(seen.values()) >= 20
+    # a pick never makes another of these pairwise disjoint edges meet the
+    # span, so after the edges the span meets, every pick goes through the
+    # overlap-0 pointer, which must skip those already taken
+    lts = TripartiteLinearSystem((6, 6, 6), tuple((i, i, i) for i in range(6)) + ((0, 1, 2), (5, 4, 3)))
+    pool = [(i, i, i) for i in (4, 1, 5, 0, 3, 2)]
+    for span in (set(), {("A", 1), ("C", 5)}):
+        assert (_greedy_pick(pool, 6, span, lts.edge_keys, _key_index(lts))
+                == _reference_greedy_pick(pool, 6, span, lts.edge_keys))
 
 
 def test_pair_graph_is_built_once_per_solve(monkeypatch):
@@ -214,41 +229,88 @@ def test_solves_through_the_host_cache_equal_cold_solves():
     assert warm == [_cold_solve(lts, e, params) for lts, e, params in runs]
 
 
+def _count_frame0_builds(monkeypatch):
+    """Record each host whose multigraph build_aux builds, and each pair graph,
+    order and key index built from such a multigraph or host; later frames'
+    restricted multigraphs and their pair graphs are not counted."""
+    built = {"aux": [], "graph": [], "order": [], "index": []}
+    build_aux, simple_subgraph = besforge.driver.build_aux, besforge.driver.simple_subgraph
+    ordering, key_index = degsearch.degeneracy_ordering, besforge.driver._key_index
+
+    def counting_build(lts):
+        aux = build_aux(lts)
+        built["aux"].append((lts, aux))
+        return aux
+
+    def counting_subgraph(aux):
+        graph = simple_subgraph(aux)
+        if any(aux is x for _, x in built["aux"]):
+            built["graph"].append(graph)
+        return graph
+
+    def counting_ordering(g):
+        if any(g is x for x in built["graph"]):
+            built["order"].append(g)
+        return ordering(g)
+
+    def counting_index(lts):
+        built["index"].append(lts)
+        return key_index(lts)
+
+    monkeypatch.setattr(besforge.driver, "build_aux", counting_build)
+    monkeypatch.setattr(besforge.driver, "simple_subgraph", counting_subgraph)
+    monkeypatch.setattr(degsearch, "degeneracy_ordering", counting_ordering)
+    monkeypatch.setattr(besforge.driver, "_key_index", counting_index)
+    return built
+
+
 def test_build_aux_runs_on_the_first_two_solves_of_a_host(monkeypatch):
-    builds = []
-    build_aux = besforge.driver.build_aux
-    monkeypatch.setattr(besforge.driver, "build_aux", lambda lts: builds.append(lts) or build_aux(lts))
+    built = _count_frame0_builds(monkeypatch)
+
+    def builds():
+        # each frame-0 multigraph gets one pair graph and one order; every
+        # solve here reaches frame 0, so a solve builds a key index exactly
+        # when it builds the multigraph
+        counts = {name: len(made) for name, made in built.items()}
+        assert len(set(counts.values())) == 1, counts
+        return [lts for lts, _ in built["aux"]]
+
     a, b = group_system(8), group_system(7)
     find_be_s_configuration(a, 20, PRACTICAL)
-    # a host solved once leaves no multigraph behind
-    assert besforge.driver._last_host[1] is None
+    # a host solved once leaves nothing behind
+    assert besforge.driver._last_host == (a, None, None, None, None)
     for e in (40, 50, 60):
         find_be_s_configuration(a, e, PRACTICAL)
-    assert builds == [a, a]
+    assert builds() == [a, a]
     find_be_s_configuration(b, 20, PRACTICAL)
     find_be_s_configuration(b, 30, PRACTICAL)
     find_be_s_configuration(b, 40, PRACTICAL)
-    assert builds == [a, a, b, b]
+    assert builds() == [a, a, b, b]
     find_be_s_configuration(a, 20, PRACTICAL)
-    assert len(builds) == 5
+    assert len(builds()) == 5
     # an equal host counts as the same host, whatever object it is
     a_copy = textio.loads_system(textio.dumps_system(a))
     find_be_s_configuration(a_copy, 30, PRACTICAL)
     find_be_s_configuration(a, 40, PRACTICAL)
     find_be_s_configuration(a_copy, 50, PRACTICAL)
-    assert len(builds) == 6
+    assert len(builds()) == 6
 
 
 def test_solves_leave_the_cached_pair_multigraph_unchanged():
     lts = group_system(10)
     find_be_s_configuration(lts, 20, PRACTICAL)
     find_be_s_configuration(lts, 21, PRACTICAL)
-    aux = besforge.driver._last_host[1]
+    entry = besforge.driver._last_host
+    _, aux, graph, order, by_key = entry
     edges = aux.edges
     report = find_be_s_configuration(lts, 94, PRACTICAL)
     assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
-    assert besforge.driver._last_host[1] is aux
+    assert besforge.driver._last_host is entry
     assert aux.edges is edges and aux == build_aux(lts)
+    fresh = simple_subgraph(build_aux(lts))
+    assert graph.adjacency() == fresh.adjacency()
+    assert order == degsearch.degeneracy_ordering(fresh).order
+    assert by_key == _key_index(lts)
 
 
 def test_the_host_cache_holds_only_the_last_host():
@@ -274,6 +336,9 @@ def test_a_solve_stopped_before_frame_0_builds_nothing_and_keeps_the_cache(monke
 
     monkeypatch.setattr(besforge.driver, "build_aux", no_build)
     monkeypatch.setattr(besforge.driver, "simple_subgraph", no_build)
+    indexed = []
+    key_index = besforge.driver._key_index
+    monkeypatch.setattr(besforge.driver, "_key_index", lambda lts: indexed.append(lts) or key_index(lts))
     # e' <= 15 at the default tau_max: k <= 3 and e' - 2(k - 1) > 4
     for lts, e in ((b, 15), (b, 8), (a, 12), (b, 5)):
         report = find_be_s_configuration(lts, e, PRACTICAL)
@@ -281,6 +346,8 @@ def test_a_solve_stopped_before_frame_0_builds_nothing_and_keeps_the_cache(monke
         assert report.frames[0].note == besforge.driver._END_NOTE
         assert not report.any_flagged
         assert besforge.driver._last_host is entry
+    # the cached host's base pick reads the kept key index
+    assert indexed == [b, b, b]
 
 
 def _connected_sets(g, k):
