@@ -192,14 +192,18 @@ def _window_candidates(g, k, goal, budget_end, order=None):
     if order is None:
         order = degeneracy_ordering(g).order
     adj = g.adjacency()
-    pos = {v: i for i, v in enumerate(order)}
     cap = 2 * k - 3
-    # induced edges of the window order[s : s + k], kept up to date as it slides
-    induced = sum(1 for i in range(k) for w in adj[order[i]] if i < pos[w] < k)
+    # induced edges of the window order[s : s + k], kept up to date as it
+    # slides; the positions it slides by are built only once it slides, as
+    # most scans stop at their first window
+    window = set(order[:k])
+    induced = sum(1 for v in window for w in adj[v] if w in window) // 2
     best = best_key = None
     last = len(order) - k
     for s in range(last + 1):
         if s:
+            if s == 1:
+                pos = {v: i for i, v in enumerate(order)}
             # order[s - 1] leaves and order[s + k - 1] joins; both count only
             # their edges to the k - 1 vertices the two windows share
             hi = s + k - 1

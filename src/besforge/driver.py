@@ -221,6 +221,30 @@ def _frame0(lts):
 # its candidate, so nothing was missed and the base frame is not flagged.
 _END_NOTE = "no frame can recurse or top up; base"
 
+# The note of a finish inside the span (see _free_finish): no frame can make
+# a smaller configuration, so nothing was missed and it is not flagged either.
+_FREE_NOTE = "the span already holds the rest; base"
+
+
+def _free_finish(residual, e_prime, span, edge_keys):
+    """Whether at least e_prime residual edges lie entirely inside span, that
+    is, whether the greedy base pick of e_prime edges adds no vertex.
+
+    The pick takes overlap-3 edges first, smallest first, and taking one does
+    not grow the span, so no other edge's overlap changes. So it adds no vertex
+    exactly when at least e_prime edges have all three keys in the span, and
+    it then takes the e_prime smallest of them. The span of the edges already
+    chosen cannot shrink, and a finish cannot add fewer than zero vertices, so
+    no frame could give a smaller configuration than this pick.
+    """
+    inside = 0
+    for x in residual:
+        if span.issuperset(edge_keys(x)):
+            inside += 1
+            if inside >= e_prime:
+                return True
+    return False
+
 
 def _frame_can_succeed(e_prime, k, tau_max):
     """Whether a frame at e_prime, with k = e_prime // 4, can keep its
@@ -240,9 +264,11 @@ def find_be_s_configuration(lts, e, params=None):
     """Produce exactly e hyperedges of lts with small span; see module docstring.
 
     Each pass records a top_up or recurse frame and removes its hyperedges from
-    the residual, or stops with a note; one greedy base pick supplies the rest.
-    The base frame is flagged when its note names a miss, not when no frame
-    could have kept a candidate.
+    the residual, or stops with a note; one greedy base pick supplies the rest
+    from the span of the kept frames' edges. Once a frame has been kept, a pass
+    first stops if that pick would add no vertex (_free_finish), before
+    building its frame. The base frame is flagged when its note names a miss,
+    not when no frame could have kept a candidate or improved on the pick.
     """
     if params is None:
         params = DriverParams()
@@ -253,6 +279,7 @@ def find_be_s_configuration(lts, e, params=None):
 
     residual = list(lts.edges)
     chosen = []
+    span = set()  # the vertex keys of chosen
     frames = []
     e_prime = e
     note = ""
@@ -270,6 +297,9 @@ def find_be_s_configuration(lts, e, params=None):
         if aux is None:
             sub = lts
             aux, graph, order = _frame0(lts)
+        elif _free_finish(residual, e_prime, span, lts.edge_keys):
+            note = _FREE_NOTE
+            break
         else:
             sub = TripartiteLinearSystem(lts.sizes, tuple(residual))
             aux = aux.restricted(sub)
@@ -291,6 +321,8 @@ def find_be_s_configuration(lts, e, params=None):
             cut = result.budget_exhausted
             break
         chosen.extend(cfg.edges)
+        for x in cfg.edges:
+            span.update(lts.edge_keys(x))
         before = len(residual)
         used = set(cfg.edges)
         residual = [x for x in residual if x not in used]
@@ -307,13 +339,12 @@ def find_be_s_configuration(lts, e, params=None):
         if top_up:
             break
 
-    span = {key for x in chosen for key in lts.edge_keys(x)}
     entry = _cache_entry(lts)
     by_key = _key_index(lts) if entry is None or entry[4] is None else entry[4]
     chosen.extend(_greedy_pick(residual, e_prime, span, lts.edge_keys, by_key))
     if not (frames and frames[-1].branch == "top_up"):
         frames.append(FrameReport(
-            e_prime, "base", note not in ("", _END_NOTE), len(residual), note=note,
+            e_prime, "base", note not in ("", _END_NOTE, _FREE_NOTE), len(residual), note=note,
             budget_exhausted=cut))
 
     cfg = Configuration.from_edges(lts, chosen)

@@ -26,7 +26,7 @@ from besforge import io as textio
 from besforge.auxgraph import AuxGraph, build_aux, simple_subgraph
 from besforge.cli import main
 from besforge.degsearch import _trim_on_set
-from besforge.driver import _frame_can_succeed, _greedy_pick, _key_index
+from besforge.driver import _frame_can_succeed, _free_finish, _greedy_pick, _key_index
 from besforge.unpack import unpack
 
 import test_golden
@@ -180,6 +180,62 @@ def test_greedy_pick_matches_the_rescanning_reference():
                 == _reference_greedy_pick(pool, 6, span, lts.edge_keys))
 
 
+def test_free_finish_holds_exactly_when_the_base_pick_adds_no_vertex():
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        lts = TripartiteLinearSystem((n, n, n), tuple(
+            x for x in ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
+            if rng.random() < 0.5))
+        if lts.m < 2:
+            continue
+        # as in the driver, the span is that of edges outside the residual
+        edges = list(lts.edges)
+        rng.shuffle(edges)
+        cut = rng.randint(0, lts.m - 1)
+        span = {key for x in edges[:cut] for key in lts.edge_keys(x)}
+        residual = edges[cut:]
+        e_prime = rng.randint(1, len(residual))
+        free = _free_finish(residual, e_prime, span, lts.edge_keys)
+        picked = _greedy_pick(residual, e_prime, span, lts.edge_keys, _key_index(lts))
+        assert free == span.issuperset(key for x in picked for key in lts.edge_keys(x))
+        if free:
+            # the pick is then the e' smallest residual edges inside the span
+            inside = sorted(x for x in residual if span.issuperset(lts.edge_keys(x)))
+            assert picked == inside[:e_prime]
+        seen[free] += 1
+    assert min(seen.values()) >= 50
+
+
+def test_random_deep_solves_finish_inside_the_span_of_their_kept_frame(monkeypatch):
+    unpacked = []
+
+    def recording(*args):
+        out = unpack(*args)
+        unpacked.append(out[0].edges)
+        return out
+
+    monkeypatch.setattr(besforge.driver, "unpack", recording)
+    for seed in range(3):
+        unpacked.clear()
+        lts = random_linear(24, 24, 24, 320, seed)
+        report = find_be_s_configuration(lts, 80, DriverParams())
+        assert [(f.branch, f.note) for f in report.frames] == [
+            ("recurse", ""), ("base", besforge.driver._FREE_NOTE)]
+        # frame 0 misses t, so the solve stays flagged, but the exit does not
+        assert report.frames[0].flagged and not report.frames[-1].flagged
+        assert report.any_flagged
+        # the exit built no second frame, and the finish adds no vertex
+        assert len(unpacked) == 1
+        kept = set(unpacked[0])
+        span = {key for x in kept for key in lts.edge_keys(x)}
+        assert report.span == len(span)
+        rest = sorted(set(report.configuration.edges) - kept)
+        inside = sorted(x for x in lts.edges if x not in kept and span.issuperset(lts.edge_keys(x)))
+        assert rest == inside[:report.frames[-1].e_prime]
+
+
 def test_pair_graph_is_built_once_per_solve(monkeypatch):
     calls = {"build": 0, "restrict": 0}
 
@@ -191,9 +247,11 @@ def test_pair_graph_is_built_once_per_solve(monkeypatch):
 
     monkeypatch.setattr(besforge.driver, "build_aux", counting("build", besforge.driver.build_aux))
     monkeypatch.setattr(AuxGraph, "restricted", counting("restrict", AuxGraph.restricted))
-    report = find_be_s_configuration(group_system(10), 94, PRACTICAL)
-    assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
-    assert calls == {"build": 1, "restrict": 2}
+    report = find_be_s_configuration(group_system(11), 63, PRACTICAL)
+    # frame 1 restricts frame 0's multigraph; the stop rule builds no frame 2
+    assert [(f.branch, f.note) for f in report.frames] == [
+        ("recurse", ""), ("recurse", ""), ("base", besforge.driver._END_NOTE)]
+    assert calls == {"build": 1, "restrict": 1}
 
 
 def test_corrupted_multi_edge_count_raises_on_the_next_frame(monkeypatch):
@@ -204,7 +262,7 @@ def test_corrupted_multi_edge_count_raises_on_the_next_frame(monkeypatch):
 
     monkeypatch.setattr(besforge.driver, "build_aux", corrupted)
     with pytest.raises(IntegrityError, match="multi-edge count"):
-        find_be_s_configuration(group_system(10), 94, PRACTICAL)
+        find_be_s_configuration(group_system(11), 63, PRACTICAL)
 
 
 def _cold_solve(lts, e, params):
@@ -297,13 +355,13 @@ def test_build_aux_runs_on_the_first_two_solves_of_a_host(monkeypatch):
 
 
 def test_solves_leave_the_cached_pair_multigraph_unchanged():
-    lts = group_system(10)
+    lts = group_system(11)
     find_be_s_configuration(lts, 20, PRACTICAL)
     find_be_s_configuration(lts, 21, PRACTICAL)
     entry = besforge.driver._last_host
     _, aux, graph, order, by_key = entry
     edges = aux.edges
-    report = find_be_s_configuration(lts, 94, PRACTICAL)
+    report = find_be_s_configuration(lts, 63, PRACTICAL)
     assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
     assert besforge.driver._last_host is entry
     assert aux.edges is edges and aux == build_aux(lts)

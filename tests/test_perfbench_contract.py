@@ -21,7 +21,7 @@ def test_a_traced_solve_records_every_stage(monkeypatch):
     try:
         sid = rec.begin_op("solve")
         report = besforge.find_be_s_configuration(
-            group_system(10), 94, DriverParams(budget_ms=None, strategy="peel"))
+            group_system(11), 63, DriverParams(budget_ms=None, strategy="peel"))
         rec.close(sid)
     finally:
         undo()
