@@ -140,7 +140,19 @@ def validate_linear(system):
     Total function over TripleSystem and TripartiteLinearSystem; returns a
     verdict carrying the smallest violating pair, if any, and its two
     smallest edges.
+
+    A TripartiteLinearSystem first gets a cheap pass: its pairs are AB, AC
+    and BC pairs, coded as the integers a*nB+b, a*nC+c and b*nC+c, as
+    random_linear codes them, so it is linear when no code repeats. The
+    pair map is built only when one does, to name the smallest violation.
     """
+    if isinstance(system, TripartiteLinearSystem):
+        _, nb, nc = system.sizes
+        m = len(system.edges)
+        if (len({a * nb + b for a, b, _ in system.edges}) == m
+                and len({a * nc + c for a, _, c in system.edges}) == m
+                and len({b * nc + c for _, b, c in system.edges}) == m):
+            return LinearityVerdict(True)
     pm = pair_map(system)
     shared = [pair for pair, hits in pm.items() if len(hits) >= 2]
     if not shared:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import accumulate, combinations
 from math import comb
 
 from .errors import GuardExceededError, ParameterError
@@ -99,26 +99,43 @@ def _peel_core(nbrs):
     """Smallest-last peeling (Matula-Beck) of rank-indexed neighbour lists.
 
     Repeatedly removes the vertex of least (degree, rank), found with a
-    lazy-deletion heap. Returns the removal order and each vertex's degree at
-    removal, which is its number of neighbours removed after it.
+    bucket queue: one min-heap of ranks per degree, and a current degree
+    that steps back by at most one after each removal, since a removal
+    lowers its neighbours' degrees by one. The buckets take O(n + m) steps
+    in all, each heap operation logarithmic in its bucket. An entry whose
+    degree has dropped since it was pushed is skipped; a removed vertex's
+    degree stays at its removal degree, whose one entry was the one popped.
+    Returns the removal order and each vertex's degree at removal, which is
+    its number of neighbours removed after it.
     """
     deg = [len(ws) for ws in nbrs]
+    # ranks go in ascending, so each bucket starts as a sorted list: a heap
+    buckets = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)
     alive = [True] * len(nbrs)
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapify(heap)
     removal = []
     removal_deg = []
-    while heap:
-        d, v = heappop(heap)
-        if d != deg[v] or not alive[v]:
-            continue  # stale entry: v was removed or its degree dropped since
+    d = 0
+    for _ in range(len(nbrs)):
+        bucket = buckets[d]
+        while True:
+            while bucket and deg[bucket[0]] != d:
+                heappop(bucket)  # stale entry: its degree dropped since
+            if bucket:
+                break
+            d += 1
+            bucket = buckets[d]
+        v = heappop(bucket)
         alive[v] = False
         removal.append(v)
         removal_deg.append(d)
         for w in nbrs[v]:
             if alive[w]:
                 deg[w] -= 1
-                heappush(heap, (deg[w], w))
+                heappush(buckets[deg[w]], w)
+        if d:
+            d -= 1
     return removal, removal_deg
 
 
@@ -147,7 +164,9 @@ def degeneracy_ordering(g):
     reverses removal, so each back-degree is the vertex's degree at removal."""
     adj = g.adjacency()
     verts = sorted(adj)
-    removal, removal_deg = _peel_core(_induced(adj, verts))
+    # every neighbour is a vertex of g, so no membership test as in _induced
+    rank = {v: i for i, v in enumerate(verts)}
+    removal, removal_deg = _peel_core([[rank[w] for w in adj[v]] for v in verts])
     return DegeneracyOrdering(
         tuple(verts[v] for v in reversed(removal)),
         tuple(reversed(removal_deg)),
@@ -170,6 +189,27 @@ def _trim_on_set(g, vertex_set):
     return _candidate(verts, order, nbrs, key=pos.__getitem__)
 
 
+def _window_counts(adj, order, k):
+    """The induced edge count of every window order[s : s + k], by s.
+
+    An edge at positions i < j with j - i < k lies in the windows s in
+    [max(0, j - k + 1), min(i, last)]. One pass over the order's edges marks
+    each such range in a difference array shifted by k - 1, +1 at j and -1
+    at i + k, so the prefix sum at s + k - 1 is window s's count: O(n + m)
+    for all windows together.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    diff = [0] * (len(order) + k)
+    for i, v in enumerate(order):
+        hi = i + k
+        for w in adj[v]:
+            j = pos[w]
+            if i < j < hi:
+                diff[j] += 1
+                diff[hi] -= 1
+    return list(accumulate(diff))[k - 1 : len(order)]
+
+
 def _window_candidates(g, k, goal, budget_end, order=None):
     """Scan the windows of k consecutive vertices of the degeneracy ordering
     and return (trim, budget_exhausted), where trim is the trim of the first
@@ -188,28 +228,23 @@ def _window_candidates(g, k, goal, budget_end, order=None):
     min(induced edges, 2k - 3). Only windows whose bound reaches the best
     count so far are peeled; ties are still peeled, so the fallback is the
     choice of a full scan.
+
+    The first window's induced edges are counted from its own vertex set,
+    as most scans stop there; once the scan slides, _window_counts counts
+    every window's in one pass.
     """
     if order is None:
         order = degeneracy_ordering(g).order
     adj = g.adjacency()
     cap = 2 * k - 3
-    # induced edges of the window order[s : s + k], kept up to date as it
-    # slides; the positions it slides by are built only once it slides, as
-    # most scans stop at their first window
     window = set(order[:k])
-    induced = sum(1 for v in window for w in adj[v] if w in window) // 2
+    counts = [sum(1 for v in window for w in adj[v] if w in window) // 2]
     best = best_key = None
     last = len(order) - k
     for s in range(last + 1):
-        if s:
-            if s == 1:
-                pos = {v: i for i, v in enumerate(order)}
-            # order[s - 1] leaves and order[s + k - 1] joins; both count only
-            # their edges to the k - 1 vertices the two windows share
-            hi = s + k - 1
-            induced -= sum(1 for w in adj[order[s - 1]] if s <= pos[w] < hi)
-            induced += sum(1 for w in adj[order[hi]] if s <= pos[w] < hi)
-        if best is not None and min(induced, cap) < len(best.edges):
+        if s == 1:
+            counts = _window_counts(adj, order, k)
+        if best is not None and min(counts[s], cap) < len(best.edges):
             continue
         trim = _trim_on_set(g, order[s : s + k])
         if len(trim.edges) >= goal:

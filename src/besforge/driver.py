@@ -117,18 +117,19 @@ def _greedy_pick(available, count, span, edge_keys, by_key):
     """Pick `count` edges, each maximizing overlap with the running span;
     ties go to the lexicographically smallest edge.
 
-    `by_key` maps each key to the host edges through it and may list edges
-    outside `available`. Edges meeting the span wait in one min-heap per
-    overlap (1-3); a key joining the span moves the available edges through it
-    one heap up, and the entries they leave behind are skipped. When the
-    heaps hold no available edge, none meets the span, and the pick is the
-    first edge of sorted `available` not yet chosen, found by a pointer that
-    only moves forward.
+    `available` must be sorted, as the driver's residual is: it starts as
+    the host's sorted edges and each frame only filters it. `by_key` maps
+    each key to the host edges through it and may list edges outside
+    `available`. Edges meeting the span wait in one min-heap per overlap
+    (1-3); a key joining the span moves the available edges through it one
+    heap up, and the entries they leave behind are skipped. When the heaps
+    hold no available edge, none meets the span, and the pick is the first
+    edge of `available` not yet chosen, found by a pointer that only moves
+    forward.
     """
     if len(available) < count:
         raise ExhaustionError(count, len(available))
     live = set(available)  # not yet chosen
-    pool = sorted(available)
     span = set(span)
     overlap = {}  # live edge meeting the span -> its overlap with the span
     for key in span:
@@ -152,9 +153,9 @@ def _greedy_pick(available, count, span, edge_keys, by_key):
                 del overlap[x]
                 break
         else:
-            while pool[p] not in live:
+            while available[p] not in live:
                 p += 1
-            x = pool[p]
+            x = available[p]
         live.remove(x)
         chosen.append(x)
         for key in edge_keys(x):

@@ -5,9 +5,12 @@ import pytest
 from besforge import (
     Configuration,
     DegenerateInputError,
+    IntegrityError,
+    LinearityError,
     ParameterError,
     TripartiteLinearSystem,
     TripleSystem,
+    build_aux,
     group_system,
     random_linear,
     reduce_or_win,
@@ -15,6 +18,7 @@ from besforge import (
     validate_linear,
     verify_configuration,
 )
+from besforge import auxgraph
 from besforge.core import LinearityVerdict, pair_map
 
 
@@ -75,6 +79,72 @@ def test_validate_linear_matches_the_sorting_reference():
     verdicts = [validate_linear(s) for s in systems]
     assert verdicts == [_reference_validate_linear(s) for s in systems]
     assert sum(v.ok for v in verdicts) > 50 and sum(not v.ok for v in verdicts) > 50
+
+
+def _with_one_repeat(lts, kind):
+    """lts plus one edge that shares exactly one pair with an edge of lts:
+    its AB, AC or BC pair, by kind."""
+    _, nb, nc = lts.sizes
+    ab = {(a, b) for a, b, _ in lts.edges}
+    ac = {(a, c) for a, _, c in lts.edges}
+    bc = {(b, c) for _, b, c in lts.edges}
+    for a, b, c in lts.edges:
+        if kind == "AB":
+            new = [(a, b, z) for z in range(nc) if (a, z) not in ac and (b, z) not in bc]
+        elif kind == "AC":
+            new = [(a, y, c) for y in range(nb) if (a, y) not in ab and (y, c) not in bc]
+        else:
+            new = [(x, b, c) for x in range(lts.sizes[0]) if (x, b) not in ab and (x, c) not in ac]
+        if new:
+            return TripartiteLinearSystem(lts.sizes, lts.edges + (new[0],))
+    raise AssertionError(f"no {kind} repeat fits")
+
+
+def test_validate_linear_first_pass_names_the_reference_violation():
+    systems = []
+    for seed in range(4):
+        host = random_linear(24, 24, 24, 320, seed=seed)
+        assert validate_linear(host) == LinearityVerdict(True)
+        for kind in ("AB", "AC", "BC"):
+            lts = _with_one_repeat(host, kind)
+            verdict = validate_linear(lts)
+            assert not verdict.ok
+            assert (verdict.pair[0][0], verdict.pair[1][0]) == tuple(kind)
+            systems.append(lts)
+    # several repeats, one of each kind: the smallest pair is (A0, C3)
+    several = TripartiteLinearSystem((4, 4, 4), (
+        (1, 1, 1), (1, 1, 2), (0, 2, 3), (0, 3, 3), (2, 0, 0), (3, 0, 0)))
+    assert validate_linear(several) == LinearityVerdict(
+        False, (("A", 0), ("C", 3)), ((0, 2, 3), (0, 3, 3)))
+    systems.append(several)
+    for lts in systems:
+        reference = _reference_validate_linear(lts)
+        assert validate_linear(lts) == reference
+        # the pair multigraph's checks raise on the same violation
+        with pytest.raises(LinearityError) as raised:
+            build_aux(lts)
+        assert raised.value.verdict == reference
+        assert str(raised.value) == str(LinearityError(reference))
+        with pytest.raises(IntegrityError) as raised:
+            build_aux(group_system(4)).restricted(lts)
+        assert str(raised.value) == f"residual system is not linear: {LinearityError(reference)}"
+
+
+def test_pair_multigraph_checks_linearity_through_its_module_name(monkeypatch):
+    # perfbench wraps auxgraph.validate_linear to time it, so build_aux and
+    # restricted must look it up there
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return validate_linear(system)
+
+    monkeypatch.setattr(auxgraph, "validate_linear", counted)
+    lts = group_system(4)
+    aux = build_aux(lts)
+    residual = TripartiteLinearSystem(lts.sizes, lts.edges[3:])
+    aux.restricted(residual)
+    assert calls == [lts, residual]
 
 
 def test_verify_configuration_basic():

@@ -1,4 +1,6 @@
 import random
+import time
+from heapq import heapify, heappop, heappush
 from itertools import count
 from types import SimpleNamespace
 
@@ -7,6 +9,7 @@ import pytest
 from besforge import (
     Graph,
     ParameterError,
+    TripartiteLinearSystem,
     brute_force_best_2deg,
     build_aux,
     degeneracy_ordering,
@@ -16,7 +19,14 @@ from besforge import (
     simple_subgraph,
 )
 from besforge import degsearch
-from besforge.degsearch import DegeneracyOrdering, _trim_on_set, _window_candidates
+from besforge.degsearch import (
+    DegeneracyOrdering,
+    SearchResult,
+    _peel_core,
+    _trim_on_set,
+    _window_candidates,
+    _window_counts,
+)
 
 
 def path3():
@@ -136,8 +146,8 @@ def test_candidate_revalidates_by_reverse_peeling():
 
 
 def _reference_peel(adj, restrict=None):
-    """The quadratic min-degree peel the heap core replaced, kept as the
-    reference for its (degree, id) tie-break."""
+    """The quadratic min-degree peel that the heap and then the bucket
+    core replaced, kept as the reference for its (degree, id) tie-break."""
     verts = sorted(restrict) if restrict is not None else sorted(adj)
     vert_set = set(verts)
     deg = {v: sum(1 for w in adj.get(v, ()) if w in vert_set) for v in verts}
@@ -192,6 +202,164 @@ def test_peel_core_matches_the_min_based_peel():
 def test_peel_on_pair_graph_vertices_matches_reference():
     g = simple_subgraph(build_aux(group_system(5)))
     assert degeneracy_ordering(g) == DegeneracyOrdering(*_reference_peel(g.adjacency()))
+
+
+def _heap_peel(nbrs):
+    """The lazy-deletion heap of (degree, rank) pairs that the bucket queue
+    replaced, kept as the reference for _peel_core."""
+    deg = [len(ws) for ws in nbrs]
+    alive = [True] * len(nbrs)
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapify(heap)
+    removal = []
+    removal_deg = []
+    while heap:
+        d, v = heappop(heap)
+        if d != deg[v] or not alive[v]:
+            continue
+        alive[v] = False
+        removal.append(v)
+        removal_deg.append(d)
+        for w in nbrs[v]:
+            if alive[w]:
+                deg[w] -= 1
+                heappush(heap, (deg[w], w))
+    return removal, removal_deg
+
+
+def _random_deep_pair_graphs(count=10):
+    """The pair graphs of `count` random-deep hosts, random_linear(24, 24,
+    24, 320), and of one restricted frame of the first."""
+    hosts = [random_linear(24, 24, 24, 320, seed=seed) for seed in range(count)]
+    auxes = [build_aux(lts) for lts in hosts]
+    residual = TripartiteLinearSystem(hosts[0].sizes, hosts[0].edges[::3] + hosts[0].edges[1::3])
+    auxes.append(auxes[0].restricted(residual))
+    return [simple_subgraph(aux) for aux in auxes]
+
+
+def _regular_graphs():
+    """K12, in which every removal is a tie, and two circulants, in which
+    every vertex starts at one degree."""
+    complete = Graph(edges=[(i, j) for i in range(12) for j in range(i + 1, 12)])
+    circulants = [
+        Graph(edges=[(i, (i + d) % n) for i in range(n) for d in steps])
+        for n, steps in ((60, (1, 2, 5)), (200, (1,)))
+    ]
+    return [complete] + circulants
+
+
+def test_bucket_peel_matches_the_references_at_scale():
+    graphs = _random_deep_pair_graphs() + _regular_graphs()
+    assert min(g.n for g in graphs[:11]) > 400
+    for g in graphs:
+        adj = g.adjacency()
+        ordering = degeneracy_ordering(g)
+        assert ordering == DegeneracyOrdering(*_reference_peel(adj))
+        # the core alone, on neighbour lists in the graph's set order
+        verts = g.vertices
+        rank = {v: i for i, v in enumerate(verts)}
+        nbrs = [[rank[w] for w in adj[v]] for v in verts]
+        assert _peel_core(nbrs) == _heap_peel(nbrs)
+        # a window's trim peels the same way
+        window = ordering.order[: min(g.n, 40)]
+        order, back, _ = _reference_peel(adj, restrict=window)
+        trim = _trim_on_set(g, window)
+        assert trim.vertices == order
+        assert len(trim.edges) == sum(min(d, 2) for d in back)
+    # every removal from K12 is a tie, so ranks decide the whole order: the
+    # smallest vertex goes first and the ordering reverses the removals
+    assert degeneracy_ordering(graphs[-3]).order == tuple(range(11, -1, -1))
+
+
+def _direct_window_counts(g, order, k):
+    return [
+        sum(1 for i, v in enumerate(order[s : s + k]) for w in order[s + i + 1 : s + k] if g.has_edge(v, w))
+        for s in range(len(order) - k + 1)
+    ]
+
+
+def test_window_counts_match_a_direct_count():
+    rng = random.Random(37)
+    cases = []
+    for _ in range(120):
+        g = _tied_graph(rng)
+        if g.n < 2:
+            continue
+        order = list(degeneracy_ordering(g).order)
+        cases.append((g, tuple(order), (2, rng.randint(2, g.n), g.n)))
+        rng.shuffle(order)  # the counts hold for any order
+        cases.append((g, tuple(order), (2, rng.randint(2, g.n), g.n)))
+    for g in _random_deep_pair_graphs(2)[:2]:
+        cases.append((g, degeneracy_ordering(g).order, (2, 20, g.n)))
+    for g, order, ks in cases:
+        for k in ks:
+            counts = _window_counts(g.adjacency(), order, k)
+            assert counts == _direct_window_counts(g, order, k)
+    # k = n: one window, holding every edge
+    assert all(_window_counts(g.adjacency(), order, g.n) == [g.m] for g, order, _ in cases)
+
+
+def test_window_counts_are_made_once_and_only_when_the_scan_slides(monkeypatch):
+    calls = []
+
+    def counted(adj, order, k):
+        calls.append(k)
+        return _window_counts(adj, order, k)
+
+    monkeypatch.setattr(degsearch, "_window_counts", counted)
+    g = _k4_and_strip(14)
+    # the K4 opens the ordering and its first window reaches t = 3
+    assert find_dense_2deg(g, 4, 3).success
+    # one window: nothing to slide over
+    find_dense_2deg(g, g.n, 0)
+    assert calls == []
+    # out of reach, so the scan slides over every window
+    find_dense_2deg(g, 6, 0)
+    assert calls == [6]
+
+
+def _sliding_scan(g, k, goal, budget_end, order=None):
+    """The scan whose window counts slid by the leaving and joining
+    vertices' edges, kept as the reference for _window_candidates."""
+    if order is None:
+        order = degeneracy_ordering(g).order
+    adj = g.adjacency()
+    cap = 2 * k - 3
+    window = set(order[:k])
+    induced = sum(1 for v in window for w in adj[v] if w in window) // 2
+    best = best_key = None
+    last = len(order) - k
+    for s in range(last + 1):
+        if s:
+            if s == 1:
+                pos = {v: i for i, v in enumerate(order)}
+            hi = s + k - 1
+            induced -= sum(1 for w in adj[order[s - 1]] if s <= pos[w] < hi)
+            induced += sum(1 for w in adj[order[hi]] if s <= pos[w] < hi)
+        if best is not None and min(induced, cap) < len(best.edges):
+            continue
+        trim = _trim_on_set(g, order[s : s + k])
+        if len(trim.edges) >= goal:
+            return trim, False
+        key = (-len(trim.edges), trim.vertices)
+        if best is None or key < best_key:
+            best, best_key = trim, key
+        if budget_end is not None and s < last and time.monotonic() > budget_end:
+            return best, True
+    return best, False
+
+
+def test_peel_search_matches_the_sliding_scan():
+    rng = random.Random(41)
+    cases = [(g, k, t) for g in (_tied_graph(rng) for _ in range(60))
+             for k in range(2, g.n + 1) for t in range(0, 2 * k + 1, 2)]
+    cases += [(g, k, t) for g in _random_deep_pair_graphs(4)[:4]
+              for k in (2, 5, 12, 20) for t in range(0, 2 * k + 1, 3)]
+    g = simple_subgraph(build_aux(group_system(6)))
+    cases += [(g, k, t) for k in range(2, 14) for t in range(2 * k + 1)]
+    for g, k, t in cases:
+        cand, exhausted = _sliding_scan(g, k, 2 * k - t, None)
+        assert find_dense_2deg(g, k, t) == SearchResult(cand, cand.achieved_t <= t, exhausted)
 
 
 def _reference_window_scan(g, k):
