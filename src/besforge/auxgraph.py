@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
@@ -22,7 +23,7 @@ from .graphs import Graph
 
 class AuxEdge(NamedTuple):
     """One multigraph edge. A tuple of its fields, so ordering, equality
-    and hashing follow the field order."""
+    and hashing follow the field order, and it equals its plain row."""
 
     u: tuple  # A-side pair-vertex
     w: tuple  # B-side pair-vertex
@@ -35,39 +36,64 @@ class AuxEdge(NamedTuple):
         return (self.h1, self.h2)
 
 
-_pair = itemgetter(0, 1)  # an AuxEdge's (u, w)
+_pair = itemgetter(0, 1)  # a row's (u, w)
 
 
 @dataclass(frozen=True)
 class AuxGraph:
+    """The multigraph as sorted plain rows (u, w, apex, pairing, h1, h2), in
+    AuxEdge field order, and its pair graph.
+
+    build_aux and restricted make the pair graph in the pass that makes the
+    rows; an AuxGraph built by hand from rows or AuxEdges gets it from its
+    rows. The pair graph is not compared, so equal rows on equal
+    pair-vertices make equal AuxGraphs.
+    """
+
     a_vertices: tuple  # supported A-side pair-vertices
     b_vertices: tuple
-    edges: tuple  # AuxEdge multiset, canonically sorted
+    rows: tuple  # the multigraph edges, canonically sorted
+    graph: Graph = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.graph is None:
+            graph = Graph(vertices=self.a_vertices + self.b_vertices)
+            for u, w, *_ in self.rows:
+                graph.add_edge(u, w)
+            object.__setattr__(self, "graph", graph)
+
+    @cached_property
+    def edges(self):
+        """The rows as AuxEdges, made the first time they are read."""
+        return tuple(map(AuxEdge._make, self.rows))
 
     @property
     def multi_edge_count(self):
-        return len(self.edges)
+        return len(self.rows)
 
     def multiplicities(self):
-        mult = {}
-        for ed in self.edges:
-            mult[(ed.u, ed.w)] = mult.get((ed.u, ed.w), 0) + 1
-        return mult
+        return Counter(map(_pair, self.rows))
 
     def kept_edge(self, u, w):
-        """The multigraph edge that the pair graph's u-w edge stands for: the
-        first straight edge of the pair's run in the sorted edges, else the
-        run's first (the smaller apex); None when no edge joins u and w."""
-        lo = bisect_left(self.edges, (u, w), key=_pair)
-        run = self.edges[lo : bisect_right(self.edges, (u, w), lo, key=_pair)]
-        return next((ed for ed in run if ed.pairing == "S"), run[0] if run else None)
+        """The multigraph edge that the pair graph's u-w edge stands for, as an
+        AuxEdge: the first straight edge of the pair's run in the sorted rows,
+        else the run's first (the smaller apex); None when no edge joins u
+        and w. A row that already is an AuxEdge is returned as it is."""
+        rows = self.rows
+        lo = bisect_left(rows, (u, w), key=_pair)
+        hi = bisect_right(rows, (u, w), lo, key=_pair)
+        if lo == hi:
+            return None
+        row = next((r for r in rows[lo:hi] if r[3] == "S"), rows[lo])
+        return row if isinstance(row, AuxEdge) else AuxEdge._make(row)
 
     def restricted(self, residual):
         """The multigraph of `residual`, a system whose edges are some of the
-        host's: the edges whose two hyperedges are both in residual, on the
-        pair-vertices they support. Equals build_aux(residual).
+        host's: the rows whose two hyperedges are both in residual, on the
+        pair-vertices they support, with its pair graph made in the same
+        pass. Equals build_aux(residual).
 
-        Runs build_aux's self-checks on residual against the kept edges:
+        Runs build_aux's self-checks on residual against the kept rows:
         linearity, the count law and the lower bound, each raising
         IntegrityError.
         """
@@ -75,22 +101,30 @@ class AuxGraph:
         if not verdict:
             raise IntegrityError(f"residual system is not linear: {LinearityError(verdict)}")
         left = set(residual.edges)
-        edges = tuple(ed for ed in self.edges if ed.h1 in left and ed.h2 in left)
-        _check_count(residual, len(edges))
-        return AuxGraph(
-            tuple(sorted({ed.u for ed in edges})), tuple(sorted({ed.w for ed in edges})), edges
-        )
+        nbrs = {}  # pair-vertex -> its neighbours in the pair graph
+        rows = []
+        for row in self.rows:
+            if row[4] in left and row[5] in left:
+                rows.append(row)
+                u, w = row[0], row[1]
+                nbrs.setdefault(u, set()).add(w)
+                nbrs.setdefault(w, set()).add(u)
+        _check_count(residual, len(rows))
+        a_vertices = tuple(sorted(v for v in nbrs if v[0] == "A"))
+        b_vertices = tuple(sorted(v for v in nbrs if v[0] == "B"))
+        graph = _pair_graph([(v, nbrs[v]) for v in a_vertices + b_vertices])
+        return AuxGraph(a_vertices, b_vertices, tuple(rows), graph)
 
 
 def build_aux(lts):
-    """Build the pair-vertex multigraph: one edge per unordered pair of
-    hyperedges through a common apex.
+    """Build the pair-vertex multigraph: one row per unordered pair of
+    hyperedges through a common apex, and its pair graph in the same pass.
 
-    Raises LinearityError on a non-linear input. Asserts the multiplicity
-    law (at most 2 parallel edges, distinct pairing types) and the lower
-    bound 4*|C|*|E'| >= |E|^2 which linearity guarantees.
+    Raises LinearityError on a non-linear input. Checks the multiplicity law
+    (at most 2 parallel edges, distinct pairing types) and the lower bound
+    4*|C|*|E'| >= |E|^2 which linearity guarantees, raising IntegrityError.
 
-    Every edge through a pair-vertex holds the same tuple for it, and h1/h2
+    Every row through a pair-vertex holds the same tuple for it, and h1/h2
     are the host's own edge tuples.
     """
     verdict = validate_linear(lts)
@@ -101,49 +135,72 @@ def build_aux(lts):
     for h in lts.edges:
         by_apex.setdefault(h[2], []).append(h)
 
-    a_pairs = {}  # (p, q) -> its pair-vertex
+    # (p, q) -> its pair-vertex, the pair graph's neighbours of it and, for
+    # an A-side pair, the rows through it
+    a_pairs = {}
     b_pairs = {}
-    rows = []
+    parallel = []  # (u, w) of each row whose pair an earlier row joins
     for c in sorted(by_apex):
-        # the hyperedges share c, so this sorts them by (a, b)
-        for h1, h2 in combinations(sorted(by_apex[c]), 2):
+        # lts.edges is sorted, so the hyperedges through c are in (a, b) order
+        for h1, h2 in combinations(by_apex[c], 2):
             a1, b1, _ = h1
             a2, b2, _ = h2
             # linearity makes the a's and b's distinct; a1 < a2 by sorting,
             # so h1 is the smaller hyperedge
             if a1 == a2 or b1 == b2:
                 raise IntegrityError(f"apex {c} shares a pair between two hyperedges")
-            u = a_pairs.get((a1, a2))
-            if u is None:
-                u = a_pairs[a1, a2] = ("A", a1, a2)
+            u_entry = a_pairs.get((a1, a2))
+            if u_entry is None:
+                u_entry = a_pairs[a1, a2] = (("A", a1, a2), set(), [])
             pairing = "S"
             if b2 < b1:
                 pairing = "X"
                 b1, b2 = b2, b1
-            w = b_pairs.get((b1, b2))
-            if w is None:
-                w = b_pairs[b1, b2] = ("B", b1, b2)
-            rows.append((u, w, c, pairing, h1, h2))
-    # plain tuples sort in C; (u, w, apex) is unique by linearity, so this is
-    # the AuxEdge field order
-    rows.sort()
-    edges = tuple(map(AuxEdge._make, rows))
+            w_entry = b_pairs.get((b1, b2))
+            if w_entry is None:
+                w_entry = b_pairs[b1, b2] = (("B", b1, b2), set())
+            u, u_nbrs, u_rows = u_entry
+            w, w_nbrs = w_entry
+            if w in u_nbrs:
+                parallel.append((u, w))
+            else:
+                u_nbrs.add(w)
+                w_nbrs.add(u)
+            u_rows.append((u, w, c, pairing, h1, h2))
+    # the rows sorted as plain tuples, in C: (u, w, apex) is unique by
+    # linearity, so this is the AuxEdge field order. Each u's rows are sorted
+    # on their own, where comparing two rows starts at w, and joined in u order.
+    a_entries = sorted(a_pairs.values())
+    rows = []
+    for _, _, u_rows in a_entries:
+        u_rows.sort()
+        rows += u_rows
 
-    # sorted by (u, w, apex), the parallel edges of a pair are consecutive
-    run = 1
-    for prev, ed in zip(edges, edges[1:]):
-        if ed.u != prev.u or ed.w != prev.w:
-            run = 1
-            continue
-        run += 1
-        if run > 2:
-            raise IntegrityError(f"more than 2 parallel edges between {ed.u} and {ed.w}")
-        if ed.pairing == prev.pairing:
-            raise IntegrityError(f"parallel edges between {ed.u} and {ed.w} share pairing type")
+    # sorted by (u, w, apex), the parallel edges of a pair are consecutive;
+    # checked in that order, the first pair that breaks the law is named
+    for pair in sorted(parallel):
+        lo = bisect_left(rows, pair, key=_pair)
+        if rows[lo][3] == rows[lo + 1][3]:
+            raise IntegrityError(f"parallel edges between {pair[0]} and {pair[1]} share pairing type")
+        if lo + 2 < len(rows) and _pair(rows[lo + 2]) == pair:
+            raise IntegrityError(f"more than 2 parallel edges between {pair[0]} and {pair[1]}")
 
-    _check_count(lts, len(edges))
+    _check_count(lts, len(rows))
 
-    return AuxGraph(tuple(sorted(a_pairs.values())), tuple(sorted(b_pairs.values())), edges)
+    b_entries = sorted(b_pairs.values())
+    return AuxGraph(
+        tuple(u for u, _, _ in a_entries), tuple(w for w, _ in b_entries), tuple(rows),
+        _pair_graph([(u, nbrs) for u, nbrs, _ in a_entries] + b_entries),
+    )
+
+
+def _pair_graph(entries):
+    """A Graph on the (pair-vertex, neighbour set) entries, which are sorted by
+    pair-vertex as Graph(vertices=...) would hold them; the peel sorts its
+    vertices again, which costs little on sorted input."""
+    graph = Graph()
+    graph.adjacency().update(entries)
+    return graph
 
 
 def _check_count(lts, count):
@@ -165,10 +222,8 @@ def _check_count(lts, count):
 def simple_subgraph(aux):
     """The pair graph: one u-w edge for each pair of pair-vertices the
     multigraph joins, on all of its pair-vertices. aux.kept_edge(u, w) is
-    the multigraph edge it stands for."""
-    g = Graph(vertices=aux.a_vertices + aux.b_vertices)
-    adj = g.adjacency()
-    for ed in aux.edges:
-        adj[ed.u].add(ed.w)
-        adj[ed.w].add(ed.u)
-    return g
+    the multigraph edge it stands for.
+
+    It is the graph that aux was made with, not a copy, so it is read, never
+    changed."""
+    return aux.graph

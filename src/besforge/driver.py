@@ -6,7 +6,10 @@ run to the base case); practical mode takes small configurable thresholds so
 the recursive machinery is actually exercised.
 
 Frame 0 takes the host's pair multigraph; every later frame restricts the
-previous frame's multigraph to its residual. No frame changes what it reads.
+previous frame's multigraph to its residual. Each multigraph comes with its
+pair graph, made in the pass that makes its rows, and the solve reads the
+rows as plain tuples: the only AuxEdges it makes are the kept edges that
+unpack asks for. No frame changes what it reads.
 
 A host solved again keeps its pair multigraph, its pair graph, the pair
 graph's degeneracy order and an index of its edges by vertex key (which seeds
@@ -169,12 +172,21 @@ def _greedy_pick(available, count, span, edge_keys, by_key):
 
 
 def _key_index(lts):
-    """Each vertex key of lts -> the host edges through it."""
-    by_key = {}
+    """Each vertex key of lts -> the host edges through it, in sorted order.
+
+    The edges are grouped by part-local id, one dict per part, and keyed as
+    lts.edge_keys names them only at the end. Dicts rather than lists indexed
+    by id, so that the index is sized by the edges and not by the part sizes
+    that the input header declares.
+    """
+    parts = ({}, {}, {})
+    by_a, by_b, by_c = parts
     for x in lts.edges:
-        for key in lts.edge_keys(x):
-            by_key.setdefault(key, []).append(x)
-    return by_key
+        a, b, c = x
+        by_a.setdefault(a, []).append(x)
+        by_b.setdefault(b, []).append(x)
+        by_c.setdefault(c, []).append(x)
+    return {(name, i): xs for name, part in zip("ABC", parts) for i, xs in part.items()}
 
 
 # (host, its AuxGraph, its pair Graph, the pair graph's degeneracy order, its
@@ -306,7 +318,7 @@ def find_be_s_configuration(lts, e, params=None):
             aux = aux.restricted(sub)
             graph = simple_subgraph(aux)
             order = None
-        if graph.n < k or not aux.edges:
+        if graph.n < k or not aux.rows:
             note = "pair graph too small; base fallback"
             break
         result = find_dense_2deg(

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besforge import auxgraph
 from besforge import (
     AuxEdge,
     AuxGraph,
     Graph,
     IntegrityError,
     LinearityError,
+    LinearityVerdict,
     TripartiteLinearSystem,
     build_aux,
     group_system,
@@ -125,15 +127,24 @@ def _reference_simple_subgraph(aux):
     return g, annot
 
 
+def _assert_pair_graph_is_the_reference(aux):
+    """The pair graph that aux was made with, against the grouping build."""
+    g, _ = _reference_simple_subgraph(aux)
+    assert simple_subgraph(aux).adjacency() == g.adjacency()
+
+
 def _assert_same_restriction(aux, residual):
     """aux.restricted(residual) against a fresh build of residual, as
-    multigraphs and as pair graphs; returns the restriction."""
+    multigraphs and as pair graphs, and both pair graphs against the grouping
+    build; returns the restriction."""
     restricted = aux.restricted(residual)
     fresh = build_aux(residual)
     assert restricted == fresh
     graph, fresh_graph = simple_subgraph(restricted), simple_subgraph(fresh)
     assert graph.vertices == fresh_graph.vertices
     assert graph.edges == fresh_graph.edges
+    _assert_pair_graph_is_the_reference(restricted)
+    _assert_pair_graph_is_the_reference(fresh)
     return restricted
 
 
@@ -156,9 +167,11 @@ def test_one_pass_simple_subgraph_matches_the_grouping_reference():
     unjoined = 0
     for lts in hosts:
         aux = build_aux(lts)
-        graph = simple_subgraph(aux)
-        g, annot = _reference_simple_subgraph(aux)
-        assert (graph.vertices, graph.edges) == (g.vertices, g.edges)
+        _assert_pair_graph_is_the_reference(aux)
+        # the pair graph of a restriction is made in its filter pass
+        residual = TripartiteLinearSystem(lts.sizes, lts.edges[::2])
+        _assert_pair_graph_is_the_reference(aux.restricted(residual))
+        _, annot = _reference_simple_subgraph(aux)
         for u in aux.a_vertices:
             for w in aux.b_vertices:
                 assert aux.kept_edge(u, w) == annot.get((u, w))
@@ -219,3 +232,50 @@ def test_shrinking_checks_the_residual():
                            tuple(ed for ed in aux.edges if ed != drop))
     with pytest.raises(IntegrityError, match="multi-edge count"):
         missing_one.restricted(residual)
+
+
+def test_shrinking_checks_the_count_on_plain_rows_built_by_hand():
+    lts = group_system(4)
+    aux = build_aux(lts)
+    residual = TripartiteLinearSystem(lts.sizes, lts.edges[2:])
+    left = set(residual.edges)
+    rows = tuple(tuple(ed) for ed in aux.edges)
+    drop = next(row for row in rows if row[4] in left and row[5] in left)
+    by_hand = AuxGraph(aux.a_vertices, aux.b_vertices, rows)
+    assert by_hand == aux
+    assert by_hand.restricted(residual) == build_aux(residual)
+    missing_one = AuxGraph(aux.a_vertices, aux.b_vertices, tuple(r for r in rows if r != drop))
+    with pytest.raises(IntegrityError, match="multi-edge count"):
+        missing_one.restricted(residual)
+
+
+def test_hand_built_aux_graphs_get_their_pair_graph_from_their_rows():
+    aux = build_aux(group_system(5))
+    for rows in (aux.edges, tuple(map(tuple, aux.edges)), aux.rows):
+        by_hand = AuxGraph(aux.a_vertices, aux.b_vertices, rows)
+        assert by_hand == aux
+        assert simple_subgraph(by_hand).adjacency() == simple_subgraph(aux).adjacency()
+
+
+# Non-linear inputs that reach each multiplicity self-check of build_aux once
+# its linearity check is made to pass: (edges, the IntegrityError's message)
+_BROKEN_LAWS = {
+    # (0, 0, 0) and (1, 0, 0) share the pair (B0, C0) at apex 0
+    "shared pair at one apex": (((0, 0, 0), (1, 0, 0)), "shares a pair"),
+    # apexes 0, 1 and 2 each join ('A', 0, 1) to ('B', 0, 1): S, X, S
+    "three parallel edges": (((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)),
+                             "more than 2 parallel edges"),
+    # apexes 0 and 1 both join ('A', 0, 1) to ('B', 0, 1) straight
+    "two parallel edges, one pairing": (((0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)),
+                                        "share pairing type"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_LAWS))
+def test_multiplicity_self_checks_raise_behind_a_passing_linearity_check(monkeypatch, case):
+    edges, message = _BROKEN_LAWS[case]
+    lts = TripartiteLinearSystem((2, 2, 3), edges)
+    assert not auxgraph.validate_linear(lts)
+    monkeypatch.setattr(auxgraph, "validate_linear", lambda system: LinearityVerdict(True))
+    with pytest.raises(IntegrityError, match=message):
+        build_aux(lts)

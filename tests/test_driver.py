@@ -23,13 +23,14 @@ from besforge import (
 )
 from besforge import degsearch
 from besforge import io as textio
-from besforge.auxgraph import AuxGraph, build_aux, simple_subgraph
+from besforge.auxgraph import AuxEdge, AuxGraph, build_aux, simple_subgraph
 from besforge.cli import main
 from besforge.degsearch import _trim_on_set
 from besforge.driver import _frame_can_succeed, _free_finish, _greedy_pick, _key_index
 from besforge.unpack import unpack
 
 import test_golden
+from test_auxgraph import _reference_simple_subgraph
 
 PRACTICAL = DriverParams(t=4, tau_max=4, base_e=4)
 
@@ -253,6 +254,71 @@ def test_pair_graph_is_built_once_per_solve(monkeypatch):
     assert [(f.branch, f.note) for f in report.frames] == [
         ("recurse", ""), ("recurse", ""), ("base", besforge.driver._END_NOTE)]
     assert calls == {"build": 1, "restrict": 1}
+
+
+def test_each_frame_searches_the_pair_graph_of_its_multigraph(monkeypatch):
+    frames = []
+    search, unpack_frame = besforge.driver.find_dense_2deg, besforge.driver.unpack
+
+    def recording_search(graph, *args, **kwargs):
+        frames.append([graph])
+        return search(graph, *args, **kwargs)
+
+    def recording_unpack(cand, aux, sub):
+        frames[-1].append(aux)
+        return unpack_frame(cand, aux, sub)
+
+    monkeypatch.setattr(besforge.driver, "find_dense_2deg", recording_search)
+    monkeypatch.setattr(besforge.driver, "unpack", recording_unpack)
+    report = find_be_s_configuration(group_system(11), 63, PRACTICAL)
+    assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
+    assert len(frames) == 2
+    for graph, aux in frames:
+        # the pair graph made with the frame's multigraph, one edge per joined pair
+        assert graph is simple_subgraph(aux)
+        g, _ = _reference_simple_subgraph(aux)
+        assert (graph.vertices, graph.edges) == (g.vertices, g.edges)
+
+
+def test_solves_make_no_aux_edge_but_the_kept_ones(monkeypatch):
+    made = {"aux": [], "kept": 0, "edges": 0}
+    build, restricted, kept_edge = besforge.driver.build_aux, AuxGraph.restricted, AuxGraph.kept_edge
+    make = AuxEdge._make
+
+    def recording_build(lts):
+        made["aux"].append(build(lts))
+        return made["aux"][-1]
+
+    def recording_restricted(aux, residual):
+        made["aux"].append(restricted(aux, residual))
+        return made["aux"][-1]
+
+    def counting_kept_edge(aux, u, w):
+        made["kept"] += 1
+        return kept_edge(aux, u, w)
+
+    def counting_make(iterable):
+        made["edges"] += 1
+        return make(iterable)
+
+    monkeypatch.setattr(besforge.driver, "build_aux", recording_build)
+    monkeypatch.setattr(AuxGraph, "restricted", recording_restricted)
+    monkeypatch.setattr(AuxGraph, "kept_edge", counting_kept_edge)
+    monkeypatch.setattr(AuxEdge, "_make", counting_make)
+    lts = group_system(11)
+    besforge.driver._last_host = None
+    # cold, cold again (which fills the cache), then warm; each has a
+    # restricted frame 1
+    for _ in range(3):
+        report = find_be_s_configuration(lts, 63, PRACTICAL)
+        assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
+    assert besforge.driver._last_host[1] is made["aux"][2]
+    assert len(made["aux"]) == 5
+    find_be_s_configuration(random_linear(24, 24, 24, 320, seed=1), 80, PRACTICAL)
+    assert len(made["aux"]) >= 6 and made["kept"] > 0
+    # no multigraph's AuxEdge view was filled, cached or restricted
+    assert not any("edges" in vars(aux) for aux in made["aux"])
+    assert made["edges"] <= made["kept"]
 
 
 def test_corrupted_multi_edge_count_raises_on_the_next_frame(monkeypatch):
