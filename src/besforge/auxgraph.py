@@ -44,10 +44,10 @@ class AuxGraph:
     """The multigraph as sorted plain rows (u, w, apex, pairing, h1, h2), in
     AuxEdge field order, and its pair graph.
 
-    build_aux and restricted make the pair graph in the pass that makes the
-    rows; an AuxGraph built by hand from rows or AuxEdges gets it from its
-    rows. The pair graph is not compared, so equal rows on equal
-    pair-vertices make equal AuxGraphs.
+    build_aux makes the pair graph in the pass that makes the rows; an
+    AuxGraph built by hand from rows or AuxEdges gets it from its rows. The
+    pair graph is not compared, so equal rows on equal pair-vertices make
+    equal AuxGraphs.
     """
 
     a_vertices: tuple  # supported A-side pair-vertices
@@ -86,34 +86,6 @@ class AuxGraph:
             return None
         row = next((r for r in rows[lo:hi] if r[3] == "S"), rows[lo])
         return row if isinstance(row, AuxEdge) else AuxEdge._make(row)
-
-    def restricted(self, residual):
-        """The multigraph of `residual`, a system whose edges are some of the
-        host's: the rows whose two hyperedges are both in residual, on the
-        pair-vertices they support, with its pair graph made in the same
-        pass. Equals build_aux(residual).
-
-        Runs build_aux's self-checks on residual against the kept rows:
-        linearity, the count law and the lower bound, each raising
-        IntegrityError.
-        """
-        verdict = validate_linear(residual)
-        if not verdict:
-            raise IntegrityError(f"residual system is not linear: {LinearityError(verdict)}")
-        left = set(residual.edges)
-        nbrs = {}  # pair-vertex -> its neighbours in the pair graph
-        rows = []
-        for row in self.rows:
-            if row[4] in left and row[5] in left:
-                rows.append(row)
-                u, w = row[0], row[1]
-                nbrs.setdefault(u, set()).add(w)
-                nbrs.setdefault(w, set()).add(u)
-        _check_count(residual, len(rows))
-        a_vertices = tuple(sorted(v for v in nbrs if v[0] == "A"))
-        b_vertices = tuple(sorted(v for v in nbrs if v[0] == "B"))
-        graph = _pair_graph([(v, nbrs[v]) for v in a_vertices + b_vertices])
-        return AuxGraph(a_vertices, b_vertices, tuple(rows), graph)
 
 
 def build_aux(lts):
@@ -187,20 +159,14 @@ def build_aux(lts):
 
     _check_count(lts, len(rows))
 
+    # the pair graph's adjacency holds its vertices sorted, as
+    # Graph(vertices=...) would; the peel sorts its vertices again, which costs
+    # little on sorted input
     b_entries = sorted(b_pairs.values())
-    return AuxGraph(
-        tuple(u for u, _, _ in a_entries), tuple(w for w, _ in b_entries), tuple(rows),
-        _pair_graph([(u, nbrs) for u, nbrs, _ in a_entries] + b_entries),
-    )
-
-
-def _pair_graph(entries):
-    """A Graph on the (pair-vertex, neighbour set) entries, which are sorted by
-    pair-vertex as Graph(vertices=...) would hold them; the peel sorts its
-    vertices again, which costs little on sorted input."""
     graph = Graph()
-    graph.adjacency().update(entries)
-    return graph
+    graph.adjacency().update([(u, nbrs) for u, nbrs, _ in a_entries] + b_entries)
+    return AuxGraph(tuple(u for u, _, _ in a_entries), tuple(w for w, _ in b_entries),
+                    tuple(rows), graph)
 
 
 def _check_count(lts, count):

@@ -5,18 +5,18 @@ Paper mode uses the literal thresholds (which at desk scale collapse every
 run to the base case); practical mode takes small configurable thresholds so
 the recursive machinery is actually exercised.
 
-Frame 0 takes the host's pair multigraph; every later frame restricts the
-previous frame's multigraph to its residual. Each multigraph comes with its
-pair graph, made in the pass that makes its rows, and the solve reads the
-rows as plain tuples: the only AuxEdges it makes are the kept edges that
-unpack asks for. No frame changes what it reads.
+Every frame builds the pair multigraph of what is left of the host with
+build_aux: frame 0 of the host itself, each later frame of its residual.
+Each multigraph comes with its pair graph, made in the pass that makes its
+rows, and the solve reads the rows as plain tuples: the only AuxEdges it
+makes are the kept edges that unpack asks for. No frame changes what it
+reads.
 
-A host solved again keeps its pair multigraph, its pair graph, the pair
-graph's degeneracy order and an index of its edges by vertex key (which seeds
-the greedy base pick) until another host is solved. So solving one host at
-many e builds them twice (once for the first solve, once to keep), not per
-solve, and frame 0 of a warm solve builds nothing that depends only on the
-host.
+A host solved again keeps its pair multigraph, the degeneracy order of its
+pair graph and an index of its edges by vertex key (which seeds the greedy
+base pick) until another host is solved. So solving one host at many e
+builds them twice (once for the first solve, once to keep), not per solve,
+and frame 0 of a warm solve builds nothing that depends only on the host.
 """
 
 from __future__ import annotations
@@ -189,11 +189,11 @@ def _key_index(lts):
     return {(name, i): xs for name, part in zip("ABC", parts) for i, xs in part.items()}
 
 
-# (host, its AuxGraph, its pair Graph, the pair graph's degeneracy order, its
-# key index) for the last host solved; every slot after the host is None
-# until the host is solved a second time. Replaced whole, so two entries are
-# never mixed, and no solve changes what a slot holds. Hosts are frozen: a
-# host equal to the cached one has passed build_aux's checks.
+# (host, its AuxGraph, the degeneracy order of its pair graph, its key index)
+# for the last host solved; every slot after the host is None until the host
+# is solved a second time. Replaced whole, so two entries are never mixed, and
+# no solve changes what a slot holds. Hosts are frozen: a host equal to the
+# cached one has passed build_aux's checks.
 _last_host = None
 
 
@@ -206,28 +206,26 @@ def _cache_entry(lts):
 
 
 def _frame0(lts):
-    """The multigraph of lts, its pair graph and the pair graph's degeneracy
-    order.
+    """The multigraph of lts and the degeneracy order of its pair graph.
 
     They come from the one-entry cache when lts is, or equals, the last host
     solved and was solved before that too; otherwise they are built. The
     first solve of a host keeps only the host, so a host solved once leaves
-    nothing resident; the second also keeps the three and the key index.
+    nothing resident; the second also keeps the two and the key index.
     'exhaustive' ignores the order, which costs little on its pair graphs of
     at most 20 vertices.
     """
     global _last_host
     entry = _cache_entry(lts)
     if entry is not None and entry[1] is not None:
-        return entry[1:4]
+        return entry[1:3]
     aux = build_aux(lts)
-    graph = simple_subgraph(aux)
-    order = degsearch.degeneracy_ordering(graph).order
+    order = degsearch.degeneracy_ordering(simple_subgraph(aux)).order
     if entry is None:
-        _last_host = (lts, None, None, None, None)
+        _last_host = (lts, None, None, None)
     else:
-        _last_host = (lts, aux, graph, order, _key_index(lts))
-    return aux, graph, order
+        _last_host = (lts, aux, order, _key_index(lts))
+    return aux, order
 
 
 # The note of the designed end of the recursion: no frame at this e' can keep
@@ -297,8 +295,6 @@ def find_be_s_configuration(lts, e, params=None):
     e_prime = e
     note = ""
     cut = False  # whether the budget cut the search of a discarded candidate
-    aux = None  # the pair multigraph of the residual
-    order = None  # the degeneracy order of the frame-0 pair graph
     while e_prime > params.base_threshold:
         k = e_prime // 4
         if not _frame_can_succeed(e_prime, k, params.tau_max):
@@ -307,17 +303,16 @@ def find_be_s_configuration(lts, e, params=None):
         if k < params.k0:
             note = "k below minimum; base fallback"
             break
-        if aux is None:
+        if not frames:
             sub = lts
-            aux, graph, order = _frame0(lts)
+            aux, order = _frame0(lts)
         elif _free_finish(residual, e_prime, span, lts.edge_keys):
             note = _FREE_NOTE
             break
         else:
             sub = TripartiteLinearSystem(lts.sizes, tuple(residual))
-            aux = aux.restricted(sub)
-            graph = simple_subgraph(aux)
-            order = None
+            aux, order = build_aux(sub), None
+        graph = simple_subgraph(aux)
         if graph.n < k or not aux.rows:
             note = "pair graph too small; base fallback"
             break
@@ -353,7 +348,7 @@ def find_be_s_configuration(lts, e, params=None):
             break
 
     entry = _cache_entry(lts)
-    by_key = _key_index(lts) if entry is None or entry[4] is None else entry[4]
+    by_key = _key_index(lts) if entry is None or entry[3] is None else entry[3]
     chosen.extend(_greedy_pick(residual, e_prime, span, lts.edge_keys, by_key))
     if not (frames and frames[-1].branch == "top_up"):
         frames.append(FrameReport(

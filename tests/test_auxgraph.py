@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -133,25 +134,34 @@ def _assert_pair_graph_is_the_reference(aux):
     assert simple_subgraph(aux).adjacency() == g.adjacency()
 
 
+def _reference_restriction(aux, residual):
+    """The rows of aux whose two hyperedges are both in residual, on the
+    pair-vertices they support: the multigraph of residual made by filtering
+    a larger one, kept as the reference for build_aux on a later frame."""
+    left = set(residual.edges)
+    rows = tuple(row for row in aux.rows if row[4] in left and row[5] in left)
+    return AuxGraph(tuple(sorted({row[0] for row in rows})),
+                    tuple(sorted({row[1] for row in rows})), rows)
+
+
 def _assert_same_restriction(aux, residual):
-    """aux.restricted(residual) against a fresh build of residual, as
-    multigraphs and as pair graphs, and both pair graphs against the grouping
-    build; returns the restriction."""
-    restricted = aux.restricted(residual)
+    """build_aux(residual) against the restriction of aux to residual, as
+    multigraphs and as pair graphs, and its pair graph against the grouping
+    build; returns the build."""
     fresh = build_aux(residual)
-    assert restricted == fresh
-    graph, fresh_graph = simple_subgraph(restricted), simple_subgraph(fresh)
-    assert graph.vertices == fresh_graph.vertices
-    assert graph.edges == fresh_graph.edges
-    _assert_pair_graph_is_the_reference(restricted)
+    restricted = _reference_restriction(aux, residual)
+    assert fresh == restricted
+    graph, restricted_graph = simple_subgraph(fresh), simple_subgraph(restricted)
+    assert graph.vertices == restricted_graph.vertices
+    assert graph.edges == restricted_graph.edges
     _assert_pair_graph_is_the_reference(fresh)
-    return restricted
+    return fresh
 
 
 def _restrict_to_empty(lts, rng):
-    """Remove random batches of hyperedges until none is left, restricting
-    the previous multigraph to what is left and checking it against a fresh
-    build after every batch."""
+    """Remove random batches of hyperedges until none is left, building the
+    multigraph of what is left after every batch and checking it against the
+    restriction of the previous one."""
     aux = build_aux(lts)
     left = list(lts.edges)
     while left:
@@ -168,9 +178,9 @@ def test_one_pass_simple_subgraph_matches_the_grouping_reference():
     for lts in hosts:
         aux = build_aux(lts)
         _assert_pair_graph_is_the_reference(aux)
-        # the pair graph of a restriction is made in its filter pass
+        # and on a later frame's residual
         residual = TripartiteLinearSystem(lts.sizes, lts.edges[::2])
-        _assert_pair_graph_is_the_reference(aux.restricted(residual))
+        _assert_pair_graph_is_the_reference(build_aux(residual))
         _, annot = _reference_simple_subgraph(aux)
         for u in aux.a_vertices:
             for w in aux.b_vertices:
@@ -192,23 +202,6 @@ def test_shrinking_equals_rebuilding_on_random_hosts(na, nb, nc, target, seed):
     _restrict_to_empty(random_linear(na, nb, nc, target, seed=seed), random.Random(seed))
 
 
-@pytest.mark.parametrize("lts", [group_system(6), random_linear(9, 9, 9, 60, seed=3)],
-                         ids=["group6", "random9"])
-def test_subgraphs_of_one_aux_graph_shrink_independently(lts):
-    aux = build_aux(lts)
-    edges_before = aux.edges
-    rng = random.Random(1)
-    # the same AuxGraph under two different removal sequences
-    orders = [rng.sample(lts.edges, lts.m) for _ in range(2)]
-    restricted = [aux, aux]
-    for start in range(0, lts.m, 4):
-        for i, order in enumerate(orders):
-            residual = TripartiteLinearSystem(lts.sizes, tuple(order[start + 4 :]))
-            restricted[i] = _assert_same_restriction(restricted[i], residual)
-    assert restricted[0].edges == restricted[1].edges == ()
-    assert aux.edges is edges_before and aux == build_aux(lts)
-
-
 def test_build_aux_shares_pair_vertices_and_host_edges():
     lts = group_system(5)
     aux = build_aux(lts)
@@ -219,34 +212,28 @@ def test_build_aux_shares_pair_vertices_and_host_edges():
         assert id(ed.h1) in host_edges and id(ed.h2) in host_edges
 
 
-def test_shrinking_checks_the_residual():
+def test_count_law_raises_on_a_wrong_count():
     lts = group_system(4)
-    aux = build_aux(lts)
-    nonlinear = TripartiteLinearSystem(lts.sizes, ((0, 0, 0), (0, 0, 1)))
-    with pytest.raises(IntegrityError, match="not linear"):
-        aux.restricted(nonlinear)
-    residual = TripartiteLinearSystem(lts.sizes, lts.edges[2:])
-    left = set(residual.edges)
-    drop = next(ed for ed in aux.edges if ed.h1 in left and ed.h2 in left)
-    missing_one = AuxGraph(aux.a_vertices, aux.b_vertices,
-                           tuple(ed for ed in aux.edges if ed != drop))
-    with pytest.raises(IntegrityError, match="multi-edge count"):
-        missing_one.restricted(residual)
+    count = build_aux(lts).multi_edge_count
+    auxgraph._check_count(lts, count)
+    # 0 is also below the lower bound (|E| = 16 >= 2|C| = 8), but the count
+    # law is checked first
+    for wrong in (count - 1, count + 1, 0):
+        with pytest.raises(IntegrityError) as raised:
+            auxgraph._check_count(lts, wrong)
+        assert str(raised.value) == f"multi-edge count {wrong} != sum of C(d(c),2) = {count}"
 
 
-def test_shrinking_checks_the_count_on_plain_rows_built_by_hand():
-    lts = group_system(4)
-    aux = build_aux(lts)
-    residual = TripartiteLinearSystem(lts.sizes, lts.edges[2:])
-    left = set(residual.edges)
-    rows = tuple(tuple(ed) for ed in aux.edges)
-    drop = next(row for row in rows if row[4] in left and row[5] in left)
-    by_hand = AuxGraph(aux.a_vertices, aux.b_vertices, rows)
-    assert by_hand == aux
-    assert by_hand.restricted(residual) == build_aux(residual)
-    missing_one = AuxGraph(aux.a_vertices, aux.b_vertices, tuple(r for r in rows if r != drop))
-    with pytest.raises(IntegrityError, match="multi-edge count"):
-        missing_one.restricted(residual)
+def test_lower_bound_raises_on_a_count_below_it():
+    # A count that keeps the count law keeps the bound on any system whose
+    # header counts every apex its edges use: 4|C| sum C(d,2) >= 2|E|^2 -
+    # 2|E||C| >= |E|^2 once |E| >= 2|C|. TripartiteLinearSystem refuses any
+    # other header, so a stand-in declares 2 apexes for edges on 4; each apex
+    # has degree 1, so the count law asks for 0 multigraph edges.
+    stand_in = SimpleNamespace(sizes=(4, 4, 2), edges=tuple((i, i, i) for i in range(4)), m=4)
+    with pytest.raises(IntegrityError) as raised:
+        auxgraph._check_count(stand_in, 0)
+    assert str(raised.value) == "multi-edge count fell below |E|^2 / (4|C|)"
 
 
 def test_hand_built_aux_graphs_get_their_pair_graph_from_their_rows():

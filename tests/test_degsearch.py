@@ -229,11 +229,11 @@ def _heap_peel(nbrs):
 
 def _random_deep_pair_graphs(count=10):
     """The pair graphs of `count` random-deep hosts, random_linear(24, 24,
-    24, 320), and of one restricted frame of the first."""
+    24, 320), and of one later frame's residual of the first."""
     hosts = [random_linear(24, 24, 24, 320, seed=seed) for seed in range(count)]
     auxes = [build_aux(lts) for lts in hosts]
     residual = TripartiteLinearSystem(hosts[0].sizes, hosts[0].edges[::3] + hosts[0].edges[1::3])
-    auxes.append(auxes[0].restricted(residual))
+    auxes.append(build_aux(residual))
     return [simple_subgraph(aux) for aux in auxes]
 
 

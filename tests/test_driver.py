@@ -21,7 +21,7 @@ from besforge import (
     random_linear,
     verify_configuration,
 )
-from besforge import degsearch
+from besforge import auxgraph, degsearch
 from besforge import io as textio
 from besforge.auxgraph import AuxEdge, AuxGraph, build_aux, simple_subgraph
 from besforge.cli import main
@@ -239,21 +239,38 @@ def test_random_deep_solves_finish_inside_the_span_of_their_kept_frame(monkeypat
 
 
 def test_pair_graph_is_built_once_per_solve(monkeypatch):
-    calls = {"build": 0, "restrict": 0}
+    built, kept, checked = [], [], []
+    build, unpack_frame = besforge.driver.build_aux, besforge.driver.unpack
+    linear, count = auxgraph.validate_linear, auxgraph._check_count
 
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def recording_build(lts):
+        built.append((lts, build(lts)))
+        return built[-1][1]
 
-    monkeypatch.setattr(besforge.driver, "build_aux", counting("build", besforge.driver.build_aux))
-    monkeypatch.setattr(AuxGraph, "restricted", counting("restrict", AuxGraph.restricted))
-    report = find_be_s_configuration(group_system(11), 63, PRACTICAL)
-    # frame 1 restricts frame 0's multigraph; the stop rule builds no frame 2
+    def recording_unpack(cand, aux, sub):
+        cfg, trace = unpack_frame(cand, aux, sub)
+        kept.append(cfg.edges)
+        return cfg, trace
+
+    monkeypatch.setattr(besforge.driver, "build_aux", recording_build)
+    monkeypatch.setattr(besforge.driver, "unpack", recording_unpack)
+    monkeypatch.setattr(auxgraph, "validate_linear",
+                        lambda system: checked.append(("linear", system)) or linear(system))
+    monkeypatch.setattr(auxgraph, "_check_count",
+                        lambda system, n: checked.append(("count", system, n)) or count(system, n))
+    lts = group_system(11)
+    report = find_be_s_configuration(lts, 63, PRACTICAL)
+    # frame 1 builds the multigraph of its residual; the stop rule builds no frame 2
     assert [(f.branch, f.note) for f in report.frames] == [
         ("recurse", ""), ("recurse", ""), ("base", besforge.driver._END_NOTE)]
-    assert calls == {"build": 1, "restrict": 1}
+    assert len(built) == 2 and built[0][0] is lts
+    used = set(kept[0])
+    residual = TripartiteLinearSystem(lts.sizes, tuple(x for x in lts.edges if x not in used))
+    assert built[1][0] == residual
+    # each build ran the linearity check and the count law with its lower bound
+    assert checked == [("linear", lts), ("count", lts, built[0][1].multi_edge_count),
+                       ("linear", residual), ("count", residual, built[1][1].multi_edge_count)]
+    assert built[1][1] == build_aux(residual)
 
 
 def test_each_frame_searches_the_pair_graph_of_its_multigraph(monkeypatch):
@@ -282,15 +299,11 @@ def test_each_frame_searches_the_pair_graph_of_its_multigraph(monkeypatch):
 
 def test_solves_make_no_aux_edge_but_the_kept_ones(monkeypatch):
     made = {"aux": [], "kept": 0, "edges": 0}
-    build, restricted, kept_edge = besforge.driver.build_aux, AuxGraph.restricted, AuxGraph.kept_edge
+    build, kept_edge = besforge.driver.build_aux, AuxGraph.kept_edge
     make = AuxEdge._make
 
     def recording_build(lts):
         made["aux"].append(build(lts))
-        return made["aux"][-1]
-
-    def recording_restricted(aux, residual):
-        made["aux"].append(restricted(aux, residual))
         return made["aux"][-1]
 
     def counting_kept_edge(aux, u, w):
@@ -302,13 +315,11 @@ def test_solves_make_no_aux_edge_but_the_kept_ones(monkeypatch):
         return make(iterable)
 
     monkeypatch.setattr(besforge.driver, "build_aux", recording_build)
-    monkeypatch.setattr(AuxGraph, "restricted", recording_restricted)
     monkeypatch.setattr(AuxGraph, "kept_edge", counting_kept_edge)
     monkeypatch.setattr(AuxEdge, "_make", counting_make)
     lts = group_system(11)
     besforge.driver._last_host = None
-    # cold, cold again (which fills the cache), then warm; each has a
-    # restricted frame 1
+    # cold, cold again (which fills the cache), then warm; each builds frame 1
     for _ in range(3):
         report = find_be_s_configuration(lts, 63, PRACTICAL)
         assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
@@ -316,20 +327,9 @@ def test_solves_make_no_aux_edge_but_the_kept_ones(monkeypatch):
     assert len(made["aux"]) == 5
     find_be_s_configuration(random_linear(24, 24, 24, 320, seed=1), 80, PRACTICAL)
     assert len(made["aux"]) >= 6 and made["kept"] > 0
-    # no multigraph's AuxEdge view was filled, cached or restricted
+    # no multigraph's AuxEdge view was filled, whether cached or not
     assert not any("edges" in vars(aux) for aux in made["aux"])
     assert made["edges"] <= made["kept"]
-
-
-def test_corrupted_multi_edge_count_raises_on_the_next_frame(monkeypatch):
-    def corrupted(lts):
-        # a multigraph missing an edge whose hyperedges frame 0 does not take
-        aux = build_aux(lts)
-        return AuxGraph(aux.a_vertices, aux.b_vertices, aux.edges[1:])
-
-    monkeypatch.setattr(besforge.driver, "build_aux", corrupted)
-    with pytest.raises(IntegrityError, match="multi-edge count"):
-        find_be_s_configuration(group_system(11), 63, PRACTICAL)
 
 
 def _cold_solve(lts, e, params):
@@ -355,26 +355,29 @@ def test_solves_through_the_host_cache_equal_cold_solves():
 
 
 def _count_frame0_builds(monkeypatch):
-    """Record each host whose multigraph build_aux builds, and each pair graph,
-    order and key index built from such a multigraph or host; later frames'
-    restricted multigraphs and their pair graphs are not counted."""
-    built = {"aux": [], "graph": [], "order": [], "index": []}
-    build_aux, simple_subgraph = besforge.driver.build_aux, besforge.driver.simple_subgraph
+    """Record each host whose multigraph _frame0 builds, and each order and key
+    index built from such a multigraph or host; later frames' multigraphs are
+    not counted."""
+    built = {"aux": [], "order": [], "index": []}
+    frame0, build_aux = besforge.driver._frame0, besforge.driver.build_aux
     ordering, key_index = degsearch.degeneracy_ordering, besforge.driver._key_index
+    in_frame0 = []
+
+    def counting_frame0(lts):
+        in_frame0.append(lts)
+        try:
+            return frame0(lts)
+        finally:
+            in_frame0.pop()
 
     def counting_build(lts):
         aux = build_aux(lts)
-        built["aux"].append((lts, aux))
+        if in_frame0:
+            built["aux"].append((lts, aux))
         return aux
 
-    def counting_subgraph(aux):
-        graph = simple_subgraph(aux)
-        if any(aux is x for _, x in built["aux"]):
-            built["graph"].append(graph)
-        return graph
-
     def counting_ordering(g):
-        if any(g is x for x in built["graph"]):
+        if any(g is aux.graph for _, aux in built["aux"]):
             built["order"].append(g)
         return ordering(g)
 
@@ -382,8 +385,8 @@ def _count_frame0_builds(monkeypatch):
         built["index"].append(lts)
         return key_index(lts)
 
+    monkeypatch.setattr(besforge.driver, "_frame0", counting_frame0)
     monkeypatch.setattr(besforge.driver, "build_aux", counting_build)
-    monkeypatch.setattr(besforge.driver, "simple_subgraph", counting_subgraph)
     monkeypatch.setattr(degsearch, "degeneracy_ordering", counting_ordering)
     monkeypatch.setattr(besforge.driver, "_key_index", counting_index)
     return built
@@ -393,8 +396,8 @@ def test_build_aux_runs_on_the_first_two_solves_of_a_host(monkeypatch):
     built = _count_frame0_builds(monkeypatch)
 
     def builds():
-        # each frame-0 multigraph gets one pair graph and one order; every
-        # solve here reaches frame 0, so a solve builds a key index exactly
+        # each frame-0 multigraph gets one order; every solve here reaches
+        # frame 0, so a solve builds a key index exactly
         # when it builds the multigraph
         counts = {name: len(made) for name, made in built.items()}
         assert len(set(counts.values())) == 1, counts
@@ -403,7 +406,7 @@ def test_build_aux_runs_on_the_first_two_solves_of_a_host(monkeypatch):
     a, b = group_system(8), group_system(7)
     find_be_s_configuration(a, 20, PRACTICAL)
     # a host solved once leaves nothing behind
-    assert besforge.driver._last_host == (a, None, None, None, None)
+    assert besforge.driver._last_host == (a, None, None, None)
     for e in (40, 50, 60):
         find_be_s_configuration(a, e, PRACTICAL)
     assert builds() == [a, a]
@@ -426,14 +429,14 @@ def test_solves_leave_the_cached_pair_multigraph_unchanged():
     find_be_s_configuration(lts, 20, PRACTICAL)
     find_be_s_configuration(lts, 21, PRACTICAL)
     entry = besforge.driver._last_host
-    _, aux, graph, order, by_key = entry
+    _, aux, order, by_key = entry
     edges = aux.edges
     report = find_be_s_configuration(lts, 63, PRACTICAL)
     assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
     assert besforge.driver._last_host is entry
     assert aux.edges is edges and aux == build_aux(lts)
     fresh = simple_subgraph(build_aux(lts))
-    assert graph.adjacency() == fresh.adjacency()
+    assert aux.graph.adjacency() == fresh.adjacency()
     assert order == degsearch.degeneracy_ordering(fresh).order
     assert by_key == _key_index(lts)
 
