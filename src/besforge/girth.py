@@ -120,7 +120,7 @@ def girth_of(graph):
     vertex on a shortest cycle reports exactly the girth.
     """
     best = None
-    adj = {v: set(nbrs) for v, nbrs in graph.adjacency().items()}
+    adj = {v: list(nbrs) for v, nbrs in graph.adjacency().items()}
     for root in sorted(adj, key=lambda v: (len(adj[v]), v), reverse=True):
         dist = {root: 0}
         parent = {root: None}
@@ -139,7 +139,7 @@ def girth_of(graph):
                     if best is None or cycle < best:
                         best = cycle
         for w in adj.pop(root):
-            adj[w].discard(root)
+            adj[w].remove(root)
     return best
 
 
@@ -150,26 +150,26 @@ def verify_certificate(graph, cert):
         return False
     if len(cert.sides) != k or any(s not in ("A", "B") for s in cert.sides):
         return False
-    built_edges = set()
     placed = set(cert.order[: cert.t])
     if len(cert.attachments) != k - cert.t:
         return False
+    side = dict(zip(cert.order, cert.sides))
     for (v, u1, u2), expected in zip(cert.attachments, cert.order[cert.t :]):
         if v != expected or u1 == u2:
             return False
         if u1 not in placed or u2 not in placed or v in placed:
             return False
         placed.add(v)
-        built_edges.add((min(v, u1), max(v, u1)))
-        built_edges.add((min(v, u2), max(v, u2)))
-    # seeds are then mutually non-adjacent: every edge is a built edge, and
-    # every built edge has a post-seed endpoint v
-    if built_edges != set(graph.edges):
-        return False
-    # every edge is a built edge, so once each joins an A and a B vertex the
-    # sides are a 2-colouring and the graph is bipartite without a search
-    pos = {v: i for i, v in enumerate(cert.order)}
-    return all(cert.sides[pos[u]] != cert.sides[pos[w]] for u, w in built_edges)
+        # each built edge is in the graph and joins an A and a B vertex
+        if not (graph.has_edge(v, u1) and graph.has_edge(v, u2)):
+            return False
+        if side[v] == side[u1] or side[v] == side[u2]:
+            return False
+    # the built edges are distinct (each joins a new v to two distinct earlier
+    # vertices), so the simple graph has no other edge iff it has 2(k - t):
+    # seeds are then mutually non-adjacent, and the sides are a 2-colouring,
+    # so the graph is bipartite without a search
+    return graph.m == 2 * (k - cert.t)
 
 
 def find_growth_t(k, g, seed=0):

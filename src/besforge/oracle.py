@@ -1,7 +1,46 @@
 """Exhaustive ground truth: minimum span over all e-edge sub-collections.
 
-Branch and bound over the lexicographic edge order; pruning is sound because
-the running union of vertices only grows along a branch.
+A depth-first branch and bound over the lexicographic edge order. A node
+holds the edges picked so far; its children pick one more edge, in
+increasing index order, from the node's first unvisited index on. A
+configuration is recorded only when its span is strictly below ``best_v``,
+the best so far. The search keeps its own stack, one frame per open node,
+so e may be as large as the host's edge count.
+
+Bit coding. Each vertex key gets one bit, in first-seen order over
+``host.edges``. An edge is the int of its keys' bits, the running union of a
+branch is an int, and its size is ``int.bit_count()``. Nothing here assumes
+three keys per edge, three parts or linearity, so ``p ts`` hosts are
+searched the same way.
+
+Pruning. Let ``r`` be the number of edges still to pick and
+``slack = best_v - 1 - |union|``: a strictly better completion adds at most
+``slack`` new vertices. The union only grows along a branch, so each edge
+of such a completion also adds at most ``slack`` new vertices on its own.
+
+- slack < 0: no completion is better; the node is pruned.
+- Exactly ``r`` edges left: the one completion takes them all, and its span
+  is read from the union of the edges from each index on.
+- slack = 0: every edge of a better completion lies inside the union. The
+  node has one iff at least ``r`` edges from its first index on do, and the
+  first in DFS order takes the first ``r`` of them. It is recorded without
+  descending; every other completion of the node then spans at least the
+  new ``best_v``.
+- slack = 1: the children are the edges that add at most one new vertex;
+  any other pick leaves slack below 0. The node is pruned when fewer than
+  ``r`` of them remain. If ``best_v`` falls later, the list still holds
+  every child that can win, and each child checks the new bound itself.
+- slack >= 2: every later edge is a child. Listing only the edges that add
+  at most ``slack`` new vertices cost more time than it saved.
+
+Witness. Each prune removes only subtrees with no configuration below the
+best so far. The order and the strict-improvement rule are those of the
+plain branch and bound, so the witness is still the first configuration in
+DFS order that attains the minimum. With ``_target`` the search stops at the
+first record at or below it, which is again the first such configuration
+in that order. ``best_v`` starts one above the number of vertex keys, a
+span no configuration reaches, so the first complete configuration is
+always recorded, whatever ``_target`` is.
 """
 
 from __future__ import annotations
@@ -36,34 +75,77 @@ def min_span(host, e, guard=DEFAULT_GUARD, _target=None):
         raise ParameterError(f"e={e} exceeds the host's {m} edges")
     if comb(m, e) > guard:
         raise GuardExceededError(f"C({m},{e}) exceeds guard {guard}")
-    keys = [frozenset(host.edge_keys(x)) for x in edges]
-
-    best_v = None
-    best_pick = None
-
-    def rec(idx, picked, union):
-        nonlocal best_v, best_pick
-        if len(picked) == e:
-            if best_v is None or len(union) < best_v:
-                best_v = len(union)
-                best_pick = list(picked)
-            return
-        # skipping idx goes on to idx + 1 here, not in a call: depth <= e
-        while True:
-            if best_v is not None and _target is not None and best_v <= _target:
-                return
-            if m - idx < e - len(picked):
-                return
-            if best_v is not None and len(union) >= best_v:
-                return
-            picked.append(idx)
-            rec(idx + 1, picked, union | keys[idx])
-            picked.pop()
-            idx += 1
-
-    rec(0, [], frozenset())
+    bit = {}
+    masks = []
+    for x in edges:
+        mask = 0
+        for k in host.edge_keys(x):
+            mask |= 1 << bit.setdefault(k, len(bit))
+        masks.append(mask)
+    best_v, best_pick = _search(masks, e, len(bit) + 1, _target)
     witness = Configuration.from_edges(host, [edges[i] for i in best_pick])
     return OracleResult(best_v, witness)
+
+
+def _search(masks, e, best_v, target):
+    """(best span, picked indices) of the first configuration in DFS order
+    with the least span below best_v, or the first at or below target."""
+    m = len(masks)
+    tails = [0] * (m + 1)  # tails[i]: the union of masks[i:]
+    for i in range(m - 1, -1, -1):
+        tails[i] = tails[i + 1] | masks[i]
+    best_pick = None
+    picked = []
+    # one frame per open node: its union, the union's size, its children's
+    # indices and the position of the child being searched
+    frames = []
+    union = size = start = 0
+    while True:
+        # enter the node that extends `picked` with edges from `start` on
+        r = e - len(picked)
+        slack = best_v - 1 - size
+        children = completion = None
+        if r == 0:
+            completion, span = (), size
+        elif m - start == r:
+            # one completion is left: every remaining edge
+            completion, span = range(start, m), (union | tails[start]).bit_count()
+        elif slack >= 2:
+            children = range(start, m)
+        elif slack == 1:
+            outside = ~union
+            children = [j for j in range(start, m) if (masks[j] & outside).bit_count() <= 1]
+        elif slack == 0:
+            outside = ~union
+            inside = [j for j in range(start, m) if not masks[j] & outside]
+            if len(inside) >= r:
+                completion, span = inside[:r], size
+        if completion is not None and span < best_v:
+            best_v, best_pick = span, picked + list(completion)
+            if target is not None and best_v <= target:
+                return best_v, best_pick
+        if children is not None and len(children) >= r:
+            frames.append([union, size, children, 0])
+            j = children[0]
+        else:
+            # back up to the deepest open node with a child left to search
+            while frames:
+                frame = frames[-1]
+                union, size, children, pos = frame
+                picked.pop()
+                pos += 1
+                if size >= best_v or len(children) - pos < e - len(picked):
+                    frames.pop()
+                    continue
+                frame[3] = pos
+                j = children[pos]
+                break
+            else:
+                return best_v, best_pick
+        picked.append(j)
+        union |= masks[j]
+        size = union.bit_count()
+        start = j + 1
 
 
 def exists_config(host, v, e, guard=DEFAULT_GUARD):

@@ -228,6 +228,8 @@ def test_verify_certificate_rejects_an_edge_inside_a_side():
     assert two_coloring(g) is not None
     assert not verify_certificate(g, cert)
     assert verify_certificate(g, GrowthCertificate(2, (0, 1, 2), ((2, 0, 1),), ("A", "A", "B")))
+    # here only the edge to the second anchor, 1-2, lies inside a side
+    assert not verify_certificate(g, GrowthCertificate(2, (0, 1, 2), ((2, 0, 1),), ("B", "A", "A")))
 
 
 def test_verify_certificate_rejects_edge_mismatch():
@@ -242,6 +244,8 @@ def test_verify_certificate_rejects_an_edge_between_seeds():
     cert = GrowthCertificate(3, (0, 1, 2, 3), ((3, 0, 2),), ("A", "B", "A", "B"))
     assert verify_certificate(Graph(vertices=range(4), edges=[(0, 3), (2, 3)]), cert)
     assert not verify_certificate(Graph(edges=[(0, 1), (0, 3), (2, 3)]), cert)
+    # as many edges as were built, but the seed edge stands in for 2-3
+    assert not verify_certificate(Graph(vertices=range(4), edges=[(0, 1), (0, 3)]), cert)
 
 
 def test_find_growth_t_doubles_until_success():

@@ -10,6 +10,7 @@ from besforge import (
     TripleSystem,
     group_system,
     grow_girth_graph,
+    min_span,
     random_linear,
     to_triple_system,
 )
@@ -180,6 +181,31 @@ def test_cli_gen_and_oracle(tmp_path, capsys):
     assert main(["gen", "group", "--m", "5", "--out", str(path)]) == 0
     assert main(["oracle", "--input", str(path), "--e", "1"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_cli_oracle_on_a_triple_system(tmp_path, capsys):
+    # two triples on each of the pairs {0, 1} and {2, 3}: not linear
+    ts = TripleSystem(8, ((0, 1, 2), (0, 1, 3), (0, 4, 5), (1, 4, 6), (2, 3, 4),
+                          (2, 3, 7), (3, 5, 6), (4, 6, 7)))
+    path = tmp_path / "h.ts"
+    path.write_text(textio.dumps_system(ts))
+    assert path.read_text().startswith("p ts 8 8")
+    for e in range(1, ts.m + 1):
+        v = min_span(ts, e).v
+        assert main(["oracle", "--input", str(path), "--e", str(e)]) == 0
+        assert capsys.readouterr().out.strip() == str(v)
+        for asked, answer in ((v, "true"), (v - 1, "false")):
+            assert main(["oracle", "--input", str(path), "--e", str(e), "--v", str(asked)]) == 0
+            assert capsys.readouterr().out.strip() == answer
+
+
+def test_cli_oracle_with_e_close_to_the_edge_count(tmp_path, capsys):
+    path = tmp_path / "g40.tls"
+    assert main(["gen", "group", "--m", "40", "--out", str(path)]) == 0
+    capsys.readouterr()
+    for e in ("1599", "1600"):
+        assert main(["oracle", "--input", str(path), "--e", e]) == 0
+        assert capsys.readouterr().out.strip() == "120"
 
 
 def test_cli_solve_report(tmp_path, capsys):

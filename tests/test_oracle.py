@@ -1,14 +1,20 @@
+import random
+from math import comb
+
 import pytest
 
 from besforge import (
     GuardExceededError,
     ParameterError,
+    TripleSystem,
     exists_config,
     group_system,
     min_span,
     random_linear,
+    validate_linear,
     verify_configuration,
 )
+from besforge.oracle import DEFAULT_GUARD
 
 
 def test_group2_all_edges():
@@ -67,7 +73,7 @@ def test_brute_force_cross_check_on_random_instance():
 
 def _reference_min_span(host, e, _target=None):
     """The branch and bound that recursed once per skipped edge, kept as the
-    reference for min_span's value, witness and visiting order."""
+    reference for min_span's value and witness."""
     edges = list(host.edges)
     m = len(edges)
     keys = [frozenset(host.edge_keys(x)) for x in edges]
@@ -96,17 +102,62 @@ def _reference_min_span(host, e, _target=None):
     return best_v, tuple(sorted(edges[i] for i in best_pick))
 
 
+def _random_triple_system(seed):
+    """A seeded TripleSystem on few vertices, so triples share pairs: not
+    linear, and not tripartite."""
+    rng = random.Random(seed)
+    n = rng.randrange(7, 11)
+    edges = set()
+    while len(edges) < rng.randrange(14, 21):
+        edges.add(tuple(sorted(rng.sample(range(n), 3))))
+    return TripleSystem(n, tuple(sorted(edges)))
+
+
+def _queries(host, max_e):
+    return [e for e in range(1, min(host.m, max_e) + 1) if comb(host.m, e) <= DEFAULT_GUARD]
+
+
 def test_min_span_matches_the_recursive_reference():
-    hosts = [group_system(4), group_system(5)]
-    hosts += [random_linear(6, 6, 6, 20, seed=s) for s in range(6)]
+    g5 = group_system(5)
+    small = [group_system(4), g5]
+    small += [random_linear(6, 6, 6, 20, seed=s) for s in range(6)]
+    # the sizes the benchmark queries, where the slack prune fires most
+    r8 = random_linear(8, 8, 8, 28, seed=11)
+    assert r8.m == 28
+    triple_systems = [_random_triple_system(s) for s in range(4)]
+    assert not any(validate_linear(ts) for ts in triple_systems)
+    queries = [(lts, e) for lts in small for e in _queries(lts, 6)]
+    queries += [(g5, e) for e in range(7, 11)]
+    queries += [(r8, e) for e in _queries(r8, 10)]
+    queries += [(ts, e) for ts in triple_systems for e in _queries(ts, 10)]
     checked = 0
-    for lts in hosts:
-        for e in range(1, min(lts.m, 6) + 1):
-            for target in (None, 3 * e - 2, 2 * e, e + 3):
-                got = min_span(lts, e, _target=target)
-                assert (got.v, got.witness.edges) == _reference_min_span(lts, e, target)
-                checked += 1
-    assert checked > 150
+    for lts, e in queries:
+        for target in (None, 3 * e - 2, 2 * e, e + 3):
+            got = min_span(lts, e, _target=target)
+            assert (got.v, got.witness.edges) == _reference_min_span(lts, e, target)
+            checked += 1
+    assert checked > 300
+
+
+def test_target_at_or_above_every_span_still_returns_a_witness():
+    lts = group_system(3)
+    for e in range(1, lts.m + 1):
+        least = min_span(lts, e).v
+        for v in (3 * e, 3 * e + 1, 3 * e + 5):
+            assert exists_config(lts, v, e)
+            got = min_span(lts, e, _target=v)
+            assert got.witness.e == e and got.v == got.witness.v <= v
+            assert (got.v, got.witness.edges) == _reference_min_span(lts, e, v)
+        assert exists_config(lts, least, e)
+        assert not exists_config(lts, least - 1, e)
+
+
+@pytest.mark.parametrize("e", [1599, 1600])
+def test_min_span_with_e_close_to_the_edge_count(e):
+    lts = group_system(40)
+    assert lts.m == 1600 and comb(lts.m, e) <= DEFAULT_GUARD
+    result = min_span(lts, e)
+    assert result.v == 120 and result.witness.e == e
 
 
 def test_min_span_on_a_host_with_over_a_thousand_edges():
