@@ -329,8 +329,7 @@ def find_be_s_configuration(lts, e, params=None):
             cut = result.budget_exhausted
             break
         chosen.extend(cfg.edges)
-        for x in cfg.edges:
-            span.update(lts.edge_keys(x))
+        span |= cfg.span
         before = len(residual)
         used = set(cfg.edges)
         residual = [x for x in residual if x not in used]

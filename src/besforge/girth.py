@@ -3,7 +3,8 @@
 Vertices are labeled 0..k-1 in construction order. The first t form an
 independent set; each later vertex joins the smaller bipartition side and
 attaches to two vertices of the larger side that have degree at most 7 and
-no path of length at most g-2 between them.
+no path of length at most g-2 between them. So a GrowthCertificate holds only
+t and the lines (v, u1, u2) for v = t, t+1, ...; side_of is the side rule.
 
 Each side keeps an open list of its members of degree at most 7, in
 insertion order, updated as vertices join and fill up, so a step does not
@@ -33,10 +34,8 @@ _RANDOM_ATTEMPTS = 128
 
 @dataclass(frozen=True)
 class GrowthCertificate:
-    t: int
-    order: tuple  # all vertices in construction order
-    attachments: tuple  # (v, u1, u2) for every post-seed vertex
-    sides: tuple  # 'A' or 'B' per vertex id
+    t: int  # seed count: vertices 0..t-1
+    attachments: tuple  # (v, u1, u2) for v = t, t+1, ... in order
 
 
 def side_of(v):
@@ -87,9 +86,7 @@ def grow_girth_graph(k, t, g, seed=0):
         if graph.degree(u1) > _MAX_DEGREE or graph.degree(u2) > _MAX_DEGREE:
             raise IntegrityError(f"degree cap {_MAX_DEGREE} violated at step {v}")
 
-    cert = GrowthCertificate(t, tuple(range(k)), tuple(attachments),
-                             tuple(map(side_of, range(k))))
-    return graph, cert
+    return graph, GrowthCertificate(t, tuple(attachments))
 
 
 def _pick_pair(graph, eligible, g, rng):
@@ -145,31 +142,24 @@ def girth_of(graph):
 
 def verify_certificate(graph, cert):
     """Replay a growth certificate against a graph; True iff it checks out."""
-    k = len(cert.order)
-    if tuple(sorted(graph.vertices)) != tuple(sorted(cert.order)):
+    t = cert.t
+    k = t + len(cert.attachments)
+    # compare the counts before building anything sized by t, which is input
+    if t < 0 or graph.n != k or graph.adjacency().keys() != set(range(k)):
         return False
-    if len(cert.sides) != k or any(s not in ("A", "B") for s in cert.sides):
-        return False
-    placed = set(cert.order[: cert.t])
-    if len(cert.attachments) != k - cert.t:
-        return False
-    side = dict(zip(cert.order, cert.sides))
-    for (v, u1, u2), expected in zip(cert.attachments, cert.order[cert.t :]):
-        if v != expected or u1 == u2:
+    for v, (w, u1, u2) in enumerate(cert.attachments, start=t):
+        if w != v or u1 == u2 or not (0 <= u1 < v and 0 <= u2 < v):
             return False
-        if u1 not in placed or u2 not in placed or v in placed:
-            return False
-        placed.add(v)
         # each built edge is in the graph and joins an A and a B vertex
         if not (graph.has_edge(v, u1) and graph.has_edge(v, u2)):
             return False
-        if side[v] == side[u1] or side[v] == side[u2]:
+        if side_of(v) == side_of(u1) or side_of(v) == side_of(u2):
             return False
     # the built edges are distinct (each joins a new v to two distinct earlier
     # vertices), so the simple graph has no other edge iff it has 2(k - t):
     # seeds are then mutually non-adjacent, and the sides are a 2-colouring,
     # so the graph is bipartite without a search
-    return graph.m == 2 * (k - cert.t)
+    return graph.m == 2 * (k - t)
 
 
 def find_growth_t(k, g, seed=0):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .core import TripartiteLinearSystem, TripleSystem
 from .errors import FormatError, ParameterError
-from .girth import GrowthCertificate, side_of
+from .girth import GrowthCertificate
 from .graphs import Graph
 
 
@@ -109,7 +109,7 @@ def dumps_graph(graph, cert=None):
 def loads_graph(text):
     """Parse a graph file; returns (Graph, GrowthCertificate | None).
 
-    Certificate sides follow the growth rule `girth.side_of`.
+    A certificate is a non-negative 'c' seed count t and 'a' lines for t, t+1, ...
     """
     (_, (n, m)), body = _header_and_body(
         _records(text, {"p graph": 2, "g": 2, "c": 1, "a": 3}), ("p graph",)
@@ -122,9 +122,6 @@ def loads_graph(text):
         raise FormatError(f"header declares {m} edges, found {len(edges)} ({graph.m} distinct)")
     certs = [ints[0] for tag, ints in body if tag == "c"]
     attachments = tuple(ints for tag, ints in body if tag == "a")
-    if len(certs) > 1 or (attachments and not certs):
-        raise FormatError("certificate 'a' lines need exactly one 'c' line")
-    if not certs:
-        return graph, None
-    sides = tuple(map(side_of, range(n)))
-    return graph, GrowthCertificate(certs[0], tuple(range(n)), attachments, sides)
+    if len(certs) > 1 or (attachments and not certs) or min(certs, default=0) < 0:
+        raise FormatError("a certificate needs exactly one 'c' line, with a seed count >= 0")
+    return graph, (GrowthCertificate(certs[0], attachments) if certs else None)

@@ -6,6 +6,7 @@ lines alongside the pytest verdicts.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -30,6 +31,7 @@ from besforge import (
     verify_certificate,
     verify_configuration,
 )
+from besforge.girth import side_of
 from random_candidates import random_candidate
 
 DELTA_CAPS = {4: 4, 3: 2, 2: 1, 1: 0, 0: 0}
@@ -162,10 +164,8 @@ def test_criterion_7_girth_growth():
         assert graph.m == 2 * (500 - t)
         assert two_coloring(graph) is not None
         assert max(graph.degree(v) for v in graph.vertices) <= 8
-        counts = {"A": 0, "B": 0}
-        for s in cert.sides:
-            counts[s] += 1
-        assert counts == {"A": 250, "B": 250}
+        assert cert.t + len(cert.attachments) == 500
+        assert Counter(map(side_of, range(500))) == {"A": 250, "B": 250}
         girth = girth_of(graph)
         assert girth is None or girth >= g
         assert verify_certificate(graph, cert)

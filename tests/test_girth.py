@@ -1,8 +1,12 @@
 import hashlib
+import itertools
 import random
-from collections import deque
+import tracemalloc
+from collections import Counter, deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import besforge.girth
 from besforge import (
@@ -11,6 +15,7 @@ from besforge import (
     GrowthError,
     IntegrityError,
     ParameterError,
+    degeneracy_ordering,
     find_growth_t,
     girth_of,
     grow_girth_graph,
@@ -39,10 +44,8 @@ def test_worked_200_vertex_example():
     assert g.n == 200 and g.m == 2 * (200 - 64) == 272
     assert girth_of(g) >= 6
     assert max(g.degree(v) for v in g.vertices) <= 8
-    sides = {}
-    for v, s in zip(cert.order, cert.sides):
-        sides.setdefault(s, []).append(v)
-    assert sorted(len(x) for x in sides.values()) == [100, 100]
+    assert cert.t + len(cert.attachments) == 200
+    assert Counter(map(side_of, range(200))) == {"A": 100, "B": 100}
     assert two_coloring(g) is not None
     assert verify_certificate(g, cert)
 
@@ -208,44 +211,130 @@ def test_girth_of_deletes_each_root_after_its_search(monkeypatch):
     assert popped[0] == 0 and len(popped) == 51 + 50
 
 
+# sides alternate by side_of: even vertices are A, odd ones B
+C4_BY_HAND = GrowthCertificate(4, ((4, 1, 3), (5, 0, 2), (6, 1, 3)))
+C4_EDGES = [(1, 4), (3, 4), (0, 5), (2, 5), (1, 6), (3, 6)]
+
+
 def test_verify_certificate_c4_by_hand():
-    g = Graph(edges=[(0, 2), (0, 3), (1, 2), (1, 3)])
-    cert = GrowthCertificate(2, (0, 1, 2, 3), ((2, 0, 1), (3, 0, 1)), ("A", "A", "B", "B"))
-    assert verify_certificate(g, cert)
+    g = Graph(vertices=range(7), edges=C4_EDGES)
+    assert girth_of(g) == 4  # 1-4-3-6
+    assert verify_certificate(g, C4_BY_HAND)
+    # the vertex set must be exactly 0..k-1
+    assert not verify_certificate(Graph(vertices=range(8), edges=C4_EDGES), C4_BY_HAND)
 
 
 def test_verify_certificate_rejects_triangle():
     g = Graph(edges=[(0, 1), (0, 2), (1, 2)])
-    cert = GrowthCertificate(2, (0, 1, 2), ((2, 0, 1),), ("A", "B", "A"))
-    assert not verify_certificate(g, cert)
+    assert not verify_certificate(g, GrowthCertificate(2, ((2, 0, 1),)))
 
 
 def test_verify_certificate_rejects_an_edge_inside_a_side():
     # the path 0-2-1 is bipartite and every edge is built, but 0 and 2 are
     # both on side A, so only the side check rejects it
     g = Graph(edges=[(0, 2), (1, 2)])
-    cert = GrowthCertificate(2, (0, 1, 2), ((2, 0, 1),), ("A", "B", "A"))
     assert two_coloring(g) is not None
-    assert not verify_certificate(g, cert)
-    assert verify_certificate(g, GrowthCertificate(2, (0, 1, 2), ((2, 0, 1),), ("A", "A", "B")))
-    # here only the edge to the second anchor, 1-2, lies inside a side
-    assert not verify_certificate(g, GrowthCertificate(2, (0, 1, 2), ((2, 0, 1),), ("B", "A", "A")))
+    assert not verify_certificate(g, GrowthCertificate(2, ((2, 0, 1),)))
+    # here only the edge to the second anchor, 0-2, lies inside a side
+    assert not verify_certificate(g, GrowthCertificate(2, ((2, 1, 0),)))
+    # the path 0-3-2 with 1 isolated: 3 is on side B, so it is accepted
+    path = Graph(vertices=range(4), edges=[(0, 3), (2, 3)])
+    assert verify_certificate(path, GrowthCertificate(3, ((3, 0, 2),)))
+    # without the isolated seed the vertex set is not 0..k-1
+    assert not verify_certificate(Graph(edges=path.edges), GrowthCertificate(3, ((3, 0, 2),)))
 
 
 def test_verify_certificate_rejects_edge_mismatch():
-    g = Graph(edges=[(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    cert = GrowthCertificate(2, (0, 1, 2, 3), ((2, 0, 1), (3, 0, 1)), ("A", "A", "B", "B"))
-    assert not verify_certificate(g, cert)
+    # 4-5 joins two sides and keeps the graph bipartite, but was not built
+    g = Graph(vertices=range(7), edges=[*C4_EDGES, (4, 5)])
+    assert two_coloring(g) is not None
+    assert not verify_certificate(g, C4_BY_HAND)
 
 
 def test_verify_certificate_rejects_an_edge_between_seeds():
     # seeds 0, 1, 2 and vertex 3 on 0 and 2; the seed edge 0-1 joins two
     # sides and closes no cycle, so only the edge comparison rejects it
-    cert = GrowthCertificate(3, (0, 1, 2, 3), ((3, 0, 2),), ("A", "B", "A", "B"))
+    cert = GrowthCertificate(3, ((3, 0, 2),))
     assert verify_certificate(Graph(vertices=range(4), edges=[(0, 3), (2, 3)]), cert)
     assert not verify_certificate(Graph(edges=[(0, 1), (0, 3), (2, 3)]), cert)
     # as many edges as were built, but the seed edge stands in for 2-3
     assert not verify_certificate(Graph(vertices=range(4), edges=[(0, 1), (0, 3)]), cert)
+
+
+# K6 minus the edge 0-1: neither bipartite nor 2-degenerate, with a
+# certificate whose seed count is negative
+K6_MINUS_EDGE = Graph(edges=[e for e in itertools.combinations(range(6), 2) if e != (0, 1)])
+NEGATIVE_SEED_CERT = GrowthCertificate(-1, ((5, 0, 2),) + ((0, 0, 0),) * 6)
+
+
+def test_verify_certificate_rejects_a_negative_seed_count():
+    # t + len(attachments) = 6 vertices and 2 * 7 = 14 edges, as the graph has
+    assert K6_MINUS_EDGE.m == 14
+    assert not verify_certificate(K6_MINUS_EDGE, NEGATIVE_SEED_CERT)
+
+
+def test_verify_certificate_is_not_sized_by_the_seed_count():
+    # a loaded t comes from the file; set(range(10**6)) alone takes tens of MB
+    tracemalloc.start()
+    try:
+        assert not verify_certificate(Graph(vertices=range(1)), GrowthCertificate(10**6, ()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# the cube Q3, labelled so that side_of is its 2-colouring with the
+# antipodal seeds 0 and 1; each later vertex owns two edges, but 2, 3 and 4
+# name an anchor that comes after them, so no peeling order replays the lines
+CUBE = Graph(edges=[(0, 3), (0, 5), (0, 7), (1, 2), (1, 4), (1, 6),
+                    (2, 3), (3, 4), (4, 7), (6, 7), (5, 6), (2, 5)])
+CUBE_FORWARD_CERT = GrowthCertificate(2, ((2, 1, 3), (3, 0, 4), (4, 1, 7),
+                                          (5, 0, 2), (6, 1, 5), (7, 0, 6)))
+
+
+def test_verify_certificate_rejects_an_anchor_after_its_vertex():
+    assert CUBE.m == 2 * (8 - 2) and degeneracy_ordering(CUBE).degeneracy == 3
+    assert not verify_certificate(CUBE, CUBE_FORWARD_CERT)
+
+
+@st.composite
+def _mutated_certificates(draw):
+    """A small grown graph and its certificate, with at most one change."""
+    k = draw(st.integers(2, 14))
+    _t, graph, cert = find_growth_t(k, draw(st.integers(4, 6)), seed=draw(st.integers(0, 3)))
+    t, lines = cert.t, list(cert.attachments)
+    change = draw(st.sampled_from(["none", "t", "line", "edge"]))
+    if change == "t":
+        t = draw(st.integers(-3, k + 2))
+    elif change == "line" and lines:
+        vertex = st.integers(-1, k + 1)
+        lines[draw(st.integers(0, len(lines) - 1))] = (draw(vertex), draw(vertex), draw(vertex))
+    elif change == "edge":
+        u, w = draw(st.lists(st.integers(0, k), min_size=2, max_size=2, unique=True))
+        graph = Graph(vertices=graph.vertices, edges=[*graph.edges, (u, w)])
+    if change in ("t", "line") and draw(st.booleans()):
+        # the graph the changed certificate describes, so that only the
+        # certificate's own rules can reject it
+        graph = Graph(vertices=range(max(t + len(lines), 0)),
+                      edges=[(v, u) for v, *anchors in lines for u in anchors if u != v])
+    return change, graph, GrowthCertificate(t, tuple(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_certificates())
+@example(("repro", K6_MINUS_EDGE, NEGATIVE_SEED_CERT))
+@example(("cube", CUBE, CUBE_FORWARD_CERT))
+def test_verified_certificates_are_sound(case):
+    change, graph, cert = case
+    ok = verify_certificate(graph, cert)
+    if change == "none":
+        assert ok
+    if ok:
+        k = cert.t + len(cert.attachments)
+        assert two_coloring(graph) is not None
+        assert graph.m == 2 * (k - cert.t)
+        assert degeneracy_ordering(graph).degeneracy <= 2
 
 
 def test_find_growth_t_doubles_until_success():

@@ -1,4 +1,6 @@
+import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,11 @@ MALFORMED_GRAPHS = {
     "declared_edge_count_disagrees": "p graph 3 2\ng 0 1\n",
     "repeated_edge": "p graph 3 2\ng 0 1\ng 1 0\n",
     "attachment_without_a_certificate_line": "p graph 3 0\na 2 0 1\n",
+    # K6 minus the edge 0-1 is neither bipartite nor 2-degenerate, but its 6
+    # vertices and 14 edges are what 'c -1' and seven 'a' lines would build
+    "negative_seed_count": "p graph 6 14\n"
+    + "".join(f"g {u} {v}\n" for u, v in itertools.combinations(range(6), 2) if (u, v) != (0, 1))
+    + "c -1\na 5 0 2\n" + "a 0 0 0\n" * 6,
     "no_header": "g 0 1\n",
 }
 
@@ -234,6 +241,23 @@ def test_cli_girth_grow_check_round_trip(tmp_path, capsys):
                  "--seed", "4", "--out", str(path)]) == 0
     assert main(["girth", "check", "--input", str(path), "--g", "5"]) == 0
     assert "certificate ok" in capsys.readouterr().out
+
+
+def test_cli_girth_check_with_a_seed_count_beyond_the_graph(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    # at c 10**6 the check must stay small, so the run at 10**12 below cannot
+    # size anything by the seed count
+    path.write_text("p graph 1 0\nc 1000000\n")
+    tracemalloc.start()
+    try:
+        assert main(["girth", "check", "--input", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    path.write_text(f"p graph 1 0\nc {10**12}\n")
+    assert main(["girth", "check", "--input", str(path)]) == 1
+    assert capsys.readouterr().out == "girth acyclic, certificate FAILED\n" * 2
 
 
 _GEN_RANDOM = ["gen", "random", "--na", "6", "--nb", "7", "--nc", "8", "--target", "20"]
