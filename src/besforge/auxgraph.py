@@ -8,7 +8,7 @@ underlying hyperedges.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -78,13 +78,21 @@ class AuxGraph:
         """The multigraph edge that the pair graph's u-w edge stands for, as an
         AuxEdge: the first straight edge of the pair's run in the sorted rows,
         else the run's first (the smaller apex); None when no edge joins u
-        and w. A row that already is an AuxEdge is returned as it is."""
+        and w. A row that already is an AuxEdge is returned as it is.
+
+        The pair (u, w) sorts before every row it prefixes, so one bisect
+        with no key finds the run, and by the multiplicity law the run holds
+        at most one more row."""
         rows = self.rows
-        lo = bisect_left(rows, (u, w), key=_pair)
-        hi = bisect_right(rows, (u, w), lo, key=_pair)
-        if lo == hi:
+        pair = (u, w)
+        lo = bisect_left(rows, pair)
+        if lo == len(rows) or _pair(rows[lo]) != pair:
             return None
-        row = next((r for r in rows[lo:hi] if r[3] == "S"), rows[lo])
+        row = rows[lo]
+        if row[3] != "S" and lo + 1 < len(rows):
+            after = rows[lo + 1]
+            if after[3] == "S" and _pair(after) == pair:
+                row = after
         return row if isinstance(row, AuxEdge) else AuxEdge._make(row)
 
 
@@ -151,7 +159,7 @@ def build_aux(lts):
     # sorted by (u, w, apex), the parallel edges of a pair are consecutive;
     # checked in that order, the first pair that breaks the law is named
     for pair in sorted(parallel):
-        lo = bisect_left(rows, pair, key=_pair)
+        lo = bisect_left(rows, pair)  # (u, w) sorts before every row it prefixes
         if rows[lo][3] == rows[lo + 1][3]:
             raise IntegrityError(f"parallel edges between {pair[0]} and {pair[1]} share pairing type")
         if lo + 2 < len(rows) and _pair(rows[lo + 2]) == pair:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import DegenerateInputError, ParameterError
@@ -37,6 +38,11 @@ class TripleSystem:
         if len(set(canon)) != len(canon):
             raise ParameterError("duplicate triples")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+
+    @cached_property
+    def edge_set(self):
+        """The edges as a frozenset, made the first time it is read."""
+        return frozenset(self.edges)
 
     def edge_keys(self, edge):
         return edge
@@ -71,6 +77,11 @@ class TripartiteLinearSystem:
             raise ParameterError("duplicate triples")
         object.__setattr__(self, "sizes", tuple(self.sizes))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+
+    @cached_property
+    def edge_set(self):
+        """The edges as a frozenset, made the first time it is read."""
+        return frozenset(self.edges)
 
     def edge_keys(self, edge):
         a, b, c = edge
@@ -166,7 +177,7 @@ def verify_configuration(host, cfg, v, e):
     edges = cfg.edges
     if len(edges) != e or len(set(edges)) != e:
         return False
-    host_edges = set(host.edges)
+    host_edges = host.edge_set
     if any(x not in host_edges for x in edges):
         return False
     span = {k for x in edges for k in host.edge_keys(x)}

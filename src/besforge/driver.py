@@ -12,17 +12,26 @@ rows, and the solve reads the rows as plain tuples: the only AuxEdges it
 makes are the kept edges that unpack asks for. No frame changes what it
 reads.
 
+An edge's id is its position in the sorted host edges, so the smallest id
+is the smallest edge. The residual is a flag per id and a count: a kept
+frame clears the flags of its edges, a later frame reads the live edges in
+sorted order, and the greedy base pick works on ids. The key index (each
+edge's id, and the ids of the edges through each vertex key) is built once
+per solve of a host that is not cached.
+
 A host solved again keeps its pair multigraph, the degeneracy order of its
-pair graph and an index of its edges by vertex key (which seeds the greedy
-base pick) until another host is solved. So solving one host at many e
-builds them twice (once for the first solve, once to keep), not per solve,
-and frame 0 of a warm solve builds nothing that depends only on the host.
+pair graph and its key index until another host is solved. So solving one
+host at many e builds them twice (once for the first solve, once to keep),
+not per solve, and a warm solve builds nothing that depends only on the
+host: its finish does work sized by the edges it picks and the edges that
+meet them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from . import degsearch
 from .auxgraph import build_aux, simple_subgraph
@@ -116,32 +125,33 @@ class DriverReport:
         }
 
 
-def _greedy_pick(available, count, span, edge_keys, by_key):
+def _greedy_pick(alive, count, span, edges, edge_keys, by_key):
     """Pick `count` edges, each maximizing overlap with the running span;
-    ties go to the lexicographically smallest edge.
+    ties go to the lexicographically smallest edge. Returns their ids.
 
-    `available` must be sorted, as the driver's residual is: it starts as
-    the host's sorted edges and each frame only filters it. `by_key` maps
-    each key to the host edges through it and may list edges outside
-    `available`. Edges meeting the span wait in one min-heap per overlap
-    (1-3); a key joining the span moves the available edges through it one
-    heap up, and the entries they leave behind are skipped. When the heaps
-    hold no available edge, none meets the span, and the pick is the first
-    edge of `available` not yet chosen, found by a pointer that only moves
-    forward.
+    Edges are named by id, their position in the sorted host edges `edges`,
+    so the smallest id is the smallest edge. alive[i] is 1 when edge i may be
+    picked; the flags are copied, not changed. `by_key` maps each key to the
+    ids of the host edges through it, live or not. Edges meeting the span wait
+    in one min-heap per overlap (1-3); a key joining the span moves the live
+    edges through it one heap up, and the entries they leave behind are
+    skipped. When the heaps hold no live edge, none meets the span, and the
+    pick is the smallest live id, found by a pointer that only moves forward.
+    Raises ExhaustionError when fewer than `count` edges are live.
     """
-    if len(available) < count:
-        raise ExhaustionError(count, len(available))
-    live = set(available)  # not yet chosen
+    live = bytearray(alive)  # 1 = not yet chosen
     span = set(span)
-    overlap = {}  # live edge meeting the span -> its overlap with the span
+    overlap = [0] * len(live)  # a live id's overlap with the span
+    met = []  # the live ids that meet the span
     for key in span:
-        for y in by_key[key]:
-            if y in live:
-                overlap[y] = overlap.get(y, 0) + 1
+        for i in by_key[key]:
+            if live[i]:
+                if not overlap[i]:
+                    met.append(i)
+                overlap[i] += 1
     heaps = [[], [], [], []]
-    for y, ov in overlap.items():
-        heaps[ov].append(y)
+    for i in met:
+        heaps[overlap[i]].append(i)
     for heap in heaps:
         heapify(heap)
     chosen = []
@@ -149,44 +159,48 @@ def _greedy_pick(available, count, span, edge_keys, by_key):
     while len(chosen) < count:
         for ov in (3, 2, 1):
             heap = heaps[ov]
-            while heap and overlap.get(heap[0]) != ov:
-                heappop(heap)  # chosen, or moved up since this entry was pushed
+            while heap and overlap[heap[0]] != ov:
+                heappop(heap)  # moved up since this entry was pushed
             if heap:
-                x = heappop(heap)
-                del overlap[x]
+                i = heappop(heap)
                 break
         else:
-            while available[p] not in live:
-                p += 1
-            x = available[p]
-        live.remove(x)
-        chosen.append(x)
-        for key in edge_keys(x):
+            try:
+                p = i = live.index(1, p)
+            except ValueError:
+                raise ExhaustionError(count, len(chosen)) from None
+        live[i] = 0
+        chosen.append(i)
+        for key in edge_keys(edges[i]):
             if key not in span:
                 span.add(key)
-                for y in by_key[key]:
-                    if y in live:
-                        up = overlap[y] = overlap.get(y, 0) + 1
-                        heappush(heaps[up], y)
+                for j in by_key[key]:
+                    if live[j]:
+                        overlap[j] += 1
+                        heappush(heaps[overlap[j]], j)
     return chosen
 
 
 def _key_index(lts):
-    """Each vertex key of lts -> the host edges through it, in sorted order.
+    """(edge -> id, key -> ids): each host edge's id, its position in the
+    sorted lts.edges, and each vertex key of lts with the ids of the edges
+    through it, in ascending order.
 
-    The edges are grouped by part-local id, one dict per part, and keyed as
-    lts.edge_keys names them only at the end. Dicts rather than lists indexed
-    by id, so that the index is sized by the edges and not by the part sizes
-    that the input header declares.
+    The edge ids are grouped by part-local vertex id, one dict per part, and
+    keyed as lts.edge_keys names them only at the end. Dicts rather than
+    lists indexed by vertex id, so that the index is sized by the edges and
+    not by the part sizes that the input header declares.
     """
+    ids = {}
     parts = ({}, {}, {})
     by_a, by_b, by_c = parts
-    for x in lts.edges:
+    for i, x in enumerate(lts.edges):
+        ids[x] = i
         a, b, c = x
-        by_a.setdefault(a, []).append(x)
-        by_b.setdefault(b, []).append(x)
-        by_c.setdefault(c, []).append(x)
-    return {(name, i): xs for name, part in zip("ABC", parts) for i, xs in part.items()}
+        by_a.setdefault(a, []).append(i)
+        by_b.setdefault(b, []).append(i)
+        by_c.setdefault(c, []).append(i)
+    return ids, {(name, i): xs for name, part in zip("ABC", parts) for i, xs in part.items()}
 
 
 # (host, its AuxGraph, the degeneracy order of its pair graph, its key index)
@@ -205,13 +219,14 @@ def _cache_entry(lts):
     return None
 
 
-def _frame0(lts):
+def _frame0(lts, index):
     """The multigraph of lts and the degeneracy order of its pair graph.
 
     They come from the one-entry cache when lts is, or equals, the last host
     solved and was solved before that too; otherwise they are built. The
     first solve of a host keeps only the host, so a host solved once leaves
-    nothing resident; the second also keeps the two and the key index.
+    nothing resident; the second also keeps the two and `index`, the key
+    index of lts that the solve already has.
     'exhaustive' ignores the order, which costs little on its pair graphs of
     at most 20 vertices.
     """
@@ -224,7 +239,7 @@ def _frame0(lts):
     if entry is None:
         _last_host = (lts, None, None, None)
     else:
-        _last_host = (lts, aux, order, _key_index(lts))
+        _last_host = (lts, aux, order, index)
     return aux, order
 
 
@@ -288,7 +303,12 @@ def find_be_s_configuration(lts, e, params=None):
     if lts.m < e:
         raise ExhaustionError(e, lts.m)
 
-    residual = list(lts.edges)
+    entry = _cache_entry(lts)
+    index = _key_index(lts) if entry is None or entry[3] is None else entry[3]
+    ids, by_key = index
+    # the residual: alive[i] is 1 while host edge i is left; left counts them
+    alive = bytearray(b"\x01") * lts.m
+    left = lts.m
     chosen = []
     span = set()  # the vertex keys of chosen
     frames = []
@@ -305,12 +325,12 @@ def find_be_s_configuration(lts, e, params=None):
             break
         if not frames:
             sub = lts
-            aux, order = _frame0(lts)
-        elif _free_finish(residual, e_prime, span, lts.edge_keys):
+            aux, order = _frame0(lts, index)
+        elif _free_finish(compress(lts.edges, alive), e_prime, span, lts.edge_keys):
             note = _FREE_NOTE
             break
         else:
-            sub = TripartiteLinearSystem(lts.sizes, tuple(residual))
+            sub = TripartiteLinearSystem(lts.sizes, tuple(compress(lts.edges, alive)))
             aux, order = build_aux(sub), None
         graph = simple_subgraph(aux)
         if graph.n < k or not aux.rows:
@@ -330,13 +350,14 @@ def find_be_s_configuration(lts, e, params=None):
             break
         chosen.extend(cfg.edges)
         span |= cfg.span
-        before = len(residual)
-        used = set(cfg.edges)
-        residual = [x for x in residual if x not in used]
+        before = left
+        for x in cfg.edges:
+            alive[ids[x]] = 0
+        left -= len(cfg.edges)
         frames.append(
             FrameReport(
                 e_prime, "top_up" if top_up else "recurse", not result.success,
-                before if top_up else len(residual),
+                before if top_up else left,
                 k=k, f_edges=len(cand.edges), achieved_t=cand.achieved_t,
                 unpack_v=trace.v_total, unpack_e=fe,
                 budget_exhausted=result.budget_exhausted,
@@ -346,12 +367,11 @@ def find_be_s_configuration(lts, e, params=None):
         if top_up:
             break
 
-    entry = _cache_entry(lts)
-    by_key = _key_index(lts) if entry is None or entry[3] is None else entry[3]
-    chosen.extend(_greedy_pick(residual, e_prime, span, lts.edge_keys, by_key))
+    picked = _greedy_pick(alive, e_prime, span, lts.edges, lts.edge_keys, by_key)
+    chosen.extend(lts.edges[i] for i in picked)
     if not (frames and frames[-1].branch == "top_up"):
         frames.append(FrameReport(
-            e_prime, "base", note not in ("", _END_NOTE, _FREE_NOTE), len(residual), note=note,
+            e_prime, "base", note not in ("", _END_NOTE, _FREE_NOTE), left, note=note,
             budget_exhausted=cut))
 
     cfg = Configuration.from_edges(lts, chosen)

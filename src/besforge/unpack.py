@@ -117,7 +117,7 @@ def unpack(candidate, aux, host):
     `aux` is the multigraph whose pair graph the candidate was found in;
     each candidate edge unpacks into aux.kept_edge of its pair.
     """
-    host_edges = set(host.edges)
+    host_edges = host.edge_set
 
     pos = {v: i for i, v in enumerate(candidate.vertices)}
     by_later = {v: [] for v in candidate.vertices}

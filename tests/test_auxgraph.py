@@ -1,4 +1,6 @@
 import random
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -93,6 +95,63 @@ def test_simple_subgraph_prefers_straight_pairing():
     straight_last = (AuxEdge(u, w, 0, "X", (0, 1, 0), (1, 0, 0)),
                      AuxEdge(u, w, 1, "S", (0, 0, 1), (1, 1, 1)))
     assert AuxGraph((u,), (w,), straight_last).kept_edge(u, w) is straight_last[1]
+
+
+def _reference_kept_edge(aux, u, w):
+    """AuxGraph.kept_edge as two bisects keyed on each row's (u, w), kept as
+    the reference for the key-free bisect."""
+    rows = aux.rows
+    pair = itemgetter(0, 1)
+    lo = bisect_left(rows, (u, w), key=pair)
+    hi = bisect_right(rows, (u, w), lo, key=pair)
+    if lo == hi:
+        return None
+    row = next((r for r in rows[lo:hi] if r[3] == "S"), rows[lo])
+    return row if isinstance(row, AuxEdge) else AuxEdge._make(row)
+
+
+def test_kept_edge_matches_the_keyed_bisect():
+    hosts = [group_system(m) for m in range(1, 8)]
+    hosts += [random_linear(8, 8, 8, 40, seed=s) for s in range(6)]
+    seen = {"straight first": 0, "crossed first": 0, "after the last row": 0, "u without w": 0}
+    for lts in hosts:
+        aux = build_aux(lts)
+        if not aux.rows:
+            continue
+        # a hand-built multigraph of AuxEdge rows hands out its own rows
+        by_hand = AuxGraph(aux.a_vertices, aux.b_vertices, aux.edges)
+        last_u = aux.rows[-1][0]
+        past = ("A", lts.sizes[0], lts.sizes[0] + 1)
+        probes = [(u, w) for u in aux.a_vertices for w in aux.b_vertices]
+        probes += [(last_u, ("B", lts.sizes[1], lts.sizes[1] + 1)), (past, aux.b_vertices[0])]
+        for u, w in probes:
+            want = _reference_kept_edge(aux, u, w)
+            assert aux.kept_edge(u, w) == want
+            assert want is None or type(aux.kept_edge(u, w)) is AuxEdge
+            assert by_hand.kept_edge(u, w) is _reference_kept_edge(by_hand, u, w)
+            run = [r[3] for r in aux.rows if r[:2] == (u, w)]
+            seen["straight first"] += run == ["S", "X"]
+            seen["crossed first"] += run == ["X", "S"]
+            seen["u without w"] += not run
+            seen["after the last row"] += (u, w) > aux.rows[-1][:2]
+    assert min(seen.values()) >= 2, seen
+
+
+def test_kept_edge_on_hand_built_rows():
+    u, w, w2 = ("A", 0, 1), ("B", 0, 1), ("B", 2, 3)
+    rows = (AuxEdge(u, w, 0, "X", (0, 1, 0), (1, 0, 0)),
+            AuxEdge(u, w, 1, "S", (0, 0, 1), (1, 1, 1)),
+            AuxEdge(u, w2, 2, "S", (0, 2, 2), (1, 3, 2)))
+    aux = AuxGraph((u,), (w, w2), rows)
+    # crossed first: the straight row after it wins
+    assert aux.kept_edge(u, w) is rows[1]
+    assert aux.kept_edge(u, w2) is rows[2]
+    # a lone crossed row is kept, though the straight row after it, of
+    # another pair, sorts next
+    assert AuxGraph((u,), (w, w2), rows[:1] + rows[2:]).kept_edge(u, w) is rows[0]
+    for probe in ((u, ("B", 0, 2)), (u, ("B", 4, 5)), (("A", 0, 2), w), (("A", 5, 6), w)):
+        assert aux.kept_edge(*probe) is None
+        assert _reference_kept_edge(aux, *probe) is None
 
 
 def test_simple_subgraph_keeps_all_when_already_simple():

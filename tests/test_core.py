@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,8 +18,9 @@ from besforge import (
     validate_linear,
     verify_configuration,
 )
-from besforge import auxgraph
+from besforge import auxgraph, driver
 from besforge.core import LinearityVerdict, pair_map
+from besforge.unpack import unpack
 
 
 def test_triple_system_rejects_bad_edges():
@@ -152,6 +154,49 @@ def test_verify_configuration_basic():
     assert verify_configuration(ts, two, 6, 2)
     foreign = Configuration.from_edges(ts, [(0, 1, 2)])
     assert not verify_configuration(TripleSystem(7, ((3, 4, 5),)), foreign, 3, 1)
+
+
+def test_verify_configuration_reads_the_edge_set_of_a_triple_system():
+    ts = to_triple_system(group_system(4))
+    assert "edge_set" not in vars(ts)
+    cfg = Configuration.from_edges(ts, ts.edges[:3])
+    assert verify_configuration(ts, cfg, cfg.v, 3)
+    assert vars(ts)["edge_set"] == frozenset(ts.edges)
+    foreign = Configuration.from_edges(ts, [ts.edges[0], (0, 1, 2)])
+    assert (0, 1, 2) not in ts.edge_set
+    assert not verify_configuration(ts, foreign, foreign.v, 2)
+
+
+@pytest.mark.parametrize("host", [TripleSystem(7, ((0, 1, 2), (3, 4, 5), (0, 1, 6))),
+                                  random_linear(6, 6, 6, 20, seed=4)])
+def test_edge_set_is_made_once_per_host(host):
+    edge_set = host.edge_set
+    assert type(edge_set) is frozenset and edge_set == frozenset(host.edges)
+    assert host.edge_set is edge_set
+    # a copy makes its own; the kept set changes neither equality nor hashing
+    copy = replace(host)
+    assert copy == host and hash(copy) == hash(host)
+    assert "edge_set" not in vars(copy)
+    assert copy.edge_set == edge_set and copy.edge_set is not edge_set
+
+
+def test_solves_read_one_edge_set_per_host(monkeypatch):
+    hosts = []
+
+    def recording_unpack(cand, aux, host):
+        hosts.append(host)
+        return unpack(cand, aux, host)
+
+    monkeypatch.setattr(driver, "unpack", recording_unpack)
+    lts = group_system(11)
+    driver.find_be_s_configuration(lts, 63, driver.DriverParams())
+    edge_set = lts.edge_set
+    for e in (40, 63):
+        driver.find_be_s_configuration(lts, e, driver.DriverParams())
+    assert lts.edge_set is edge_set
+    # frame 0 unpacks against the host, a later frame against its residual
+    assert hosts[0] is lts and hosts[1] is not lts
+    assert all(vars(host)["edge_set"] == frozenset(host.edges) for host in hosts)
 
 
 def test_reduce_or_win_star_wins():

@@ -150,6 +150,19 @@ def _reference_greedy_pick(available, count, span, edge_keys):
     return chosen
 
 
+def _pick_edges(pool, count, span, lts, index=None):
+    """_greedy_pick with the host edges in pool live, its ids mapped back to
+    edges; checks that the pick leaves the live flags as they were."""
+    ids, by_key = _key_index(lts) if index is None else index
+    alive = bytearray(lts.m)
+    for x in pool:
+        alive[ids[x]] = 1
+    flags = bytes(alive)
+    picked = _greedy_pick(alive, count, span, lts.edges, lts.edge_keys, by_key)
+    assert alive == flags
+    return [lts.edges[i] for i in picked]
+
+
 def test_greedy_pick_matches_the_rescanning_reference():
     rng = random.Random(7)
     seen = {"superset index": 0, "empty span": 0}
@@ -161,14 +174,13 @@ def test_greedy_pick_matches_the_rescanning_reference():
         if not lts.m:
             continue
         # the index covers every host edge, as the driver's does
-        by_key = _key_index(lts)
-        # sorted, as the driver's residual always is
-        pool = sorted(rng.sample(lts.edges, rng.randint(1, lts.m)))
+        index = _key_index(lts)
+        pool = rng.sample(lts.edges, rng.randint(1, lts.m))
         count = rng.randint(0, len(pool))
         span = {key for x in rng.sample(lts.edges, rng.randint(0, min(3, lts.m))) for key in lts.edge_keys(x)}
         seen["superset index"] += len(pool) < lts.m
         seen["empty span"] += not span and count > 0
-        assert (_greedy_pick(pool, count, span, lts.edge_keys, by_key)
+        assert (_pick_edges(pool, count, span, lts, index)
                 == _reference_greedy_pick(pool, count, span, lts.edge_keys))
     assert min(seen.values()) >= 20
     # a pick never makes another of these pairwise disjoint edges meet the
@@ -177,8 +189,28 @@ def test_greedy_pick_matches_the_rescanning_reference():
     lts = TripartiteLinearSystem((6, 6, 6), tuple((i, i, i) for i in range(6)) + ((0, 1, 2), (5, 4, 3)))
     pool = [(i, i, i) for i in range(6)]
     for span in (set(), {("A", 1), ("C", 5)}):
-        assert (_greedy_pick(pool, 6, span, lts.edge_keys, _key_index(lts))
+        assert (_pick_edges(pool, 6, span, lts)
                 == _reference_greedy_pick(pool, 6, span, lts.edge_keys))
+
+
+def test_greedy_pick_raises_when_the_live_edges_run_out():
+    lts = group_system(3)
+    pool = lts.edges[2:5]
+    assert sorted(_pick_edges(pool, 3, set(), lts)) == list(pool)
+    for span in (set(), set(lts.edge_keys(pool[0]))):
+        with pytest.raises(ExhaustionError) as err:
+            _pick_edges(pool, 4, span, lts)
+        assert (err.value.needed, err.value.available) == (4, 3)
+
+
+def test_key_index_numbers_the_sorted_host_edges():
+    lts = random_linear(6, 6, 6, 30, seed=3)
+    ids, by_key = _key_index(lts)
+    assert ids == {x: i for i, x in enumerate(lts.edges)}
+    for key, through in by_key.items():
+        assert through == sorted(through)
+        assert through == [i for i, x in enumerate(lts.edges) if key in lts.edge_keys(x)]
+    assert sum(map(len, by_key.values())) == 3 * lts.m
 
 
 def test_free_finish_holds_exactly_when_the_base_pick_adds_no_vertex():
@@ -200,7 +232,7 @@ def test_free_finish_holds_exactly_when_the_base_pick_adds_no_vertex():
         residual = sorted(edges[cut:])
         e_prime = rng.randint(1, len(residual))
         free = _free_finish(residual, e_prime, span, lts.edge_keys)
-        picked = _greedy_pick(residual, e_prime, span, lts.edge_keys, _key_index(lts))
+        picked = _pick_edges(residual, e_prime, span, lts)
         assert free == span.issuperset(key for x in picked for key in lts.edge_keys(x))
         if free:
             # the pick is then the e' smallest residual edges inside the span
@@ -363,10 +395,10 @@ def _count_frame0_builds(monkeypatch):
     ordering, key_index = degsearch.degeneracy_ordering, besforge.driver._key_index
     in_frame0 = []
 
-    def counting_frame0(lts):
+    def counting_frame0(lts, index):
         in_frame0.append(lts)
         try:
-            return frame0(lts)
+            return frame0(lts, index)
         finally:
             in_frame0.pop()
 
@@ -382,8 +414,8 @@ def _count_frame0_builds(monkeypatch):
         return ordering(g)
 
     def counting_index(lts):
-        built["index"].append(lts)
-        return key_index(lts)
+        built["index"].append((lts, key_index(lts)))
+        return built["index"][-1][1]
 
     monkeypatch.setattr(besforge.driver, "_frame0", counting_frame0)
     monkeypatch.setattr(besforge.driver, "build_aux", counting_build)
@@ -398,7 +430,7 @@ def test_build_aux_runs_on_the_first_two_solves_of_a_host(monkeypatch):
     def builds():
         # each frame-0 multigraph gets one order; every solve here reaches
         # frame 0, so a solve builds a key index exactly
-        # when it builds the multigraph
+        # when it builds the multigraph, and at most one
         counts = {name: len(made) for name, made in built.items()}
         assert len(set(counts.values())) == 1, counts
         return [lts for lts, _ in built["aux"]]
@@ -410,6 +442,8 @@ def test_build_aux_runs_on_the_first_two_solves_of_a_host(monkeypatch):
     for e in (40, 50, 60):
         find_be_s_configuration(a, e, PRACTICAL)
     assert builds() == [a, a]
+    # the cache keeps the index that the second solve built, not another
+    assert besforge.driver._last_host[3] is built["index"][-1][1]
     find_be_s_configuration(b, 20, PRACTICAL)
     find_be_s_configuration(b, 30, PRACTICAL)
     find_be_s_configuration(b, 40, PRACTICAL)
