@@ -339,6 +339,8 @@ def _cmd_verify(args):
     if not isinstance(system, TripartiteLinearSystem):
         # 'p ts' hosts store each triple sorted; 'p tls' triples are positional
         edges = [tuple(sorted(x)) for x in edges]
+    if len(set(edges)) != len(edges):
+        raise FormatError("the configuration repeats an edge")
     cfg = Configuration.from_edges(system, edges)
     ok = verify_configuration(system, cfg, args.v, args.e)
     print("true" if ok else "false")

@@ -112,7 +112,8 @@ class Configuration:
 
     @classmethod
     def from_edges(cls, host, edges):
-        edges = tuple(sorted(set(edges)))
+        """The configuration of `edges`, distinct edges of host, in sorted order."""
+        edges = tuple(sorted(edges))
         span = frozenset(k for e in edges for k in host.edge_keys(e))
         return cls(edges, span)
 

@@ -229,21 +229,18 @@ def _window_candidates(g, k, goal, budget_end, order=None):
     count so far are peeled; ties are still peeled, so the fallback is the
     choice of a full scan.
 
-    The first window's induced edges are counted from its own vertex set,
-    as most scans stop there; once the scan slides, _window_counts counts
-    every window's in one pass.
+    The first window is peeled without a count, as there is no best count
+    to bound yet and most scans stop there; once the scan slides,
+    _window_counts counts every window's in one pass.
     """
     if order is None:
         order = degeneracy_ordering(g).order
-    adj = g.adjacency()
     cap = 2 * k - 3
-    window = set(order[:k])
-    counts = [sum(1 for v in window for w in adj[v] if w in window) // 2]
     best = best_key = None
     last = len(order) - k
     for s in range(last + 1):
         if s == 1:
-            counts = _window_counts(adj, order, k)
+            counts = _window_counts(g.adjacency(), order, k)
         if best is not None and min(counts[s], cap) < len(best.edges):
             continue
         trim = _trim_on_set(g, order[s : s + k])
@@ -290,16 +287,8 @@ def _exhaustive_best(g, k):
             f[mask] = val
             choice[mask] = i
         frontier = list(nxt)
-    best_mask = None
-    best_val = -1
-    for mask in frontier:
-        if f[mask] > best_val:
-            best_val = f[mask]
-            best_mask = mask
-    if best_mask is None:
-        return CandidateF((), ())
     rev = []
-    mask = best_mask
+    mask = max(frontier, key=f.__getitem__)  # the first of the best, as k <= n
     while mask:
         i = choice[mask]
         rev.append(i)

@@ -19,6 +19,12 @@ sorted order, and the greedy base pick works on ids. The key index (each
 edge's id, and the ids of the edges through each vertex key) is built once
 per solve of a host that is not cached.
 
+A solve keeps the ids of the edges it chooses and the set of their vertex
+keys as it goes: a kept frame adds its unpacked edges, the greedy pick its
+picks. The report's configuration is those edges in id order, which is
+sorted order, with that set as its span; verify_configuration is the one
+step that recomputes the span from the edges.
+
 A host solved again keeps its pair multigraph, the degeneracy order of its
 pair graph and its key index until another host is solved. So solving one
 host at many e builds them twice (once for the first solve, once to keep),
@@ -127,7 +133,8 @@ class DriverReport:
 
 def _greedy_pick(alive, count, span, edges, edge_keys, by_key):
     """Pick `count` edges, each maximizing overlap with the running span;
-    ties go to the lexicographically smallest edge. Returns their ids.
+    ties go to the lexicographically smallest edge. Returns their ids and
+    adds their keys to the set `span`.
 
     Edges are named by id, their position in the sorted host edges `edges`,
     so the smallest id is the smallest edge. alive[i] is 1 when edge i may be
@@ -140,7 +147,6 @@ def _greedy_pick(alive, count, span, edges, edge_keys, by_key):
     Raises ExhaustionError when fewer than `count` edges are live.
     """
     live = bytearray(alive)  # 1 = not yet chosen
-    span = set(span)
     overlap = [0] * len(live)  # a live id's overlap with the span
     met = []  # the live ids that meet the span
     for key in span:
@@ -309,8 +315,8 @@ def find_be_s_configuration(lts, e, params=None):
     # the residual: alive[i] is 1 while host edge i is left; left counts them
     alive = bytearray(b"\x01") * lts.m
     left = lts.m
-    chosen = []
-    span = set()  # the vertex keys of chosen
+    chosen = []  # the ids of the edges chosen so far
+    span = set()  # their vertex keys
     frames = []
     e_prime = e
     note = ""
@@ -348,11 +354,12 @@ def find_be_s_configuration(lts, e, params=None):
             note = "candidate neither dense nor self-sustaining"
             cut = result.budget_exhausted
             break
-        chosen.extend(cfg.edges)
         span |= cfg.span
         before = left
         for x in cfg.edges:
-            alive[ids[x]] = 0
+            i = ids[x]
+            alive[i] = 0
+            chosen.append(i)
         left -= len(cfg.edges)
         frames.append(
             FrameReport(
@@ -367,15 +374,15 @@ def find_be_s_configuration(lts, e, params=None):
         if top_up:
             break
 
-    picked = _greedy_pick(alive, e_prime, span, lts.edges, lts.edge_keys, by_key)
-    chosen.extend(lts.edges[i] for i in picked)
+    chosen += _greedy_pick(alive, e_prime, span, lts.edges, lts.edge_keys, by_key)
     if not (frames and frames[-1].branch == "top_up"):
         frames.append(FrameReport(
             e_prime, "base", note not in ("", _END_NOTE, _FREE_NOTE), left, note=note,
             budget_exhausted=cut))
 
-    cfg = Configuration.from_edges(lts, chosen)
-    if cfg.e != e or not verify_configuration(lts, cfg, cfg.v, e):
+    # ids sort as their edges do; verify_configuration recomputes the span
+    cfg = Configuration(tuple(map(lts.edges.__getitem__, sorted(chosen))), frozenset(span))
+    if not verify_configuration(lts, cfg, cfg.v, e):
         raise IntegrityError(f"assembled configuration fails the contract for e={e}")
     return DriverReport(
         e=e,

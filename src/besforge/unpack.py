@@ -177,7 +177,7 @@ def unpack(candidate, aux, host):
         _check_step_laws(rec)
         steps.append(rec)
 
-    cfg = Configuration.from_edges(host, sorted(hyperedges))
+    cfg = Configuration.from_edges(host, hyperedges)
     return cfg, UnpackTrace(tuple(steps), len(span_keys), len(hyperedges))
 
 

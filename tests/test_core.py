@@ -156,6 +156,15 @@ def test_verify_configuration_basic():
     assert not verify_configuration(TripleSystem(7, ((3, 4, 5),)), foreign, 3, 1)
 
 
+def test_verify_configuration_rejects_a_repeated_edge():
+    ts = TripleSystem(7, ((0, 1, 2), (3, 4, 5), (0, 1, 6)))
+    # from_edges keeps what it is given, so the repeat reaches the check
+    twice = Configuration.from_edges(ts, [(0, 1, 2), (0, 1, 2)])
+    assert twice.edges == ((0, 1, 2), (0, 1, 2)) and twice.v == 3
+    assert not verify_configuration(ts, twice, 7, 2)
+    assert verify_configuration(ts, Configuration.from_edges(ts, [(0, 1, 2), (0, 1, 6)]), 4, 2)
+
+
 def test_verify_configuration_reads_the_edge_set_of_a_triple_system():
     ts = to_triple_system(group_system(4))
     assert "edge_set" not in vars(ts)

@@ -100,6 +100,31 @@ def test_paper_mode_short_circuits_to_base():
     assert report.d_achieved <= report.d_paper
 
 
+def test_e_below_one_is_rejected():
+    with pytest.raises(ParameterError, match="e must be positive"):
+        find_be_s_configuration(group_system(3), 0)
+
+
+@pytest.mark.parametrize("lts, es, strategy", [
+    (group_system(8), (1, 9, 23, 40, 64), "peel"),
+    (random_linear(8, 8, 8, 60, seed=5), (5, 17, 30, 45), "peel"),
+    (group_system(4), (6, 12, 16), "exhaustive"),
+    (random_linear(5, 5, 5, 20, seed=2), (7, 12), "exhaustive"),
+])
+def test_report_span_is_the_span_of_its_sorted_distinct_edges(lts, es, strategy):
+    # the driver reports the span it kept while choosing, not one recomputed
+    # from the final edges, so this pins the two together
+    params = DriverParams(tau_max=8, strategy=strategy)
+    kept = 0
+    for e in es:
+        report = find_be_s_configuration(lts, e, params)
+        cfg = report.configuration
+        assert list(cfg.edges) == sorted(set(cfg.edges)) and cfg.e == e
+        assert cfg.span == {key for x in cfg.edges for key in lts.edge_keys(x)}
+        kept += sum(f.branch != "base" for f in report.frames)
+    assert kept  # some frame's unpacked edges reached the span
+
+
 def test_exhaustion_error():
     with pytest.raises(ExhaustionError):
         find_be_s_configuration(group_system(2), 5, PRACTICAL)
@@ -152,15 +177,18 @@ def _reference_greedy_pick(available, count, span, edge_keys):
 
 def _pick_edges(pool, count, span, lts, index=None):
     """_greedy_pick with the host edges in pool live, its ids mapped back to
-    edges; checks that the pick leaves the live flags as they were."""
+    edges; checks that the pick leaves the live flags as they were and adds
+    its picks' keys to (a copy of) span."""
     ids, by_key = _key_index(lts) if index is None else index
     alive = bytearray(lts.m)
     for x in pool:
         alive[ids[x]] = 1
     flags = bytes(alive)
-    picked = _greedy_pick(alive, count, span, lts.edges, lts.edge_keys, by_key)
+    grown = set(span)
+    picked = [lts.edges[i] for i in _greedy_pick(alive, count, grown, lts.edges, lts.edge_keys, by_key)]
     assert alive == flags
-    return [lts.edges[i] for i in picked]
+    assert grown == set(span).union(*map(lts.edge_keys, picked))
+    return picked
 
 
 def test_greedy_pick_matches_the_rescanning_reference():

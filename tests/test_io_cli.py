@@ -454,3 +454,40 @@ def test_cli_verify_ts_host_ignores_triple_order(tmp_path, capsys):
     assert main(["verify", "--input", str(host), "--config", str(cfg),
                  "--v", "3", "--e", "1"]) == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+def test_cli_verify_rejects_a_repeated_edge(tmp_path, capsys):
+    host = tmp_path / "g5.tls"
+    host.write_text(textio.dumps_system(group_system(5)))
+    lines = ["e 0 0 0", "e 0 1 1", "e 0 2 2", "e 0 3 3", "e 1 0 1", "e 1 1 2", "e 1 2 3"]
+    cfg = tmp_path / "cfg.txt"
+    argv = ["verify", "--input", str(host), "--config", str(cfg), "--v", "10", "--e", "7"]
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    # eight lines, seven distinct edges: a format error, not a true
+    cfg.write_text("\n".join(lines + [lines[3]]) + "\n")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("format error:")
+    # on a 'p ts' host a triple is the same edge in any order
+    ts_host = tmp_path / "g3.ts"
+    ts_host.write_text(textio.dumps_system(to_triple_system(group_system(3))))
+    cfg.write_text("e 0 3 6\ne 6 3 0\n")
+    assert main(["verify", "--input", str(ts_host), "--config", str(cfg),
+                 "--v", "3", "--e", "1"]) == 2
+    assert capsys.readouterr().err.startswith("format error:")
+
+
+def test_cli_solve_rejects_a_triple_system(tmp_path, capsys):
+    host = tmp_path / "g3.ts"
+    host.write_text(textio.dumps_system(to_triple_system(group_system(3))))
+    assert main(["solve", "--input", str(host), "--e", "4"]) == 2
+    assert "needs a 'p tls' input" in capsys.readouterr().err
+
+
+def test_cli_reduce_rejects_e_below_one(tmp_path, capsys):
+    host = tmp_path / "g3.ts"
+    host.write_text(textio.dumps_system(to_triple_system(group_system(3))))
+    assert main(["reduce", "--input", str(host), "--e", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: e must be positive")

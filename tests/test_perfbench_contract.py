@@ -29,7 +29,8 @@ def test_a_traced_solve_records_every_stage(monkeypatch):
     names = {row[3] for row in rec.spans}
     for name in ("driver.find_be_s_configuration", "auxgraph.build_aux",
                  "auxgraph.simple_subgraph", "degsearch.find_dense_2deg",
-                 "degsearch.degeneracy_ordering", "unpack.unpack"):
+                 "degsearch.degeneracy_ordering", "unpack.unpack",
+                 "core.verify_configuration"):
         assert name in names
     metrics, _ = rec.layer_metrics()
     assert metrics["driver.recurse_frames"] == 2 and metrics["driver.base_frames"] == 1

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from besforge import (
     AuxGraph,
     CandidateF,
     IntegrityError,
+    TripartiteLinearSystem,
     UnpackTrace,
     audit_involvement,
     build_aux,
@@ -140,6 +142,29 @@ def test_missing_annotation_raises():
     assert lacking.kept_edge(u, w) is None
     with pytest.raises(IntegrityError, match="not in the pair multigraph"):
         unpack(F, lacking, lts)
+
+
+def test_a_hyperedge_missing_from_the_host_raises():
+    lts, aux, graph = _fixture(3)
+    u, w = graph.edges[0]
+    F = CandidateF((u, w), ((u, w),))
+    gone = aux.kept_edge(u, w).hyperedges()[0]
+    # the host that the multigraph was built from, less one of that edge's hyperedges
+    lacking = TripartiteLinearSystem(lts.sizes, tuple(x for x in lts.edges if x != gone))
+    with pytest.raises(IntegrityError, match=re.escape(f"hyperedge {gone} absent from the host system")):
+        unpack(F, aux, lacking)
+
+
+@pytest.mark.parametrize("v_total, e_total, branch", [
+    (5, 10, "self_sustaining"), (10, 10, "self_sustaining"), (10, 5, "violated"), (0, 0, "violated"),
+])
+def test_lemma_bounds_below_the_near_4k_threshold(v_total, e_total, branch):
+    # at t = 1 and k = 5000, near_4k needs e >= 4k - 10**4 = 10**4, far above
+    # what a desk-scale unpacking reaches, so the trace is made up
+    report = check_lemma_bounds(UnpackTrace((), v_total, e_total), 5000, 1)
+    assert report.assertion2_branch == branch
+    assert not report.within_hypotheses
+    assert report.assertion1_ok == (v_total - 4 <= e_total)
 
 
 def test_prefix_sums_match_totals():
