@@ -8,14 +8,20 @@ t and the lines (v, u1, u2) for v = t, t+1, ...; side_of is the side rule.
 
 Each side keeps an open list of its members of degree at most 7, in
 insertion order, updated as vertices join and fill up, so a step does not
-rescan the side. The distance test is graphs.within_distance, which meets
-in the middle: a ball of half the radius around one end, then a search of
-the other half from the other end.
+rescan the side. The two candidates lie on one side, so their distance is
+even, and the test asks for distance at most g - 2 rounded down to even:
+the same pairs pass, and g = 2j + 1 costs what g = 2j costs. The distance
+test is graphs.within_distance, which meets in the middle: a ball of half
+the radius around one end, then a search of the other half from the other
+end, each with its outermost level done as set operations.
 
 girth_of checks a grown graph without that test. It runs a breadth-first
-search from each root in descending (degree, vertex) order and deletes each
-root from a private copy of the adjacency once its search is done, so the
-hubs go first and every later search explores a smaller graph.
+search from each root in descending (degree, vertex) order, and a search
+skips the roots before its own, as if each were deleted once its search is
+done, so the hubs go first and every later search explores a smaller graph.
+A search expanding depth d can only close cycles of length 2d + 1 or 2d + 2,
+so it stops at the first depth with 2d + 1 >= best, or 2d + 2 >= best in a
+bipartite graph, which has no odd cycle.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import GrowthError, IntegrityError, ParameterError
-from .graphs import Graph, within_distance
+from .graphs import Graph, two_coloring, within_distance
 
 _MAX_DEGREE = 8
 _PAIR_DEGREE_CAP = 7
@@ -90,7 +96,9 @@ def grow_girth_graph(k, t, g, seed=0):
 
 
 def _pick_pair(graph, eligible, g, rng):
-    limit = g - 2
+    # the candidates all lie on one side, so their distance is even and
+    # "at most g - 2" is "at most g - 2 rounded down to even"
+    limit = g - 2 - g % 2
     if len(eligible) < 2:
         return None
     for _ in range(_RANDOM_ATTEMPTS):
@@ -108,35 +116,62 @@ def _pick_pair(graph, eligible, g, rng):
 def girth_of(graph):
     """Exact girth; None for acyclic graphs. The caller's graph is not changed.
 
-    Roots are searched in descending (degree, vertex) order, and each root is
-    deleted from a working copy of the adjacency after its search. A search
-    stops at the first vertex u with 2 * dist[u] >= best. This is exact:
-    deletion adds no edge, so every reported length is that of a closed walk
-    in the input and at least the girth; a shortest cycle stays whole until
-    the first of its vertices in root order is searched; and a search from a
-    vertex on a shortest cycle reports exactly the girth.
+    Roots are searched in descending (degree, vertex) order. The vertices are
+    numbered once in that order, with rank-indexed neighbour lists, and the
+    search from rank r skips every rank below r, which deletes each root from
+    the graph once its search is done. Expanding u at depth d, a search
+    reports d + dist[w] + 1 for each neighbour w already reached at depth d
+    or d + 1.
+
+    This is exact:
+    - Deletion adds no edge, and a report closes a walk of two search-tree
+      paths and an edge outside the tree, which holds a cycle, so every
+      report is at least the girth.
+    - A shortest cycle stays whole until the first of its vertices in root
+      order is searched, and in what is left it is still a shortest cycle,
+      so its vertices are as far apart there as along it. That search
+      reports a cycle of length 2j + 1 through the edge joining its two
+      vertices at depth j, and one of length 2j when the second of the
+      antipode's two cycle neighbours (at depth j - 1) is expanded.
+    - A neighbour w at depth d - 1 is u's parent, or reported 2d when it was
+      expanded, since u was reached by then, so skipping it loses nothing.
+    - So while depth d is expanded, every report still to come is 2d + 1 (an
+      edge within level d) or 2d + 2, and a search stops at the first u with
+      2 * dist[u] + 1 >= best. A bipartite graph has no closed walk of odd
+      length, so there the rule is 2 * dist[u] + 2 >= best; one two_coloring
+      pass decides which rule applies. The depth d that reports a shortest
+      cycle of length L has 2d + 1 <= L, and 2d + 2 <= L when L is even, so
+      the search that reports L runs until it has.
     """
+    adj = graph.adjacency()
+    order = sorted(adj, key=lambda v: (len(adj[v]), v), reverse=True)
+    rank = dict(zip(order, range(len(order)))).__getitem__
+    nbrs = [list(map(rank, adj[v])) for v in order]
+    slack = 1 if two_coloring(graph) is None else 2
+    # dist[w] is w's depth in the search whose root rank is seen[w]
+    dist = [0] * len(order)
+    seen = [-1] * len(order)
     best = None
-    adj = {v: list(nbrs) for v, nbrs in graph.adjacency().items()}
-    for root in sorted(adj, key=lambda v: (len(adj[v]), v), reverse=True):
-        dist = {root: 0}
-        parent = {root: None}
+    for root in range(len(order)):
+        seen[root] = root
+        dist[root] = 0
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
+            d = dist[u]
+            if best is not None and 2 * d + slack >= best:
                 break
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
+            for w in nbrs[u]:
+                if w < root:
+                    continue
+                if seen[w] != root:
+                    seen[w] = root
+                    dist[w] = d + 1
                     queue.append(w)
-                elif parent[u] != w:
-                    cycle = dist[u] + dist[w] + 1
+                elif dist[w] >= d:
+                    cycle = d + dist[w] + 1
                     if best is None or cycle < best:
                         best = cycle
-        for w in adj.pop(root):
-            adj[w].remove(root)
     return best
 
 

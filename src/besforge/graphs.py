@@ -83,7 +83,12 @@ def within_distance(g, u, v, limit):
 
     Meets in the middle: collects the ball of radius ceil(limit/2) around u,
     then searches out from v to radius floor(limit/2) and stops at the first
-    vertex inside that ball.
+    vertex inside that ball. Each search does its outermost level as set
+    operations: the ball's last level is one set update per vertex of the
+    level before it, and a vertex x that the search from v has reached
+    closes a path iff the ball meets adj[x], so the last level of that search
+    is one isdisjoint test per frontier vertex, with no loop over its
+    neighbours.
     """
     if u == v:
         return True
@@ -92,7 +97,7 @@ def within_distance(g, u, v, limit):
     adj = g.adjacency()
     ball = {u}
     frontier = [u]
-    for _ in range((limit + 1) // 2):
+    for _ in range((limit - 1) // 2):
         nxt = []
         for x in frontier:
             for w in adj[x]:
@@ -100,20 +105,26 @@ def within_distance(g, u, v, limit):
                     ball.add(w)
                     nxt.append(w)
         frontier = nxt
+    for x in frontier:
+        ball.update(adj[x])
     if v in ball:
         return True
-    if v not in adj:
+    if v not in adj or limit == 1:
         return False
     seen = {v}
     frontier = [v]
-    for _ in range(limit // 2):
+    for _ in range(limit // 2 - 1):
         nxt = []
         for x in frontier:
-            for w in adj[x]:
-                if w in ball:
-                    return True
+            nbrs = adj[x]
+            if not ball.isdisjoint(nbrs):
+                return True
+            for w in nbrs:
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
+    for x in frontier:
+        if not ball.isdisjoint(adj[x]):
+            return True
     return False

@@ -116,6 +116,10 @@ def test_girth_of_basics():
                      + [(i, i + 5) for i in range(5)]
                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
     assert _assert_girths_agree(petersen) == 5
+    # a search from a vertex of a (2j + 1)-cycle reports it through the edge
+    # between its two vertices at depth j, just before the stop rule fires
+    for length in (3, 5, 7, 9, 11):
+        assert _assert_girths_agree(_odd_cycle_with_pendant_paths(length)) == length
 
 
 def test_girth_of_matches_enumeration_oracle():
@@ -193,6 +197,51 @@ def test_girth_of_matches_the_reference_on_random_graphs_of_known_girth():
                        edges=[((labels[u] % 3, labels[u]), (labels[w] % 3, labels[w]))
                               for u, w in graph.edges])
     assert _assert_girths_agree(relabelled) == 5
+
+
+def _odd_cycle_with_pendant_paths(length):
+    """A cycle of odd length with a path of two pendant vertices on each
+    cycle vertex, so that its only cycle is odd and its searches go deep."""
+    graph = Graph(edges=[(i, (i + 1) % length) for i in range(length)])
+    for i in range(length):
+        leaf = length + 2 * i
+        graph.add_edge(i, leaf)
+        graph.add_edge(leaf, leaf + 1)
+    return graph
+
+
+def _bipartite_part(half_girth):
+    """A bipartite graph of girth 2 * half_girth with a vertex of degree at
+    least 3."""
+    if half_girth == 2:
+        return Graph(edges=[(i, j) for i in range(3) for j in range(3, 6)])
+    if half_girth == 3:
+        # the Heawood graph
+        return Graph(edges=[(i, (i + 1) % 14) for i in range(14)]
+                     + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
+    _t, graph, _cert = find_growth_t(300, 6, seed=2)
+    return graph
+
+
+@pytest.mark.parametrize("half_girth, length", [(2, 3), (3, 5), (4, 7), (3, 4), (4, 6)])
+def test_girth_of_finds_a_shorter_cycle_after_its_hubs(monkeypatch, half_girth, length):
+    # a bipartite part of girth 2L and degrees up to at least 3, whose hubs
+    # are searched first and report 2L, next to a cycle of length 2L - 1 or,
+    # keeping the union bipartite, 2L - 2, whose searches must still expand
+    # the level that closes it
+    bipartite = _bipartite_part(half_girth)
+    assert two_coloring(bipartite) is not None
+    assert _reference_girth_of(bipartite) == 2 * half_girth
+    assert max(bipartite.degree(v) for v in bipartite.vertices) >= 3
+    cycle = [(bipartite.n + i, bipartite.n + (i + 1) % length) for i in range(length)]
+    union = Graph(vertices=bipartite.vertices, edges=bipartite.edges + tuple(cycle))
+    assert (two_coloring(union) is not None) == (length % 2 == 0)
+    assert _assert_girths_agree(union) == length
+    if length % 2:
+        # taking the union for bipartite would stop the odd cycle's searches
+        # one level early and report the bipartite part's girth instead
+        monkeypatch.setattr(besforge.girth, "two_coloring", lambda graph: {})
+        assert girth_of(union) == 2 * half_girth
 
 
 def test_girth_of_deletes_each_root_after_its_search(monkeypatch):
@@ -340,8 +389,50 @@ def test_verified_certificates_are_sound(case):
 def test_find_growth_t_doubles_until_success():
     t, g, cert = find_growth_t(50, 5, seed=1)
     assert g.n == 50 and g.m == 2 * (50 - t)
-    assert girth_of(g) is None or girth_of(g) >= 5
+    # the growth rule keeps every cycle longer than g
+    assert girth_of(g) is None or girth_of(g) > 5
     assert verify_certificate(g, cert)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 300), st.integers(4, 7), st.integers(0, 5))
+@example(300, 4, 1)
+@example(300, 5, 1)
+@example(300, 6, 1)
+@example(300, 7, 1)
+def test_growth_anchors_are_more_than_g_minus_2_apart(k, g, seed):
+    # replay the attachments: each pair of anchors is farther apart than
+    # g - 2 in the graph built before its vertex, so no cycle of length at
+    # most g passes through that vertex
+    t, grown, cert = find_growth_t(k, g, seed=seed)
+    graph = Graph(vertices=range(t))
+    for v, u1, u2 in cert.attachments:
+        assert not _reference_within_distance(graph, u1, u2, g - 2), (v, u1, u2)
+        graph.add_edge(v, u1)
+        graph.add_edge(v, u2)
+    assert graph.edges == grown.edges
+    girth = girth_of(grown)
+    assert girth is None or girth > g
+
+
+def test_growth_makes_the_same_distance_tests(monkeypatch):
+    # counts measured before the distance test took an even limit: the same
+    # calls, so the even limit tests the same pairs, and the calls still go
+    # through the module global that perfbench/spans.py counts
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return within_distance(*args)
+
+    monkeypatch.setattr(besforge.girth, "within_distance", counting)
+    counts = {}
+    for g in (4, 5, 6, 7):
+        calls = 0
+        find_growth_t(2000, g, seed=1)
+        counts[g] = calls
+    assert counts == {4: 2274, 5: 2274, 6: 4615, 7: 4615}
 
 
 @pytest.mark.parametrize(
