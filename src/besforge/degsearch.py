@@ -1,8 +1,9 @@
 """Degeneracy machinery and the search for dense 2-degenerate subgraphs.
 
-A candidate is an ordered vertex list v1..vk plus an edge list where every
-vertex has at most 2 edges to earlier vertices; the quality measure is the
-edge count (equivalently achieved_t = 2k - |edges|, smaller is denser).
+A candidate is an ordered vertex list v1..vk and, per vertex, the at most
+two earlier neighbours it keeps: the 2-degeneracy certificate itself, read
+as it is by validate and by the unpacking. The quality measure is the number
+of kept edges (equivalently achieved_t = 2k - kept edges, smaller is denser).
 
 Every search turns a vertex ordering into a candidate through _candidate,
 the one place that keeps at most two back-edges per vertex. The 'peel'
@@ -17,11 +18,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate, combinations
 from math import comb
 
 from .errors import GuardExceededError, ParameterError
+from .graphs import canon_edge
 
 STRATEGIES = ("peel", "exhaustive")
 _ENUM_GUARD = 10**7
@@ -38,7 +41,7 @@ class DegeneracyOrdering:
 @dataclass(frozen=True)
 class CandidateF:
     vertices: tuple  # construction order v1..vk
-    edges: tuple  # canonical pairs, each joining a vertex to an earlier one
+    back: tuple  # back[i]: the earlier neighbours vertices[i] keeps, at most two
 
     @property
     def k(self):
@@ -46,32 +49,30 @@ class CandidateF:
 
     @property
     def achieved_t(self):
-        return 2 * self.k - len(self.edges)
+        return 2 * self.k - sum(map(len, self.back))
+
+    @cached_property
+    def edges(self):
+        """The kept edges as sorted canonical pairs, made when first read."""
+        return tuple(sorted(canon_edge(u, v) for v, us in zip(self.vertices, self.back) for u in us))
 
     def validate(self, host):
         """Raise if the candidate is not a 2-degeneracy-certified subgraph of host."""
-        if len(set(self.vertices)) != self.k:
-            raise ParameterError("repeated vertices in candidate")
         pos = {v: i for i, v in enumerate(self.vertices)}
-        back = [0] * self.k
-        seen = set()
-        for u, v in self.edges:
-            if (u, v) in seen:
-                raise ParameterError(f"repeated edge {(u, v)}")
-            seen.add((u, v))
-            if not host.has_edge(u, v):
-                raise ParameterError(f"edge {(u, v)} not in host graph")
-            if u not in pos or v not in pos:
-                raise ParameterError(f"edge {(u, v)} leaves the vertex set")
-            later = max(u, v, key=pos.get)
-            back[pos[later]] += 1
-        if any(b > 2 for b in back):
-            raise ParameterError("a vertex has back-degree above 2")
-        sides = {v[0] for v in self.vertices if isinstance(v, tuple)}
-        if sides:
-            for u, v in self.edges:
-                if u[0] == v[0]:
-                    raise ParameterError(f"edge {(u, v)} does not cross sides")
+        if len(pos) != self.k:
+            raise ParameterError("repeated vertices in candidate")
+        if len(self.back) != self.k:
+            raise ParameterError(f"{len(self.back)} back-neighbour lists for {self.k} vertices")
+        for i, (v, us) in enumerate(zip(self.vertices, self.back)):
+            if len(us) > 2 or len(set(us)) != len(us):
+                raise ParameterError(f"vertex {v} keeps {us}, not at most 2 distinct vertices")
+            for u in us:
+                if pos.get(u, i) >= i:  # u is later, v itself or not a vertex
+                    raise ParameterError(f"back-neighbour {u} of {v} is not an earlier vertex")
+                if not host.has_edge(u, v):
+                    raise ParameterError(f"edge {canon_edge(u, v)} not in host graph")
+                if isinstance(v, tuple) and u[0] == v[0]:
+                    raise ParameterError(f"edge {canon_edge(u, v)} does not cross sides")
 
 
 @dataclass(frozen=True)
@@ -142,21 +143,15 @@ def _peel_core(nbrs):
 def _candidate(verts, order, nbrs, key=None):
     """Ordering -> at most two back-edges: the candidate on `order` (ranks
     into the sorted list verts) in which each vertex keeps its first two
-    earlier neighbours under `key` (default: lowest rank).
-
-    Ranks follow vertex order, so sorted (low, high) rank pairs give the
-    sorted canonical edges.
+    earlier neighbours under `key` (default: lowest rank), in that order.
     """
     seen = [False] * len(nbrs)
-    pairs = []
+    back = []
     for v in order:
-        for u in sorted((u for u in nbrs[v] if seen[u]), key=key)[:2]:
-            pairs.append((u, v) if u < v else (v, u))
+        kept = sorted((u for u in nbrs[v] if seen[u]), key=key)[:2]
+        back.append(tuple(verts[u] for u in kept))
         seen[v] = True
-    pairs.sort()
-    return CandidateF(
-        tuple(verts[v] for v in order), tuple((verts[a], verts[b]) for a, b in pairs)
-    )
+    return CandidateF(tuple(verts[v] for v in order), tuple(back))
 
 
 def degeneracy_ordering(g):
@@ -223,11 +218,11 @@ def _window_candidates(g, k, goal, budget_end, order=None):
     (windows have distinct vertex sets, so the orders differ). In a
     smallest-last order the first windows hold the densest core.
 
-    A trim keeps at most 2 back-edges per vertex, none for the first and at
-    most one for the second, so a window's count is at most
-    min(induced edges, 2k - 3). Only windows whose bound reaches the best
-    count so far are peeled; ties are still peeled, so the fallback is the
-    choice of a full scan.
+    A trim keeps only edges of its window, so a window's induced edge count
+    bounds its trim's. The scan keeps the best trim's edge count as a bar
+    and peels only windows whose count reaches it; ties are still peeled,
+    so the fallback is the choice of a full scan. Trims are ranked by
+    (achieved_t, vertices), which is (-edges, vertices) at a fixed k.
 
     The first window is peeled without a count, as there is no best count
     to bound yet and most scans stop there; once the scan slides,
@@ -235,20 +230,21 @@ def _window_candidates(g, k, goal, budget_end, order=None):
     """
     if order is None:
         order = degeneracy_ordering(g).order
-    cap = 2 * k - 3
     best = best_key = None
     last = len(order) - k
     for s in range(last + 1):
         if s == 1:
             counts = _window_counts(g.adjacency(), order, k)
-        if best is not None and min(counts[s], cap) < len(best.edges):
+        # window 0 always sets best, so every later window has a bar
+        if s and counts[s] < bar:
             continue
         trim = _trim_on_set(g, order[s : s + k])
-        if len(trim.edges) >= goal:
+        count = 2 * k - trim.achieved_t
+        if count >= goal:
             return trim, False
-        key = (-len(trim.edges), trim.vertices)
+        key = (trim.achieved_t, trim.vertices)
         if best is None or key < best_key:
-            best, best_key = trim, key
+            best, best_key, bar = trim, key, count
         if budget_end is not None and s < last and time.monotonic() > budget_end:
             return best, True
     return best, False

@@ -350,7 +350,7 @@ def find_be_s_configuration(lts, e, params=None):
         cfg, trace = unpack(cand, aux, sub)
         fe = trace.e_total
         top_up = e_prime - fe <= params.tau_max
-        if not top_up and not (fe >= trace.v_total and fe > 0):
+        if not top_up and fe < trace.v_total:
             note = "candidate neither dense nor self-sustaining"
             cut = result.budget_exhausted
             break
@@ -365,7 +365,7 @@ def find_be_s_configuration(lts, e, params=None):
             FrameReport(
                 e_prime, "top_up" if top_up else "recurse", not result.success,
                 before if top_up else left,
-                k=k, f_edges=len(cand.edges), achieved_t=cand.achieved_t,
+                k=k, f_edges=2 * k - cand.achieved_t, achieved_t=cand.achieved_t,
                 unpack_v=trace.v_total, unpack_e=fe,
                 budget_exhausted=result.budget_exhausted,
             )

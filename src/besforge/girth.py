@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from .errors import GrowthError, IntegrityError, ParameterError
 from .graphs import Graph, two_coloring, within_distance
 
-_MAX_DEGREE = 8
 _PAIR_DEGREE_CAP = 7
+_MAX_DEGREE = _PAIR_DEGREE_CAP + 1  # what the open lists let a degree reach
 _RANDOM_ATTEMPTS = 128
 
 

@@ -1,10 +1,10 @@
 """Unpack a 2-degenerate pair-graph candidate into a hyperedge configuration.
 
-Processing the candidate's vertices in certificate order, each step adds the
-pair's two part elements and, per new candidate edge, the apex and the two
-hyperedges of the multigraph edge that the pair graph keeps for it. Every
-step is recorded, classified and checked against the per-step accounting
-rules, which are theorems for well-formed inputs.
+Walking the candidate's certificate one vertex at a time, each step adds the
+pair's two part elements and, per back-neighbour the vertex keeps, the apex
+and the two hyperedges of the multigraph edge that the pair graph keeps for
+their edge. Every step is recorded, classified and checked against the
+per-step accounting rules, which are theorems for well-formed inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class StepRecord:
     i: int  # 1-based step index
     vertex: tuple  # the pair-vertex added
     side: str
-    d: int  # back-degree (0, 1 or 2)
+    d: int  # back-neighbours the vertex keeps (0, 1 or 2)
     cls: str
     delta_e: int
     delta_v: int
@@ -115,22 +115,23 @@ def unpack(candidate, aux, host):
     """Run the unpacking process and return (Configuration, UnpackTrace).
 
     `aux` is the multigraph whose pair graph the candidate was found in;
-    each candidate edge unpacks into aux.kept_edge of its pair.
+    each kept back-edge unpacks into aux.kept_edge of its pair. A repeated
+    vertex, or a back-neighbour no earlier step walked, raises IntegrityError.
     """
     host_edges = host.edge_set
 
-    pos = {v: i for i, v in enumerate(candidate.vertices)}
-    by_later = {v: [] for v in candidate.vertices}
-    for u, w in candidate.edges:
-        later = max(u, w, key=pos.get)
-        by_later[later].append(canon_edge(u, w))
-
+    walked = set()  # the vertices of the steps so far
     span_keys = set()
     hyperedges = set()
     steps = []
-    for i, v in enumerate(candidate.vertices, start=1):
+    for i, (v, us) in enumerate(zip(candidate.vertices, candidate.back), start=1):
+        if v in walked:
+            raise IntegrityError(f"vertex {v} repeats in the candidate")
         anns = []
-        for fe in by_later[v]:
+        for u in us:
+            if u not in walked:
+                raise IntegrityError(f"back-neighbour {u} of {v} is not an earlier vertex")
+            fe = canon_edge(u, v)
             ann = aux.kept_edge(*fe)
             if ann is None:
                 raise IntegrityError(f"candidate edge {fe} is not in the pair multigraph")
@@ -176,6 +177,7 @@ def unpack(candidate, aux, host):
         )
         _check_step_laws(rec)
         steps.append(rec)
+        walked.add(v)
 
     cfg = Configuration.from_edges(host, hyperedges)
     return cfg, UnpackTrace(tuple(steps), len(span_keys), len(hyperedges))

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from besforge import (
+    CandidateF,
     Graph,
     ParameterError,
     TripartiteLinearSystem,
@@ -143,6 +144,71 @@ def test_candidate_revalidates_by_reverse_peeling():
     for v in cand.vertices:
         back = sum(1 for u, w in cand.edges if max(u, w, key=pos.get) == v)
         assert back <= 2
+
+
+@pytest.mark.parametrize("vertices, back, message", [
+    ((0, 3, 0), ((), (0,), ()), "repeated vertices"),
+    ((0, 3), ((),), "1 back-neighbour lists for 2 vertices"),
+    ((0, 1, 2, 3), ((), (), (), (0, 1, 2)), r"keeps \(0, 1, 2\), not at most 2 distinct"),
+    ((0, 3), ((), (0, 0)), r"keeps \(0, 0\), not at most 2 distinct"),
+    ((0, 3), ((3,), ()), "back-neighbour 3 of 0 is not an earlier vertex"),
+    ((0, 3), ((), (4,)), "back-neighbour 4 of 3 is not an earlier vertex"),
+    ((0, 3), ((), (3,)), "back-neighbour 3 of 3 is not an earlier vertex"),
+    ((0, 1), ((), (0,)), r"edge \(0, 1\) not in host graph"),
+])
+def test_validate_rejects_a_malformed_certificate(vertices, back, message):
+    # k33 joins each of 0, 1, 2 to each of 3, 4, 5
+    with pytest.raises(ParameterError, match=message):
+        CandidateF(vertices, back).validate(k33())
+
+
+def test_validate_rejects_a_same_side_pair():
+    a01, a02 = ("A", 0, 1), ("A", 0, 2)
+    with pytest.raises(ParameterError, match="does not cross sides"):
+        CandidateF((a01, a02), ((), (a01,))).validate(Graph(edges=[(a01, a02)]))
+
+
+def _parent_candidate_edges(verts, order, nbrs, key=None):
+    """The edges of _candidate(verts, order, nbrs, key) as the pair-building
+    _candidate made them before candidates stored their back-neighbours:
+    sorted canonical pairs, kept as the reference for CandidateF.edges."""
+    seen = [False] * len(nbrs)
+    pairs = []
+    for v in order:
+        for u in sorted((u for u in nbrs[v] if seen[u]), key=key)[:2]:
+            pairs.append((u, v) if u < v else (v, u))
+        seen[v] = True
+    pairs.sort()
+    return tuple((verts[a], verts[b]) for a, b in pairs)
+
+
+def test_search_candidates_validate_and_derive_the_reference_edges(monkeypatch):
+    made = []
+    candidate = degsearch._candidate
+
+    def recorded(verts, order, nbrs, key=None):
+        cand = candidate(verts, order, nbrs, key)
+        made.append((cand, _parent_candidate_edges(verts, order, nbrs, key)))
+        return cand
+
+    monkeypatch.setattr(degsearch, "_candidate", recorded)
+    rng = random.Random(42)
+    hosts = [g for g in (_random_bipartite(rng) for _ in range(60)) if g.n >= 2]
+    hosts += [_pair_graph(seed) for seed in range(3)]
+    checked = 0
+    for g in hosts:
+        for k in range(2, min(g.n, 8) + 1):
+            made.clear()
+            find_dense_2deg(g, k, 0, strategy="peel")
+            if g.n <= 10:
+                find_dense_2deg(g, k, 0, strategy="exhaustive")
+                brute_force_best_2deg(g, k)
+            for cand, edges in made:
+                cand.validate(g)
+                assert cand.edges == edges
+                assert cand.achieved_t == 2 * cand.k - len(edges)
+            checked += len(made)
+    assert checked > 1000
 
 
 def _reference_peel(adj, restrict=None):

@@ -84,6 +84,22 @@ def test_recurse_frames_were_self_sustaining():
             assert frame.unpack_e >= frame.unpack_v > 0
 
 
+def test_a_solve_never_builds_a_candidate_edge_tuple(monkeypatch):
+    # CandidateF.edges sorts the kept edges; a solve reads only the stored
+    # back-neighbours and achieved_t
+    def unread(cand):
+        raise AssertionError("a solve read CandidateF.edges")
+
+    monkeypatch.setattr(degsearch.CandidateF, "edges", property(unread))
+    branches = set()
+    for lts in (group_system(8), random_linear(12, 12, 12, 90, 0)):
+        for e in range(16, 41, 4):
+            for params in (PRACTICAL, DriverParams(tau_max=8)):
+                report = find_be_s_configuration(lts, e, params)
+                branches |= {f.branch for f in report.frames}
+    assert {"recurse", "top_up"} <= branches
+
+
 def test_determinism_per_seed():
     lts = group_system(9)
     a = find_be_s_configuration(lts, 25, PRACTICAL)

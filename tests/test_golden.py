@@ -1,9 +1,9 @@
 """Byte-identity of solver and CLI outputs against recorded SHA-256 digests.
 
 Refactors that must not change behaviour are checked here: every case below
-hashes the exact output text of a corpus of solves or CLI runs, and the
-recorded digests in golden_digests.json were produced by the code before the
-refactor. The default and tau8 solve corpora reach every driver frame kind
+hashes the exact output text of a corpus of solves, unpackings or CLI runs,
+and the recorded digests in golden_digests.json were produced by the code
+before the refactor. The default and tau8 solve corpora reach every driver frame kind
 (base, top_up and recurse) and every base note but `k below minimum`, which
 needs k0 >= 3 and which cli/sweep/flags reaches, as
 test_corpus_reaches_every_branch_and_note checks. The corpus runs every
@@ -35,10 +35,14 @@ from besforge import (
     DriverParams,
     TripartiteLinearSystem,
     TripleSystem,
+    build_aux,
     find_be_s_configuration,
+    find_dense_2deg,
     group_system,
     grow_girth_graph,
     random_linear,
+    simple_subgraph,
+    unpack,
 )
 from besforge import driver
 from besforge import io as textio
@@ -103,6 +107,35 @@ def _unpack_trace(strategy):
         return ["unpack", "--input", str(tmp / "g5.tls"), "--k", "6", "--t", "4",
                 "--strategy", strategy, "--trace", str(out)]
     return _cli_output(argv)
+
+
+# the pair graphs of the unpack corpus, by strategy: 'exhaustive' runs on
+# at most 15 pair-vertices, where its subset DP stays cheap up to k = 8
+UNPACK_HOSTS = {
+    "peel": [HOSTS[h] for h in ("group4", "group5", "group7", "random12s0", "random12s1")]
+    + [(random_linear, (6, 6, 6, 18, 2))],
+    "exhaustive": [HOSTS["group3"], HOSTS["group4"], (random_linear, (4, 4, 4, 9, 3)),
+                   (random_linear, (4, 4, 4, 9, 4)), (random_linear, (5, 5, 5, 12, 0))],
+}
+
+
+def _unpack_corpus(strategy):
+    """The step JSON of unpacking every candidate the search finds on the
+    UNPACK_HOSTS pair graphs, one line per (host, k, t)."""
+    k_max = 24 if strategy == "peel" else 8
+    lines = []
+    for make, args in UNPACK_HOSTS[strategy]:
+        lts = make(*args)
+        aux = build_aux(lts)
+        graph = simple_subgraph(aux)
+        for k in range(2, min(graph.n, k_max) + 1):
+            # t = 0 is out of reach, so 'peel' returns its densest trim; at
+            # t = 4 it stops at the first window that reaches the goal
+            for t in (0, 4):
+                cand = find_dense_2deg(graph, k, t, strategy=strategy).candidate
+                _cfg, trace = unpack(cand, aux, lts)
+                lines.append(json.dumps([s.to_json_dict() for s in trace.steps]))
+    return "\n".join(lines)
 
 
 def _cli_inputs():
@@ -175,6 +208,7 @@ CASES = {
     **{f"solve/group30/e{e}": (_ladder_solve, (e,)) for e in (28, 60, 103)},
     "sweep/group6": (_sweep_csv, ()),
     **{f"unpack/group5/{s}": (_unpack_trace, (s,)) for s in STRATEGIES},
+    **{f"unpack/corpus/{s}": (_unpack_corpus, (s,)) for s in STRATEGIES},
     **{f"cli/{name}": (_cli_run, argv) for name, argv in CLI_CASES.items()},
 }
 

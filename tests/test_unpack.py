@@ -16,6 +16,7 @@ from besforge import (
     check_lemma_bounds,
     find_dense_2deg,
     group_system,
+    random_linear,
     simple_subgraph,
     unpack,
     verify_configuration,
@@ -34,7 +35,7 @@ def _fixture(m):
 def test_single_edge_unpacks_to_two_hyperedges_on_five_vertices():
     lts, aux, graph = _fixture(3)
     u, w = graph.edges[0]
-    F = CandidateF((u, w), ((u, w),))
+    F = CandidateF((u, w), ((), (u,)))
     cfg, trace = unpack(F, aux, lts)
     assert trace.e_total == 2 and trace.v_total == 5
     assert trace.steps[0].cls == "singular" and trace.steps[1].cls == "singular"
@@ -44,14 +45,15 @@ def test_worked_4_cycle_example():
     lts, aux, graph = _fixture(3)
     F = CandidateF(
         (("A", 0, 1), ("B", 0, 2), ("A", 1, 2), ("B", 1, 2)),
-        (
-            (("A", 0, 1), ("B", 0, 2)),
-            (("A", 1, 2), ("B", 0, 2)),
-            (("A", 1, 2), ("B", 1, 2)),
-            (("A", 0, 1), ("B", 1, 2)),
-        ),
+        ((), (("A", 0, 1),), (("B", 0, 2),), (("A", 1, 2), ("A", 0, 1))),
     )
     F.validate(graph)
+    assert F.edges == (
+        (("A", 0, 1), ("B", 0, 2)),
+        (("A", 0, 1), ("B", 1, 2)),
+        (("A", 1, 2), ("B", 0, 2)),
+        (("A", 1, 2), ("B", 1, 2)),
+    )
     cfg, trace = unpack(F, aux, lts)
     assert [(s.delta_v, s.delta_e) for s in trace.steps] == [(2, 0), (3, 2), (2, 2), (2, 3)]
     assert trace.v_total == 9 and trace.e_total == 7
@@ -73,18 +75,14 @@ def _zero_step_trace():
     # {(0,0,0), (1,4,0)} at apex 0: all four are already there, so it is a
     # 0-step on apexes 0 and 1, each involved in an earlier singular step.
     lts, aux, graph = _fixture(5)
+    a01, a04, a12 = ("A", 0, 1), ("A", 0, 4), ("A", 1, 2)
+    b01, b04, b12, b34 = ("B", 0, 1), ("B", 0, 4), ("B", 1, 2), ("B", 3, 4)
     F = CandidateF(
-        (("A", 0, 4), ("A", 1, 2), ("B", 0, 1), ("B", 0, 4), ("B", 1, 2), ("B", 3, 4), ("A", 0, 1)),
-        (
-            (("A", 0, 1), ("B", 0, 1)),
-            (("A", 0, 1), ("B", 0, 4)),
-            (("A", 0, 4), ("B", 0, 1)),
-            (("A", 0, 4), ("B", 1, 2)),
-            (("A", 1, 2), ("B", 0, 4)),
-            (("A", 1, 2), ("B", 3, 4)),
-        ),
+        (a04, a12, b01, b04, b12, b34, a01),
+        ((), (), (a04,), (a12,), (a04,), (a12,), (b01, b04)),
     )
     F.validate(graph)
+    assert F.edges == ((a01, b01), (a01, b04), (a04, b01), (a04, b12), (a12, b04), (a12, b34))
     return unpack(F, aux, lts)[1]
 
 
@@ -106,7 +104,7 @@ def test_audit_rejects_a_repeated_pair_and_a_zero_step_without_a_good_one():
 
 def test_isolated_vertices_inflate_v_only():
     lts, aux, _graph = _fixture(3)
-    F = CandidateF((("A", 0, 1), ("B", 0, 1)), ())
+    F = CandidateF((("A", 0, 1), ("B", 0, 1)), ((), ()))
     cfg, trace = unpack(F, aux, lts)
     assert trace.e_total == 0 and trace.v_total == 4
     assert all(s.cls == "singular" and s.delta_e == 0 for s in trace.steps)
@@ -124,7 +122,7 @@ def test_empty_candidate_reports_empty_branch():
 def test_small_t_flagged_outside_hypotheses():
     lts, aux, graph = _fixture(3)
     u, w = graph.edges[0]
-    F = CandidateF((u, w), ((u, w),))
+    F = CandidateF((u, w), ((), (u,)))
     _cfg, trace = unpack(F, aux, lts)
     report = check_lemma_bounds(trace, 2, F.achieved_t)
     assert F.achieved_t == 3
@@ -135,7 +133,7 @@ def test_small_t_flagged_outside_hypotheses():
 def test_missing_annotation_raises():
     lts, aux, _graph = _fixture(3)
     u, w = ("A", 0, 1), ("B", 0, 1)
-    F = CandidateF((u, w), ((u, w),))
+    F = CandidateF((u, w), ((), (u,)))
     # a multigraph that lacks this edge
     lacking = AuxGraph(aux.a_vertices, aux.b_vertices,
                        tuple(ed for ed in aux.edges if (ed.u, ed.w) != (u, w)))
@@ -147,7 +145,7 @@ def test_missing_annotation_raises():
 def test_a_hyperedge_missing_from_the_host_raises():
     lts, aux, graph = _fixture(3)
     u, w = graph.edges[0]
-    F = CandidateF((u, w), ((u, w),))
+    F = CandidateF((u, w), ((), (u,)))
     gone = aux.kept_edge(u, w).hyperedges()[0]
     # the host that the multigraph was built from, less one of that edge's hyperedges
     lacking = TripartiteLinearSystem(lts.sizes, tuple(x for x in lts.edges if x != gone))
@@ -165,6 +163,40 @@ def test_lemma_bounds_below_the_near_4k_threshold(v_total, e_total, branch):
     assert report.assertion2_branch == branch
     assert not report.within_hypotheses
     assert report.assertion1_ok == (v_total - 4 <= e_total)
+
+
+def _by_later_endpoint(candidate):
+    """The candidate with each vertex's back-neighbours re-derived from its
+    edges, grouped by their later endpoint in edge order, as unpack found
+    them before candidates stored their back-neighbours."""
+    pos = {v: i for i, v in enumerate(candidate.vertices)}
+    back = [[] for _ in candidate.vertices]
+    for u, w in candidate.edges:
+        earlier, later = sorted((u, w), key=pos.get)
+        back[pos[later]].append(earlier)
+    return CandidateF(candidate.vertices, tuple(map(tuple, back)))
+
+
+@pytest.mark.parametrize("strategy", ["peel", "exhaustive"])
+def test_unpack_matches_the_later_endpoint_grouping(strategy):
+    hosts = [group_system(3), group_system(4), random_linear(4, 4, 4, 9, 3)]
+    if strategy == "peel":
+        hosts += [group_system(6), random_linear(12, 12, 12, 90, 0)]
+    for lts in hosts:
+        aux = build_aux(lts)
+        graph = simple_subgraph(aux)
+        for k in range(2, min(graph.n, 9) + 1):
+            cand = find_dense_2deg(graph, k, 4, strategy=strategy).candidate
+            assert unpack(cand, aux, lts) == unpack(_by_later_endpoint(cand), aux, lts)
+
+
+def test_a_later_back_neighbour_or_a_repeated_vertex_raises():
+    lts, aux, graph = _fixture(3)
+    u, w = graph.edges[0]
+    with pytest.raises(IntegrityError, match=re.escape(f"back-neighbour {w} of {u} is not an earlier vertex")):
+        unpack(CandidateF((u, w), ((w,), ())), aux, lts)
+    with pytest.raises(IntegrityError, match=re.escape(f"vertex {u} repeats in the candidate")):
+        unpack(CandidateF((u, w, u), ((), (u,), ())), aux, lts)
 
 
 def test_prefix_sums_match_totals():
@@ -202,7 +234,7 @@ def test_random_candidates_obey_step_laws_and_audit(m):
 def test_trace_json_field_names():
     lts, aux, graph = _fixture(3)
     u, w = graph.edges[0]
-    F = CandidateF((u, w), ((u, w),))
+    F = CandidateF((u, w), ((), (u,)))
     _cfg, trace = unpack(F, aux, lts)
     d = trace.steps[1].to_json_dict()
     assert set(d) == {
