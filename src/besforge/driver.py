@@ -25,12 +25,11 @@ picks. The report's configuration is those edges in id order, which is
 sorted order, with that set as its span; verify_configuration is the one
 step that recomputes the span from the edges.
 
-A host solved again keeps its pair multigraph, the degeneracy order of its
-pair graph and its key index until another host is solved. So solving one
-host at many e builds them twice (once for the first solve, once to keep),
-not per solve, and a warm solve builds nothing that depends only on the
-host: its finish does work sized by the edges it picks and the edges that
-meet them.
+A host whose frame 0 is built keeps its pair multigraph, the degeneracy
+order of its pair graph and its key index until another host's frame 0 is
+built. So solving one host at many e builds them once, not per solve, and a
+warm solve builds nothing that depends only on the host: its finish does
+work sized by the edges it picks and the edges that meet them.
 """
 
 from __future__ import annotations
@@ -210,15 +209,14 @@ def _key_index(lts):
 
 
 # (host, its AuxGraph, the degeneracy order of its pair graph, its key index)
-# for the last host solved; every slot after the host is None until the host
-# is solved a second time. Replaced whole, so two entries are never mixed, and
-# no solve changes what a slot holds. Hosts are frozen: a host equal to the
-# cached one has passed build_aux's checks.
+# for the last host whose frame 0 was built. Replaced whole, so two entries
+# are never mixed, and no solve changes what a slot holds. Hosts are frozen: a
+# host equal to the cached one has passed build_aux's checks.
 _last_host = None
 
 
 def _cache_entry(lts):
-    """The cache entry when lts is, or equals, the last host solved, else None."""
+    """The cache entry when lts is, or equals, the last host cached, else None."""
     entry = _last_host
     if entry is not None and (entry[0] is lts or entry[0] == lts):
         return entry
@@ -229,53 +227,29 @@ def _frame0(lts, index):
     """The multigraph of lts and the degeneracy order of its pair graph.
 
     They come from the one-entry cache when lts is, or equals, the last host
-    solved and was solved before that too; otherwise they are built. The
-    first solve of a host keeps only the host, so a host solved once leaves
-    nothing resident; the second also keeps the two and `index`, the key
-    index of lts that the solve already has.
+    cached; otherwise the cache is emptied first, so that two multigraphs are
+    never resident at once, and then they are built and cached with `index`,
+    the key index of lts that the solve already has.
     'exhaustive' ignores the order, which costs little on its pair graphs of
     at most 20 vertices.
     """
     global _last_host
     entry = _cache_entry(lts)
-    if entry is not None and entry[1] is not None:
-        return entry[1:3]
-    aux = build_aux(lts)
-    order = degsearch.degeneracy_ordering(simple_subgraph(aux)).order
     if entry is None:
-        _last_host = (lts, None, None, None)
-    else:
-        _last_host = (lts, aux, order, index)
-    return aux, order
+        _last_host = None
+        aux = build_aux(lts)
+        order = degsearch.degeneracy_ordering(simple_subgraph(aux)).order
+        entry = _last_host = (lts, aux, order, index)
+    return entry[1:3]
 
 
 # The note of the designed end of the recursion: no frame at this e' can keep
 # its candidate, so nothing was missed and the base frame is not flagged.
 _END_NOTE = "no frame can recurse or top up; base"
 
-# The note of a finish inside the span (see _free_finish): no frame can make
-# a smaller configuration, so nothing was missed and it is not flagged either.
+# The note of a finish inside the span: the base pick adds no vertex, which
+# no frame can beat, so nothing was missed and it is not flagged either.
 _FREE_NOTE = "the span already holds the rest; base"
-
-
-def _free_finish(residual, e_prime, span, edge_keys):
-    """Whether at least e_prime residual edges lie entirely inside span, that
-    is, whether the greedy base pick of e_prime edges adds no vertex.
-
-    The pick takes overlap-3 edges first, smallest first, and taking one does
-    not grow the span, so no other edge's overlap changes. So it adds no vertex
-    exactly when at least e_prime edges have all three keys in the span, and
-    it then takes the e_prime smallest of them. The span of the edges already
-    chosen cannot shrink, and a finish cannot add fewer than zero vertices, so
-    no frame could give a smaller configuration than this pick.
-    """
-    inside = 0
-    for x in residual:
-        if span.issuperset(edge_keys(x)):
-            inside += 1
-            if inside >= e_prime:
-                return True
-    return False
 
 
 def _frame_can_succeed(e_prime, k, tau_max):
@@ -298,9 +272,12 @@ def find_be_s_configuration(lts, e, params=None):
     Each pass records a top_up or recurse frame and removes its hyperedges from
     the residual, or stops with a note; one greedy base pick supplies the rest
     from the span of the kept frames' edges. Once a frame has been kept, a pass
-    first stops if that pick would add no vertex (_free_finish), before
-    building its frame. The base frame is flagged when its note names a miss,
-    not when no frame could have kept a candidate or improved on the pick.
+    makes that pick on a copy of the span before building its frame, and stops
+    if the copy did not grow. Otherwise the pick is the finish unless the
+    frame is kept: it depends only on the residual, e' and the span, which a
+    frame that is not kept leaves as they were. The base frame is flagged when
+    its note names a miss, not when no frame could have kept a candidate or
+    improved on the pick.
     """
     if params is None:
         params = DriverParams()
@@ -310,7 +287,7 @@ def find_be_s_configuration(lts, e, params=None):
         raise ExhaustionError(e, lts.m)
 
     entry = _cache_entry(lts)
-    index = _key_index(lts) if entry is None or entry[3] is None else entry[3]
+    index = _key_index(lts) if entry is None else entry[3]
     ids, by_key = index
     # the residual: alive[i] is 1 while host edge i is left; left counts them
     alive = bytearray(b"\x01") * lts.m
@@ -321,6 +298,7 @@ def find_be_s_configuration(lts, e, params=None):
     e_prime = e
     note = ""
     cut = False  # whether the budget cut the search of a discarded candidate
+    finish = None  # (picks, grown span): the base pick from the current residual
     while e_prime > params.base_threshold:
         k = e_prime // 4
         if not _frame_can_succeed(e_prime, k, params.tau_max):
@@ -332,14 +310,16 @@ def find_be_s_configuration(lts, e, params=None):
         if not frames:
             sub = lts
             aux, order = _frame0(lts, index)
-        elif _free_finish(compress(lts.edges, alive), e_prime, span, lts.edge_keys):
-            note = _FREE_NOTE
-            break
         else:
+            grown = set(span)
+            finish = _greedy_pick(alive, e_prime, grown, lts.edges, lts.edge_keys, by_key), grown
+            if len(grown) == len(span):
+                note = _FREE_NOTE
+                break
             sub = TripartiteLinearSystem(lts.sizes, tuple(compress(lts.edges, alive)))
             aux, order = build_aux(sub), None
         graph = simple_subgraph(aux)
-        if graph.n < k or not aux.rows:
+        if graph.n < k:
             note = "pair graph too small; base fallback"
             break
         result = find_dense_2deg(
@@ -355,6 +335,7 @@ def find_be_s_configuration(lts, e, params=None):
             cut = result.budget_exhausted
             break
         span |= cfg.span
+        finish = None
         before = left
         for x in cfg.edges:
             i = ids[x]
@@ -374,7 +355,10 @@ def find_be_s_configuration(lts, e, params=None):
         if top_up:
             break
 
-    chosen += _greedy_pick(alive, e_prime, span, lts.edges, lts.edge_keys, by_key)
+    if finish is None:
+        finish = _greedy_pick(alive, e_prime, span, lts.edges, lts.edge_keys, by_key), span
+    picks, span = finish
+    chosen += picks
     if not (frames and frames[-1].branch == "top_up"):
         frames.append(FrameReport(
             e_prime, "base", note not in ("", _END_NOTE, _FREE_NOTE), left, note=note,

@@ -50,7 +50,10 @@ def side_of(v):
 
 
 def grow_girth_graph(k, t, g, seed=0):
-    """Grow a k-vertex graph of girth >= g; returns (Graph, GrowthCertificate).
+    """Grow a k-vertex graph of girth > g; returns (Graph, GrowthCertificate).
+
+    A new vertex's two anchors are more than g - 2 apart, so no cycle through
+    it has length g or less.
 
     Raises GrowthError when no valid attachment pair exists at some step,
     which signals that t is too small for this g at this size.

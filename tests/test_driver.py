@@ -26,7 +26,7 @@ from besforge import io as textio
 from besforge.auxgraph import AuxEdge, AuxGraph, build_aux, simple_subgraph
 from besforge.cli import main
 from besforge.degsearch import _trim_on_set
-from besforge.driver import _frame_can_succeed, _free_finish, _greedy_pick, _key_index
+from besforge.driver import _frame_can_succeed, _greedy_pick, _key_index
 from besforge.unpack import unpack
 
 import test_golden
@@ -257,6 +257,18 @@ def test_key_index_numbers_the_sorted_host_edges():
     assert sum(map(len, by_key.values())) == 3 * lts.m
 
 
+def _reference_free_finish(residual, e_prime, span, edge_keys):
+    """Whether at least e_prime residual edges lie entirely inside span, by
+    the inside-count scan that the driver once ran before its base pick."""
+    inside = 0
+    for x in residual:
+        if span.issuperset(edge_keys(x)):
+            inside += 1
+            if inside >= e_prime:
+                return True
+    return False
+
+
 def test_free_finish_holds_exactly_when_the_base_pick_adds_no_vertex():
     rng = random.Random(11)
     seen = {True: 0, False: 0}
@@ -275,7 +287,10 @@ def test_free_finish_holds_exactly_when_the_base_pick_adds_no_vertex():
         span = {key for x in edges[:cut] for key in lts.edge_keys(x)}
         residual = sorted(edges[cut:])
         e_prime = rng.randint(1, len(residual))
-        free = _free_finish(residual, e_prime, span, lts.edge_keys)
+        free = _reference_free_finish(residual, e_prime, span, lts.edge_keys)
+        # _pick_edges checks that the pick adds the picks' keys to its copy of
+        # the span, so the copy, as in the driver, stays as it was exactly
+        # when they all lie in the span
         picked = _pick_edges(residual, e_prime, span, lts)
         assert free == span.issuperset(key for x in picked for key in lts.edge_keys(x))
         if free:
@@ -284,6 +299,26 @@ def test_free_finish_holds_exactly_when_the_base_pick_adds_no_vertex():
             assert picked == inside[:e_prime]
         seen[free] += 1
     assert min(seen.values()) >= 50
+
+
+def test_a_solve_makes_the_base_pick_once_plus_once_per_kept_later_frame(monkeypatch):
+    calls = []
+    pick = besforge.driver._greedy_pick
+    monkeypatch.setattr(besforge.driver, "_greedy_pick", lambda *args: calls.append(1) or pick(*args))
+    runs = [(random_linear(24, 24, 24, 320, seed), 80) for seed in range(40)]
+    runs += [(group_system(30), e) for e in range(8, 113)]
+    runs += [(group_system(11), e) for e in range(8, 121)]
+    seen = {"two picks": 0, "later frame discarded": 0}
+    for i, (lts, e) in enumerate(runs):
+        calls.clear()
+        frames = find_be_s_configuration(lts, e, DriverParams()).frames
+        kept = sum(f.branch != "base" for f in frames)
+        assert len(calls) == 1 + max(kept - 1, 0), (i, frames)
+        seen["two picks"] += len(calls) == 2
+        # a later frame was built and not kept: the pick made before it is the finish
+        discarded = kept > 0 and frames[-1].note == "candidate neither dense nor self-sustaining"
+        seen["later frame discarded"] += discarded
+    assert min(seen.values()) >= 1, seen
 
 
 def test_random_deep_solves_finish_inside_the_span_of_their_kept_frame(monkeypatch):
@@ -395,14 +430,14 @@ def test_solves_make_no_aux_edge_but_the_kept_ones(monkeypatch):
     monkeypatch.setattr(AuxEdge, "_make", counting_make)
     lts = group_system(11)
     besforge.driver._last_host = None
-    # cold, cold again (which fills the cache), then warm; each builds frame 1
+    # cold (which fills the cache), then warm twice; each builds frame 1
     for _ in range(3):
         report = find_be_s_configuration(lts, 63, PRACTICAL)
         assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
-    assert besforge.driver._last_host[1] is made["aux"][2]
-    assert len(made["aux"]) == 5
+    assert besforge.driver._last_host[1] is made["aux"][0]
+    assert len(made["aux"]) == 4
     find_be_s_configuration(random_linear(24, 24, 24, 320, seed=1), 80, PRACTICAL)
-    assert len(made["aux"]) >= 6 and made["kept"] > 0
+    assert len(made["aux"]) >= 5 and made["kept"] > 0
     # no multigraph's AuxEdge view was filled, whether cached or not
     assert not any("edges" in vars(aux) for aux in made["aux"])
     assert made["edges"] <= made["kept"]
@@ -468,7 +503,7 @@ def _count_frame0_builds(monkeypatch):
     return built
 
 
-def test_build_aux_runs_on_the_first_two_solves_of_a_host(monkeypatch):
+def test_build_aux_runs_once_per_host(monkeypatch):
     built = _count_frame0_builds(monkeypatch)
 
     def builds():
@@ -481,31 +516,48 @@ def test_build_aux_runs_on_the_first_two_solves_of_a_host(monkeypatch):
 
     a, b = group_system(8), group_system(7)
     find_be_s_configuration(a, 20, PRACTICAL)
-    # a host solved once leaves nothing behind
-    assert besforge.driver._last_host == (a, None, None, None)
+    # the first solve of a host fills the whole entry, with the index it built
+    host, aux, order, index = besforge.driver._last_host
+    assert host is a and aux is built["aux"][0][1] and index is built["index"][0][1]
+    assert built["order"] == [aux.graph] and order is not None
     for e in (40, 50, 60):
         find_be_s_configuration(a, e, PRACTICAL)
-    assert builds() == [a, a]
-    # the cache keeps the index that the second solve built, not another
-    assert besforge.driver._last_host[3] is built["index"][-1][1]
+    assert builds() == [a]
     find_be_s_configuration(b, 20, PRACTICAL)
     find_be_s_configuration(b, 30, PRACTICAL)
     find_be_s_configuration(b, 40, PRACTICAL)
-    assert builds() == [a, a, b, b]
+    assert builds() == [a, b]
     find_be_s_configuration(a, 20, PRACTICAL)
-    assert len(builds()) == 5
+    assert len(builds()) == 3
     # an equal host counts as the same host, whatever object it is
     a_copy = textio.loads_system(textio.dumps_system(a))
     find_be_s_configuration(a_copy, 30, PRACTICAL)
     find_be_s_configuration(a, 40, PRACTICAL)
     find_be_s_configuration(a_copy, 50, PRACTICAL)
-    assert len(builds()) == 6
+    assert len(builds()) == 3
+
+
+def test_the_last_hosts_multigraph_is_dead_when_the_next_is_built(monkeypatch):
+    a, b = group_system(8), group_system(7)
+    find_be_s_configuration(a, 20, PRACTICAL)
+    find_be_s_configuration(a, 21, PRACTICAL)
+    ref = weakref.ref(besforge.driver._last_host[1])
+    build = besforge.driver.build_aux
+    alive_at_build = []
+
+    def recording_build(lts):
+        alive_at_build.append(ref() is not None)
+        return build(lts)
+
+    monkeypatch.setattr(besforge.driver, "build_aux", recording_build)
+    find_be_s_configuration(b, 20, PRACTICAL)
+    assert alive_at_build == [False]
+    assert besforge.driver._last_host[0] is b
 
 
 def test_solves_leave_the_cached_pair_multigraph_unchanged():
     lts = group_system(11)
     find_be_s_configuration(lts, 20, PRACTICAL)
-    find_be_s_configuration(lts, 21, PRACTICAL)
     entry = besforge.driver._last_host
     _, aux, order, by_key = entry
     edges = aux.edges
@@ -533,7 +585,6 @@ def test_the_host_cache_holds_only_the_last_host():
 def test_a_solve_stopped_before_frame_0_builds_nothing_and_keeps_the_cache(monkeypatch):
     a, b = group_system(8), group_system(7)
     find_be_s_configuration(a, 20, PRACTICAL)
-    find_be_s_configuration(a, 21, PRACTICAL)
     entry = besforge.driver._last_host
     assert entry[0] is a and entry[1] is not None
 

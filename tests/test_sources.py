@@ -97,6 +97,42 @@ def test_no_private_function_is_orphaned():
     assert _orphan_functions(trees) == {}
 
 
+def _orphan_constants(trees):
+    """Module-level _private names bound by assignment, by 'module:name',
+    that no tree in trees (a dict of module name to ast) reads, with their
+    lines."""
+    read = _read_names(trees.values())
+    found = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and name.id.startswith("_")
+                            and not name.id.startswith("__") and name.id not in read):
+                        found.setdefault(f"{module}:{name.id}", node.lineno)
+    return found
+
+
+def test_orphan_private_constant_is_found():
+    trees = {
+        "a": ast.parse("_USED = 1\n_ORPHAN = 2\n_x, _y = 3, 4\n_typed: int = 5\n__version__ = '1'\n\n\n"
+                       "def f():\n    _local = 6\n    return _USED + _x\n"),
+        "b": ast.parse("from . import a\n\nprint(a._typed)\n"),
+    }
+    assert _orphan_constants(trees) == {"a:_ORPHAN": 2, "a:_y": 3}
+
+
+def test_no_private_constant_is_orphaned():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCES.glob("*.py"))}
+    assert _orphan_constants(trees) == {}
+
+
 def _orphan_methods(package, readers):
     """Methods and properties of the top-level classes in package (a dict of
     module name to ast), by 'module:Class.name', that no ast in readers
