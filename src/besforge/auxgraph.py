@@ -4,21 +4,26 @@ A pair-vertex is a tuple ('A', p, q) or ('B', p, q) with p < q part-local ids.
 Each multigraph edge records the shared apex c, the pairing type ('S' for
 straight, 'X' for crossed, relative to sorted pair order) and the two
 underlying hyperedges.
+
+In a linear system a pair (a, b) lies in at most one hyperedge. So the
+straight edge between ('A', a1, a2) and ('B', b1, b2) exists iff the
+hyperedges at (a1, b1) and (a2, b2) share an apex, and the crossed edge iff
+those at (a1, b2) and (a2, b1) do. A multigraph is therefore kept as its
+pair-vertices, its pair graph by rank, its edge count and the host's
+(a, b) -> hyperedge index; its edges are read from the index when asked for.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
 from .core import validate_linear
 from .errors import IntegrityError, LinearityError
-from .graphs import Graph
+from .graphs import RankedGraph
 
 
 class AuxEdge(NamedTuple):
@@ -36,76 +41,87 @@ class AuxEdge(NamedTuple):
         return (self.h1, self.h2)
 
 
-_pair = itemgetter(0, 1)  # a row's (u, w)
+_pair = itemgetter(0, 1)  # a row's (u, w); a hyperedge's (a, b)
 
 
-@dataclass(frozen=True)
 class AuxGraph:
-    """The multigraph as sorted plain rows (u, w, apex, pairing, h1, h2), in
-    AuxEdge field order, and its pair graph.
+    """The multigraph of a host that build_aux has checked: its supported
+    pair-vertices (each side sorted), its pair graph as a RankedGraph on
+    a_vertices + b_vertices, its edge count, and the host's (a, b) ->
+    hyperedge index, which kept_edge reads.
 
-    build_aux makes the pair graph in the pass that makes the rows; an
-    AuxGraph built by hand from rows or AuxEdges gets it from its rows. The
-    pair graph is not compared, so equal rows on equal pair-vertices make
-    equal AuxGraphs.
+    rows, edges and multiplicities, like the pair graph's named adjacency,
+    are views made the first time they are read (by the CLI, the dump and
+    the tests); a solve reads none of them. Nothing built is changed.
     """
 
-    a_vertices: tuple  # supported A-side pair-vertices
-    b_vertices: tuple
-    rows: tuple  # the multigraph edges, canonically sorted
-    graph: Graph = field(default=None, compare=False, repr=False)
+    def __init__(self, a_vertices, b_vertices, graph, multi_edge_count, at):
+        self.a_vertices = a_vertices
+        self.b_vertices = b_vertices
+        self.graph = graph
+        self.multi_edge_count = multi_edge_count
+        self._at = at
 
-    def __post_init__(self):
-        if self.graph is None:
-            graph = Graph(vertices=self.a_vertices + self.b_vertices)
-            for u, w, *_ in self.rows:
-                graph.add_edge(u, w)
-            object.__setattr__(self, "graph", graph)
+    def __eq__(self, other):
+        """Equal rows on equal pair-vertices."""
+        if not isinstance(other, AuxGraph):
+            return NotImplemented
+        return (self.a_vertices, self.b_vertices, self.rows) == (other.a_vertices, other.b_vertices, other.rows)
+
+    __hash__ = None
+
+    def _joins(self, u, w):
+        """The rows joining u and w, the straight one first: at most one of
+        each pairing, as the index holds one hyperedge per (a, b)."""
+        _, a1, a2 = u
+        _, b1, b2 = w
+        at = self._at
+        for pairing, x, y in (("S", b1, b2), ("X", b2, b1)):
+            h1 = at.get((a1, x))
+            h2 = at.get((a2, y))
+            if h1 is not None and h2 is not None and h1[2] == h2[2]:
+                yield (u, w, h1[2], pairing, h1, h2)
+
+    def kept_edge(self, u, w):
+        """The multigraph edge that the pair graph's u-w edge stands for, as an
+        AuxEdge: the straight one, else the crossed one; None when no edge
+        joins u and w. Two reads of the host index, with no row built."""
+        row = next(self._joins(u, w), None)
+        return None if row is None else AuxEdge._make(row)
+
+    @cached_property
+    def rows(self):
+        """The multigraph edges as plain rows (u, w, apex, pairing, h1, h2),
+        in AuxEdge field order, sorted."""
+        names, nbrs = self.graph.names, self.graph.nbrs
+        rows = []
+        for u, ws in zip(self.a_vertices, nbrs):
+            for j in sorted(ws):
+                rows += sorted(self._joins(u, names[j]))
+        return tuple(rows)
 
     @cached_property
     def edges(self):
-        """The rows as AuxEdges, made the first time they are read."""
+        """The rows as AuxEdges."""
         return tuple(map(AuxEdge._make, self.rows))
-
-    @property
-    def multi_edge_count(self):
-        return len(self.rows)
 
     def multiplicities(self):
         return Counter(map(_pair, self.rows))
 
-    def kept_edge(self, u, w):
-        """The multigraph edge that the pair graph's u-w edge stands for, as an
-        AuxEdge: the first straight edge of the pair's run in the sorted rows,
-        else the run's first (the smaller apex); None when no edge joins u
-        and w. A row that already is an AuxEdge is returned as it is.
-
-        The pair (u, w) sorts before every row it prefixes, so one bisect
-        with no key finds the run, and by the multiplicity law the run holds
-        at most one more row."""
-        rows = self.rows
-        pair = (u, w)
-        lo = bisect_left(rows, pair)
-        if lo == len(rows) or _pair(rows[lo]) != pair:
-            return None
-        row = rows[lo]
-        if row[3] != "S" and lo + 1 < len(rows):
-            after = rows[lo + 1]
-            if after[3] == "S" and _pair(after) == pair:
-                row = after
-        return row if isinstance(row, AuxEdge) else AuxEdge._make(row)
-
 
 def build_aux(lts):
-    """Build the pair-vertex multigraph: one row per unordered pair of
-    hyperedges through a common apex, and its pair graph in the same pass.
+    """Build the pair-vertex multigraph, one edge per unordered pair of
+    hyperedges through a common apex, in one pass over each apex's pairs.
 
     Raises LinearityError on a non-linear input. Checks the multiplicity law
-    (at most 2 parallel edges, distinct pairing types) and the lower bound
-    4*|C|*|E'| >= |E|^2 which linearity guarantees, raising IntegrityError.
+    (at most 2 parallel edges, distinct pairing types), the count law and
+    the lower bound 4*|C|*|E'| >= |E|^2 which linearity guarantees, raising
+    IntegrityError.
 
-    Every row through a pair-vertex holds the same tuple for it, and h1/h2
-    are the host's own edge tuples.
+    The pass keys a pair (p, q) of part-local ids as the integer p*n + q,
+    with n the size of its part, so keys sort as pairs do. Pair-vertex ranks
+    are the sorted A keys, then the sorted B keys, which is the sorted order
+    of the pair-vertices; each gets one name tuple.
     """
     verdict = validate_linear(lts)
     if not verdict:
@@ -115,11 +131,11 @@ def build_aux(lts):
     for h in lts.edges:
         by_apex.setdefault(h[2], []).append(h)
 
-    # (p, q) -> its pair-vertex, the pair graph's neighbours of it and, for
-    # an A-side pair, the rows through it
-    a_pairs = {}
-    b_pairs = {}
-    parallel = []  # (u, w) of each row whose pair an earlier row joins
+    na, nb, _ = lts.sizes
+    # A key -> {B key -> the pairing of the pair's first row}, rows taken in
+    # apex order; parallel holds (A key, B key, pairing) of every later row
+    joined = {}
+    parallel = []
     for c in sorted(by_apex):
         # lts.edges is sorted, so the hyperedges through c are in (a, b) order
         for h1, h2 in combinations(by_apex[c], 2):
@@ -129,52 +145,46 @@ def build_aux(lts):
             # so h1 is the smaller hyperedge
             if a1 == a2 or b1 == b2:
                 raise IntegrityError(f"apex {c} shares a pair between two hyperedges")
-            u_entry = a_pairs.get((a1, a2))
-            if u_entry is None:
-                u_entry = a_pairs[a1, a2] = (("A", a1, a2), set(), [])
-            pairing = "S"
-            if b2 < b1:
-                pairing = "X"
-                b1, b2 = b2, b1
-            w_entry = b_pairs.get((b1, b2))
-            if w_entry is None:
-                w_entry = b_pairs[b1, b2] = (("B", b1, b2), set())
-            u, u_nbrs, u_rows = u_entry
-            w, w_nbrs = w_entry
-            if w in u_nbrs:
-                parallel.append((u, w))
+            if b1 < b2:
+                wkey, pairing = b1 * nb + b2, "S"
             else:
-                u_nbrs.add(w)
-                w_nbrs.add(u)
-            u_rows.append((u, w, c, pairing, h1, h2))
-    # the rows sorted as plain tuples, in C: (u, w, apex) is unique by
-    # linearity, so this is the AuxEdge field order. Each u's rows are sorted
-    # on their own, where comparing two rows starts at w, and joined in u order.
-    a_entries = sorted(a_pairs.values())
-    rows = []
-    for _, _, u_rows in a_entries:
-        u_rows.sort()
-        rows += u_rows
+                wkey, pairing = b2 * nb + b1, "X"
+            ukey = a1 * na + a2
+            ws = joined.get(ukey)
+            if ws is None:
+                joined[ukey] = {wkey: pairing}
+            elif wkey in ws:
+                parallel.append((ukey, wkey, pairing))
+            else:
+                ws[wkey] = pairing
 
-    # sorted by (u, w, apex), the parallel edges of a pair are consecutive;
-    # checked in that order, the first pair that breaks the law is named
-    for pair in sorted(parallel):
-        lo = bisect_left(rows, pair)  # (u, w) sorts before every row it prefixes
-        if rows[lo][3] == rows[lo + 1][3]:
-            raise IntegrityError(f"parallel edges between {pair[0]} and {pair[1]} share pairing type")
-        if lo + 2 < len(rows) and _pair(rows[lo + 2]) == pair:
-            raise IntegrityError(f"more than 2 parallel edges between {pair[0]} and {pair[1]}")
+    # sorted by pair (a stable sort, so each pair's rows stay in apex order),
+    # the first pair that breaks the law is named
+    parallel.sort(key=_pair)
+    for (ukey, wkey), run in groupby(parallel, _pair):
+        pairings = [joined[ukey][wkey]] + [p for _, _, p in run]
+        u, w = ("A", *divmod(ukey, na)), ("B", *divmod(wkey, nb))
+        if pairings[0] == pairings[1]:
+            raise IntegrityError(f"parallel edges between {u} and {w} share pairing type")
+        if len(pairings) > 2:
+            raise IntegrityError(f"more than 2 parallel edges between {u} and {w}")
 
-    _check_count(lts, len(rows))
+    count = sum(map(len, joined.values())) + len(parallel)
+    _check_count(lts, count)
 
-    # the pair graph's adjacency holds its vertices sorted, as
-    # Graph(vertices=...) would; the peel sorts its vertices again, which costs
-    # little on sorted input
-    b_entries = sorted(b_pairs.values())
-    graph = Graph()
-    graph.adjacency().update([(u, nbrs) for u, nbrs, _ in a_entries] + b_entries)
-    return AuxGraph(tuple(u for u, _, _ in a_entries), tuple(w for w, _ in b_entries),
-                    tuple(rows), graph)
+    a_keys = sorted(joined)
+    b_keys = sorted(set().union(*joined.values()))
+    n_a = len(a_keys)
+    b_rank = dict(zip(b_keys, range(n_a, n_a + len(b_keys))))
+    nbrs = [[b_rank[w] for w in joined[u]] for u in a_keys]
+    b_nbrs = [[] for _ in b_keys]
+    for r, ws in enumerate(nbrs):
+        for j in ws:
+            b_nbrs[j - n_a].append(r)
+    a_vertices = tuple([("A", *divmod(key, na)) for key in a_keys])
+    b_vertices = tuple([("B", *divmod(key, nb)) for key in b_keys])
+    return AuxGraph(a_vertices, b_vertices, RankedGraph(a_vertices + b_vertices, nbrs + b_nbrs),
+                    count, dict(zip(map(_pair, lts.edges), lts.edges)))
 
 
 def _check_count(lts, count):
@@ -195,8 +205,8 @@ def _check_count(lts, count):
 
 def simple_subgraph(aux):
     """The pair graph: one u-w edge for each pair of pair-vertices the
-    multigraph joins, on all of its pair-vertices. aux.kept_edge(u, w) is
-    the multigraph edge it stands for.
+    multigraph joins, on all of its pair-vertices, as a RankedGraph.
+    aux.kept_edge(u, w) is the multigraph edge it stands for.
 
     It is the graph that aux was made with, not a copy, so it is read, never
     changed."""

@@ -12,19 +12,25 @@ once, and stops at the first trim that meets the target t, not at the
 densest window overall; when no window meets it, it returns the densest
 trim. The 'exhaustive' search is exact and serves as the oracle on small
 hosts, and brute_force_best_2deg checks it by enumerating vertex subsets.
+
+The searches work on a RankedGraph: vertex ranks follow vertex order, so
+the (degree, rank) tie-breaks and the order of window vertices are those of
+the vertices themselves, and a window is a list of ranks with no dict of
+names. A plain Graph is ranked once at entry; a pair graph already is one.
+Names are made only for the vertices of a candidate.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate, combinations
 from math import comb
 
 from .errors import GuardExceededError, ParameterError
-from .graphs import canon_edge
+from .graphs import canon_edge, ranked
 
 STRATEGIES = ("peel", "exhaustive")
 _ENUM_GUARD = 10**7
@@ -36,6 +42,7 @@ class DegeneracyOrdering:
     order: tuple
     back_degrees: tuple  # edges to earlier vertices, per position
     degeneracy: int
+    ranks: tuple = field(default=None, compare=False, repr=False)  # order by rank
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,8 @@ class CandidateF:
         return tuple(sorted(canon_edge(u, v) for v, us in zip(self.vertices, self.back) for u in us))
 
     def validate(self, host):
-        """Raise if the candidate is not a 2-degeneracy-certified subgraph of host."""
+        """Raise if the candidate is not a 2-degeneracy-certified subgraph of
+        host; on a RankedGraph host, each edge is read from the rank lists."""
         pos = {v: i for i, v in enumerate(self.vertices)}
         if len(pos) != self.k:
             raise ParameterError("repeated vertices in candidate")
@@ -87,13 +95,14 @@ class SearchResult:
         return self.candidate.achieved_t
 
 
-def _induced(adj, verts):
-    """Neighbour lists, by rank, of the subgraph induced on the sorted list verts.
+def _induced(nbrs, verts):
+    """Neighbour lists, by position, of the subgraph induced on verts, an
+    ascending list of ranks into the neighbour lists nbrs.
 
-    Ranks follow vertex order, so comparing ranks compares vertices.
+    Positions follow rank order, so comparing positions compares vertices.
     """
-    rank = {v: i for i, v in enumerate(verts)}
-    return [[rank[w] for w in adj.get(v, ()) if w in rank] for v in verts]
+    pos = {v: i for i, v in enumerate(verts)}
+    return [[pos[w] for w in nbrs[v] if w in pos] for v in verts]
 
 
 def _peel_core(nbrs):
@@ -141,63 +150,83 @@ def _peel_core(nbrs):
 
 
 def _candidate(verts, order, nbrs, key=None):
-    """Ordering -> at most two back-edges: the candidate on `order` (ranks
-    into the sorted list verts) in which each vertex keeps its first two
-    earlier neighbours under `key` (default: lowest rank), in that order.
+    """Ordering -> at most two back-edges: the candidate on `order` (indices
+    into the names verts and the neighbour lists nbrs) in which each vertex
+    keeps its first two earlier neighbours under `key`, a sequence indexed
+    by vertex (default: the index itself), in that order. One pass over a
+    vertex's neighbours finds the two.
     """
+    if key is None:
+        key = range(len(nbrs))
     seen = [False] * len(nbrs)
     back = []
     for v in order:
-        kept = sorted((u for u in nbrs[v] if seen[u]), key=key)[:2]
-        back.append(tuple(verts[u] for u in kept))
+        first = second = None
+        for u in nbrs[v]:
+            if seen[u]:
+                if first is None or key[u] < key[first]:
+                    first, second = u, first
+                elif second is None or key[u] < key[second]:
+                    second = u
+        if first is None:
+            back.append(())
+        elif second is None:
+            back.append((verts[first],))
+        else:
+            back.append((verts[first], verts[second]))
         seen[v] = True
     return CandidateF(tuple(verts[v] for v in order), tuple(back))
 
 
 def degeneracy_ordering(g):
     """Smallest-last ordering of g, ties to the smallest vertex. The order
-    reverses removal, so each back-degree is the vertex's degree at removal."""
-    adj = g.adjacency()
-    verts = sorted(adj)
-    # every neighbour is a vertex of g, so no membership test as in _induced
-    rank = {v: i for i, v in enumerate(verts)}
-    removal, removal_deg = _peel_core([[rank[w] for w in adj[v]] for v in verts])
+    reverses removal, so each back-degree is the vertex's degree at removal.
+    `ranks` is the same order by rank in ranked(g)."""
+    g = ranked(g)
+    removal, removal_deg = _peel_core(g.nbrs)
+    ranks = tuple(reversed(removal))
     return DegeneracyOrdering(
-        tuple(verts[v] for v in reversed(removal)),
+        tuple(map(g.names.__getitem__, ranks)),
         tuple(reversed(removal_deg)),
         max(removal_deg, default=0),
+        ranks,
     )
 
 
 def _trim_on_set(g, vertex_set):
-    """Best-effort densest 2-degenerate subgraph on a fixed vertex set:
-    peel the induced subgraph, then keep up to 2 earliest back-neighbors per vertex.
+    """Best-effort densest 2-degenerate subgraph of the RankedGraph g on a
+    fixed set of ranks: peel the induced subgraph, then keep up to 2
+    earliest back-neighbors per vertex. Only the set's vertices are named.
 
     Exact whenever the induced subgraph is itself 2-degenerate.
     """
     verts = sorted(vertex_set)
-    nbrs = _induced(g.adjacency(), verts)
+    nbrs = _induced(g.nbrs, verts)
     order = _peel_core(nbrs)[0][::-1]
     pos = [0] * len(verts)
     for i, v in enumerate(order):
         pos[v] = i
-    return _candidate(verts, order, nbrs, key=pos.__getitem__)
+    names = g.names
+    return _candidate([names[v] for v in verts], order, nbrs, key=pos)
 
 
-def _window_counts(adj, order, k):
+def _window_counts(nbrs, order, k):
     """The induced edge count of every window order[s : s + k], by s.
 
     An edge at positions i < j with j - i < k lies in the windows s in
     [max(0, j - k + 1), min(i, last)]. One pass over the order's edges marks
     each such range in a difference array shifted by k - 1, +1 at j and -1
     at i + k, so the prefix sum at s + k - 1 is window s's count: O(n + m)
-    for all windows together.
+    for all windows together. `order` is a permutation of the ranks of the
+    neighbour lists nbrs.
     """
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
     diff = [0] * (len(order) + k)
     for i, v in enumerate(order):
         hi = i + k
-        for w in adj[v]:
+        for w in nbrs[v]:
             j = pos[w]
             if i < j < hi:
                 diff[j] += 1
@@ -207,10 +236,11 @@ def _window_counts(adj, order, k):
 
 def _window_candidates(g, k, goal, budget_end, order=None):
     """Scan the windows of k consecutive vertices of the degeneracy ordering
-    and return (trim, budget_exhausted), where trim is the trim of the first
-    window whose edge count reaches `goal` and budget_exhausted says whether
-    the deadline `budget_end` stopped the scan before its last window.
-    `order` is that ordering's vertex order if the caller already has it.
+    of the RankedGraph g and return (trim, budget_exhausted), where trim is
+    the trim of the first window whose edge count reaches `goal` and
+    budget_exhausted says whether the deadline `budget_end` stopped the scan
+    before its last window. `order` is that ordering's rank order if the
+    caller already has it.
 
     Each window that is peeled is trimmed once, by _trim_on_set, and that
     trim is both its score and, if it wins, the result. If no window reaches
@@ -229,12 +259,12 @@ def _window_candidates(g, k, goal, budget_end, order=None):
     _window_counts counts every window's in one pass.
     """
     if order is None:
-        order = degeneracy_ordering(g).order
+        order = degeneracy_ordering(g).ranks
     best = best_key = None
     last = len(order) - k
     for s in range(last + 1):
         if s == 1:
-            counts = _window_counts(g.adjacency(), order, k)
+            counts = _window_counts(g.nbrs, order, k)
         # window 0 always sets best, so every later window has a bar
         if s and counts[s] < bar:
             continue
@@ -255,14 +285,12 @@ def _exhaustive_best(g, k):
 
     f(S) = max over v in S of f(S - v) + min(2, |N(v) & (S - v)|); a set S
     realizes a 2-degenerate subgraph with f(S) edges and any ordering
-    achieving the max certifies it.
+    achieving the max certifies it. g is a RankedGraph.
     """
-    verts = list(g.vertices)
-    n = len(verts)
+    n = g.n
     if n > _DP_VERTEX_CAP or comb(n, k) > _ENUM_GUARD:
         raise GuardExceededError(f"exhaustive search infeasible for n={n}, k={k}")
-    nbrs = _induced(g.adjacency(), verts)
-    nbr = [sum(1 << j for j in ws) for ws in nbrs]
+    nbr = [sum(1 << j for j in ws) for ws in g.nbrs]
     f = {0: 0}
     choice = {}
     frontier = [0]
@@ -289,21 +317,21 @@ def _exhaustive_best(g, k):
         i = choice[mask]
         rev.append(i)
         mask ^= 1 << i
-    return _candidate(verts, rev[::-1], nbrs)
+    return _candidate(g.names, rev[::-1], g.nbrs)
 
 
 def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):
     """Oracle: enumerate every k-vertex subset and solve each exactly by a
     per-subset DP over orderings. Returns (max_edges, witness)."""
-    verts = list(g.vertices)
-    n = len(verts)
+    g = ranked(g)
+    n = g.n
     if k < 0 or k > n:
         raise ParameterError(f"k={k} outside [0, {n}]")
     if comb(n, k) > guard:
         raise GuardExceededError(f"C({n},{k}) exceeds guard {guard}")
     if comb(n, k) * (1 << k) * max(k, 1) > 4 * 10**8:
         raise GuardExceededError("per-subset DP work exceeds the feasibility cap")
-    adj = g.adjacency()
+    adj = [set(ws) for ws in g.nbrs]
     best_val = -1
     best_subset = best_ch = None
     for subset in combinations(range(n), k):
@@ -311,7 +339,7 @@ def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):
         for pos, i in enumerate(subset):
             m = 0
             for qos, j in enumerate(subset):
-                if verts[j] in adj[verts[i]]:
+                if j in adj[i]:
                     m |= 1 << qos
             local_nbr.append(m)
         size = 1 << k
@@ -343,8 +371,8 @@ def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):
         i = best_ch[mask]
         rev.append(i)
         mask ^= 1 << i
-    sub_verts = [verts[i] for i in best_subset]
-    return best_val, _candidate(sub_verts, rev[::-1], _induced(adj, sub_verts))
+    sub_verts = [g.names[i] for i in best_subset]
+    return best_val, _candidate(sub_verts, rev[::-1], _induced(g.nbrs, best_subset))
 
 
 def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=None):
@@ -357,13 +385,17 @@ def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=No
     `budget_ms` caps only the 'peel' window scan: once it has passed, the
     densest window peeled so far is returned, with budget_exhausted set if
     windows were left unscanned. 'exhaustive' ignores it.
-    `order`, if given, must be degeneracy_ordering(g).order; 'peel' then
+    `order`, if given, must be degeneracy_ordering(g).ranks; 'peel' then
     scans it instead of peeling g again, and 'exhaustive' ignores it.
+
+    g is ranked once at entry (a RankedGraph, such as a pair graph, is read
+    as it is), and the search reads its rank lists.
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
     if k < 2:
         raise ParameterError("k must be at least 2")
+    g = ranked(g)
     if k > g.n:
         raise ParameterError(f"k={k} exceeds host order {g.n}")
     budget_end = None

@@ -7,10 +7,10 @@ the recursive machinery is actually exercised.
 
 Every frame builds the pair multigraph of what is left of the host with
 build_aux: frame 0 of the host itself, each later frame of its residual.
-Each multigraph comes with its pair graph, made in the pass that makes its
-rows, and the solve reads the rows as plain tuples: the only AuxEdges it
-makes are the kept edges that unpack asks for. No frame changes what it
-reads.
+Each multigraph comes with its pair graph as rank-indexed neighbour lists,
+which the search reads without naming a vertex; the solve builds no row of
+the multigraph, and the only AuxEdges it makes are the kept edges that
+unpack reads from the host index. No frame changes what it reads.
 
 An edge's id is its position in the sorted host edges, so the smallest id
 is the smallest edge. The residual is a flag per id and a count: a kept
@@ -26,7 +26,7 @@ sorted order, with that set as its span; verify_configuration is the one
 step that recomputes the span from the edges.
 
 A host whose frame 0 is built keeps its pair multigraph, the degeneracy
-order of its pair graph and its key index until another host's frame 0 is
+order of its pair graph by rank and its key index until another host's frame 0 is
 built. So solving one host at many e builds them once, not per solve, and a
 warm solve builds nothing that depends only on the host: its finish does
 work sized by the edges it picks and the edges that meet them.
@@ -208,7 +208,8 @@ def _key_index(lts):
     return ids, {(name, i): xs for name, part in zip("ABC", parts) for i, xs in part.items()}
 
 
-# (host, its AuxGraph, the degeneracy order of its pair graph, its key index)
+# (host, its AuxGraph, the degeneracy order of its pair graph by rank, its
+# key index)
 # for the last host whose frame 0 was built. Replaced whole, so two entries
 # are never mixed, and no solve changes what a slot holds. Hosts are frozen: a
 # host equal to the cached one has passed build_aux's checks.
@@ -224,7 +225,8 @@ def _cache_entry(lts):
 
 
 def _frame0(lts, index):
-    """The multigraph of lts and the degeneracy order of its pair graph.
+    """The multigraph of lts and the degeneracy order of its pair graph, by
+    rank.
 
     They come from the one-entry cache when lts is, or equals, the last host
     cached; otherwise the cache is emptied first, so that two multigraphs are
@@ -238,7 +240,7 @@ def _frame0(lts, index):
     if entry is None:
         _last_host = None
         aux = build_aux(lts)
-        order = degsearch.degeneracy_ordering(simple_subgraph(aux)).order
+        order = degsearch.degeneracy_ordering(simple_subgraph(aux)).ranks
         entry = _last_host = (lts, aux, order, index)
     return entry[1:3]
 

@@ -1,8 +1,9 @@
-"""A small simple-graph container shared by the pair-graph, search and girth code."""
+"""Small simple-graph containers shared by the pair-graph, search and girth code."""
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 
 def canon_edge(u, v):
@@ -57,6 +58,70 @@ class Graph:
 
     def adjacency(self):
         return self._adj
+
+
+class RankedGraph:
+    """Undirected simple graph held by rank: vertex i is names[i], with names
+    sorted, and nbrs[i] lists the ranks of its neighbours, so comparing ranks
+    compares vertices. The searches read only the ranks.
+
+    It answers the read-only Graph queries that the CLI, the tests and
+    CandidateF.validate make of a pair graph. The name -> rank dict behind
+    has_edge and the named adjacency are made the first time they are read.
+    """
+
+    def __init__(self, names, nbrs):
+        self.names = names
+        self.nbrs = nbrs
+
+    @property
+    def vertices(self):
+        return self.names
+
+    @property
+    def edges(self):
+        names = self.names
+        pairs = sorted((i, j) for i, ws in enumerate(self.nbrs) for j in ws if i < j)
+        return tuple((names[i], names[j]) for i, j in pairs)
+
+    @property
+    def n(self):
+        return len(self.names)
+
+    @property
+    def m(self):
+        return sum(map(len, self.nbrs)) // 2
+
+    @cached_property
+    def _rank(self):
+        return dict(zip(self.names, range(len(self.names))))
+
+    def rank(self, v):
+        """The rank of v, or None when v is not a vertex."""
+        return self._rank.get(v)
+
+    def has_edge(self, u, v):
+        rank = self._rank
+        i, j = rank.get(u), rank.get(v)
+        return i is not None and j is not None and j in self.nbrs[i]
+
+    @cached_property
+    def _adj(self):
+        names = self.names
+        return {v: {names[j] for j in ws} for v, ws in zip(names, self.nbrs)}
+
+    def adjacency(self):
+        return self._adj
+
+
+def ranked(g):
+    """g as a RankedGraph: g itself if it is one, else ranked once."""
+    if isinstance(g, RankedGraph):
+        return g
+    adj = g.adjacency()
+    names = tuple(sorted(adj))
+    rank = {v: i for i, v in enumerate(names)}
+    return RankedGraph(names, [[rank[w] for w in adj[v]] for v in names])
 
 
 def two_coloring(g):

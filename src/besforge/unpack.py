@@ -4,7 +4,9 @@ Walking the candidate's certificate one vertex at a time, each step adds the
 pair's two part elements and, per back-neighbour the vertex keeps, the apex
 and the two hyperedges of the multigraph edge that the pair graph keeps for
 their edge. Every step is recorded, classified and checked against the
-per-step accounting rules, which are theorems for well-formed inputs.
+per-step accounting rules and the involvement theorems, which hold for
+well-formed inputs. A kept edge is two reads of the host index behind aux
+(see auxgraph), so a walk names only the candidate's own vertices.
 """
 
 from __future__ import annotations
@@ -111,18 +113,48 @@ def _check_step_laws(rec):
             )
 
 
+def _check_involvement(rec, pairs, good_apexes):
+    """The involvement theorems for step rec, given the apex-sharing
+    hyperedge pairs of the earlier steps (pair -> its first step) and the
+    apexes of the earlier good steps; raises AuditError as
+    audit_involvement does, and adds rec's pairs and, if it is good, its
+    apexes."""
+    for j in range(0, len(rec.involved), 2):
+        pair = frozenset(rec.involved[j : j + 2])
+        first = pairs.setdefault(pair, rec.i)
+        if first != rec.i:
+            raise AuditError(
+                f"hyperedge pair {tuple(sorted(pair))} involved in steps {[first, rec.i]}",
+                [first, rec.i],
+            )
+    if rec.cls == CLASS_ZERO:
+        for apex in set(rec.apexes):
+            if apex not in good_apexes:
+                raise AuditError(
+                    f"0-step {rec.i} involves apex {apex} with no preceding good step",
+                    (rec.i,),
+                )
+    if rec.is_good:
+        good_apexes.update(rec.apexes)
+
+
 def unpack(candidate, aux, host):
     """Run the unpacking process and return (Configuration, UnpackTrace).
 
     `aux` is the multigraph whose pair graph the candidate was found in;
     each kept back-edge unpacks into aux.kept_edge of its pair. A repeated
     vertex, or a back-neighbour no earlier step walked, raises IntegrityError.
+    Each step is checked against the step laws and then the involvement
+    theorems, which raise AuditError; audit_involvement re-checks the latter
+    on a whole trace.
     """
     host_edges = host.edge_set
 
     walked = set()  # the vertices of the steps so far
     span_keys = set()
     hyperedges = set()
+    pairs = {}  # each apex-sharing hyperedge pair involved so far -> its step
+    good_apexes = set()  # the apexes of the good steps so far
     steps = []
     for i, (v, us) in enumerate(zip(candidate.vertices, candidate.back), start=1):
         if v in walked:
@@ -176,6 +208,7 @@ def unpack(candidate, aux, host):
             new_vertices=tuple(new_vertices),
         )
         _check_step_laws(rec)
+        _check_involvement(rec, pairs, good_apexes)
         steps.append(rec)
         walked.add(v)
 

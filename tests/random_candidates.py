@@ -1,6 +1,14 @@
 """Random 2-degenerate candidates for the tests of the unpacking laws."""
 
 from besforge.degsearch import _trim_on_set
+from besforge.graphs import ranked
+
+
+def trim_by_name(g, vertex_set):
+    """The trim of g on a set of its vertices given by name: _trim_on_set
+    on their ranks in ranked(g)."""
+    g = ranked(g)
+    return _trim_on_set(g, [g.rank(v) for v in vertex_set])
 
 
 def random_candidate(g, k, rng):
@@ -20,4 +28,4 @@ def random_candidate(g, k, rng):
         chosen.add(v)
         boundary |= adj[v]
         boundary -= chosen
-    return _trim_on_set(g, chosen)
+    return trim_by_name(g, chosen)

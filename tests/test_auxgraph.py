@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 from besforge import auxgraph
 from besforge import (
     AuxEdge,
-    AuxGraph,
     Graph,
     IntegrityError,
     LinearityError,
     LinearityVerdict,
     TripartiteLinearSystem,
     build_aux,
+    degeneracy_ordering,
+    find_dense_2deg,
     group_system,
     random_linear,
     simple_subgraph,
 )
+from reference_aux import reference_aux
 
 
 def test_group2_multiplicity_two_with_both_pairings():
@@ -89,25 +91,25 @@ def test_simple_subgraph_prefers_straight_pairing():
     kept = aux.kept_edge(u, w)
     assert kept.pairing == "S" and kept.apex == 0
     # with only the crossed edge left, it is kept
-    crossed = AuxGraph(aux.a_vertices, aux.b_vertices, aux.edges[1:])
+    crossed = build_aux(TripartiteLinearSystem((2, 2, 2), aux.edges[1].hyperedges()))
     assert crossed.kept_edge(u, w) == aux.edges[1]
     # a straight edge wins over a crossed one of smaller apex
-    straight_last = (AuxEdge(u, w, 0, "X", (0, 1, 0), (1, 0, 0)),
-                     AuxEdge(u, w, 1, "S", (0, 0, 1), (1, 1, 1)))
-    assert AuxGraph((u,), (w,), straight_last).kept_edge(u, w) is straight_last[1]
+    straight_last = build_aux(TripartiteLinearSystem((2, 2, 2), ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))))
+    assert straight_last.edges == (AuxEdge(u, w, 0, "X", (0, 1, 0), (1, 0, 0)),
+                                   AuxEdge(u, w, 1, "S", (0, 0, 1), (1, 1, 1)))
+    assert straight_last.kept_edge(u, w) == straight_last.edges[1]
 
 
 def _reference_kept_edge(aux, u, w):
-    """AuxGraph.kept_edge as two bisects keyed on each row's (u, w), kept as
-    the reference for the key-free bisect."""
+    """AuxGraph.kept_edge as two bisects keyed on each row's (u, w) in the
+    rows view, kept as the reference for the reads of the host index."""
     rows = aux.rows
     pair = itemgetter(0, 1)
     lo = bisect_left(rows, (u, w), key=pair)
     hi = bisect_right(rows, (u, w), lo, key=pair)
     if lo == hi:
         return None
-    row = next((r for r in rows[lo:hi] if r[3] == "S"), rows[lo])
-    return row if isinstance(row, AuxEdge) else AuxEdge._make(row)
+    return AuxEdge._make(next((r for r in rows[lo:hi] if r[3] == "S"), rows[lo]))
 
 
 def test_kept_edge_matches_the_keyed_bisect():
@@ -118,17 +120,15 @@ def test_kept_edge_matches_the_keyed_bisect():
         aux = build_aux(lts)
         if not aux.rows:
             continue
-        # a hand-built multigraph of AuxEdge rows hands out its own rows
-        by_hand = AuxGraph(aux.a_vertices, aux.b_vertices, aux.edges)
         last_u = aux.rows[-1][0]
         past = ("A", lts.sizes[0], lts.sizes[0] + 1)
         probes = [(u, w) for u in aux.a_vertices for w in aux.b_vertices]
+        # part-local ids past the header: no key of them may alias another pair
         probes += [(last_u, ("B", lts.sizes[1], lts.sizes[1] + 1)), (past, aux.b_vertices[0])]
         for u, w in probes:
             want = _reference_kept_edge(aux, u, w)
             assert aux.kept_edge(u, w) == want
             assert want is None or type(aux.kept_edge(u, w)) is AuxEdge
-            assert by_hand.kept_edge(u, w) is _reference_kept_edge(by_hand, u, w)
             run = [r[3] for r in aux.rows if r[:2] == (u, w)]
             seen["straight first"] += run == ["S", "X"]
             seen["crossed first"] += run == ["X", "S"]
@@ -137,18 +137,23 @@ def test_kept_edge_matches_the_keyed_bisect():
     assert min(seen.values()) >= 2, seen
 
 
-def test_kept_edge_on_hand_built_rows():
+def test_kept_edge_on_tiny_hosts():
     u, w, w2 = ("A", 0, 1), ("B", 0, 1), ("B", 2, 3)
     rows = (AuxEdge(u, w, 0, "X", (0, 1, 0), (1, 0, 0)),
             AuxEdge(u, w, 1, "S", (0, 0, 1), (1, 1, 1)),
             AuxEdge(u, w2, 2, "S", (0, 2, 2), (1, 3, 2)))
-    aux = AuxGraph((u,), (w, w2), rows)
+
+    def host(rows):
+        return TripartiteLinearSystem((2, 4, 3), tuple(sorted(h for row in rows for h in row.hyperedges())))
+
+    aux = build_aux(host(rows))
+    assert aux.edges == rows
     # crossed first: the straight row after it wins
-    assert aux.kept_edge(u, w) is rows[1]
-    assert aux.kept_edge(u, w2) is rows[2]
+    assert aux.kept_edge(u, w) == rows[1]
+    assert aux.kept_edge(u, w2) == rows[2]
     # a lone crossed row is kept, though the straight row after it, of
     # another pair, sorts next
-    assert AuxGraph((u,), (w, w2), rows[:1] + rows[2:]).kept_edge(u, w) is rows[0]
+    assert build_aux(host(rows[:1] + rows[2:])).kept_edge(u, w) == rows[0]
     for probe in ((u, ("B", 0, 2)), (u, ("B", 4, 5)), (("A", 0, 2), w), (("A", 5, 6), w)):
         assert aux.kept_edge(*probe) is None
         assert _reference_kept_edge(aux, *probe) is None
@@ -194,13 +199,16 @@ def _assert_pair_graph_is_the_reference(aux):
 
 
 def _reference_restriction(aux, residual):
-    """The rows of aux whose two hyperedges are both in residual, on the
-    pair-vertices they support: the multigraph of residual made by filtering
-    a larger one, kept as the reference for build_aux on a later frame."""
+    """The rows of aux whose two hyperedges are both in residual, the
+    pair-vertices they support and the pair graph of their pairs: the
+    multigraph of residual made by filtering a larger one, kept as the
+    reference for build_aux on a later frame."""
     left = set(residual.edges)
     rows = tuple(row for row in aux.rows if row[4] in left and row[5] in left)
-    return AuxGraph(tuple(sorted({row[0] for row in rows})),
-                    tuple(sorted({row[1] for row in rows})), rows)
+    a_vertices = tuple(sorted({row[0] for row in rows}))
+    b_vertices = tuple(sorted({row[1] for row in rows}))
+    graph = Graph(vertices=a_vertices + b_vertices, edges=map(itemgetter(0, 1), rows))
+    return a_vertices, b_vertices, rows, graph
 
 
 def _assert_same_restriction(aux, residual):
@@ -208,9 +216,9 @@ def _assert_same_restriction(aux, residual):
     multigraphs and as pair graphs, and its pair graph against the grouping
     build; returns the build."""
     fresh = build_aux(residual)
-    restricted = _reference_restriction(aux, residual)
-    assert fresh == restricted
-    graph, restricted_graph = simple_subgraph(fresh), simple_subgraph(restricted)
+    *restricted, restricted_graph = _reference_restriction(aux, residual)
+    assert [fresh.a_vertices, fresh.b_vertices, fresh.rows] == restricted
+    graph = simple_subgraph(fresh)
     assert graph.vertices == restricted_graph.vertices
     assert graph.edges == restricted_graph.edges
     _assert_pair_graph_is_the_reference(fresh)
@@ -261,6 +269,47 @@ def test_shrinking_equals_rebuilding_on_random_hosts(na, nb, nc, target, seed):
     _restrict_to_empty(random_linear(na, nb, nc, target, seed=seed), random.Random(seed))
 
 
+def _reference_hosts():
+    """Seeded group systems and random hosts, each with its residual after
+    every other edge is taken."""
+    hosts = [group_system(m) for m in range(2, 9)]
+    hosts += [random_linear(n, n, n, target, seed=seed)
+              for seed, (n, target) in enumerate([(6, 15), (8, 40), (9, 60), (12, 90), (24, 320)])]
+    return hosts + [TripartiteLinearSystem(lts.sizes, lts.edges[::2]) for lts in hosts]
+
+
+def test_build_aux_matches_the_row_building_reference():
+    searched = 0
+    for lts in _reference_hosts():
+        aux, ref = build_aux(lts), reference_aux(lts)
+        assert (aux.a_vertices, aux.b_vertices) == (ref.a_vertices, ref.b_vertices)
+        assert aux.rows == ref.rows and aux.edges == ref.edges
+        assert aux.multi_edge_count == ref.multi_edge_count
+        assert aux.multiplicities() == ref.multiplicities
+        graph = simple_subgraph(aux)
+        assert graph.adjacency() == ref.graph.adjacency()
+        assert (graph.vertices, graph.edges, graph.n, graph.m) == (
+            ref.graph.vertices, ref.graph.edges, ref.graph.n, ref.graph.m)
+        for u in aux.a_vertices:
+            for w in aux.b_vertices:
+                joined = ref.graph.has_edge(u, w)
+                assert graph.has_edge(u, w) == joined
+                kept = aux.kept_edge(u, w)
+                assert kept == ref.kept_edge(u, w)
+                assert (kept is not None) == joined
+        # the ranked pair graph and a plain Graph copy of it search alike
+        assert degeneracy_ordering(graph) == degeneracy_ordering(ref.graph)
+        for k in range(2, min(graph.n, 12) + 1):
+            for t in (0, 4):
+                assert find_dense_2deg(graph, k, t) == find_dense_2deg(ref.graph, k, t)
+                searched += 1
+        if graph.n <= 20:
+            for k in range(2, min(graph.n, 5) + 1):
+                assert (find_dense_2deg(graph, k, 4, strategy="exhaustive")
+                        == find_dense_2deg(ref.graph, k, 4, strategy="exhaustive"))
+    assert searched > 300
+
+
 def test_build_aux_shares_pair_vertices_and_host_edges():
     lts = group_system(5)
     aux = build_aux(lts)
@@ -293,14 +342,6 @@ def test_lower_bound_raises_on_a_count_below_it():
     with pytest.raises(IntegrityError) as raised:
         auxgraph._check_count(stand_in, 0)
     assert str(raised.value) == "multi-edge count fell below |E|^2 / (4|C|)"
-
-
-def test_hand_built_aux_graphs_get_their_pair_graph_from_their_rows():
-    aux = build_aux(group_system(5))
-    for rows in (aux.edges, tuple(map(tuple, aux.edges)), aux.rows):
-        by_hand = AuxGraph(aux.a_vertices, aux.b_vertices, rows)
-        assert by_hand == aux
-        assert simple_subgraph(by_hand).adjacency() == simple_subgraph(aux).adjacency()
 
 
 # Non-linear inputs that reach each multiplicity self-check of build_aux once

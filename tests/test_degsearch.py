@@ -28,6 +28,8 @@ from besforge.degsearch import (
     _window_candidates,
     _window_counts,
 )
+from besforge.graphs import ranked
+from random_candidates import trim_by_name
 
 
 def path3():
@@ -162,6 +164,20 @@ def test_validate_rejects_a_malformed_certificate(vertices, back, message):
         CandidateF(vertices, back).validate(k33())
 
 
+def test_validate_on_a_pair_graph_rejects_what_a_graph_copy_rejects():
+    graph = simple_subgraph(build_aux(group_system(3)))
+    copy = Graph(vertices=graph.vertices, edges=graph.edges)
+    a01, a02, b01 = ("A", 0, 1), ("A", 0, 2), ("B", 0, 1)
+    for vertices, message in [((0, 3), r"edge \(0, 3\) not in host graph"),
+                              ((a01, ("B", 7, 8)), "not in host graph"),
+                              ((a01, a02), "not in host graph")]:
+        cand = CandidateF(vertices, ((), (vertices[0],)))
+        for host in (graph, copy):
+            with pytest.raises(ParameterError, match=message):
+                cand.validate(host)
+    CandidateF((a01, b01), ((), (a01,))).validate(graph)
+
+
 def test_validate_rejects_a_same_side_pair():
     a01, a02 = ("A", 0, 1), ("A", 0, 2)
     with pytest.raises(ParameterError, match="does not cross sides"):
@@ -175,7 +191,7 @@ def _parent_candidate_edges(verts, order, nbrs, key=None):
     seen = [False] * len(nbrs)
     pairs = []
     for v in order:
-        for u in sorted((u for u in nbrs[v] if seen[u]), key=key)[:2]:
+        for u in sorted((u for u in nbrs[v] if seen[u]), key=None if key is None else key.__getitem__)[:2]:
             pairs.append((u, v) if u < v else (v, u))
         seen[v] = True
     pairs.sort()
@@ -258,7 +274,7 @@ def test_peel_core_matches_the_min_based_peel():
         assert degeneracy_ordering(g) == DegeneracyOrdering(*_reference_peel(adj))
         subset = [v for v in g.vertices if rng.random() < 0.6]
         order, back, _ = _reference_peel(adj, restrict=subset)
-        trim = _trim_on_set(g, subset)
+        trim = trim_by_name(g, subset)
         trim.validate(g)
         assert trim.vertices == order
         # the trim keeps min(back-degree, 2) back-edges per vertex
@@ -329,7 +345,7 @@ def test_bucket_peel_matches_the_references_at_scale():
         # a window's trim peels the same way
         window = ordering.order[: min(g.n, 40)]
         order, back, _ = _reference_peel(adj, restrict=window)
-        trim = _trim_on_set(g, window)
+        trim = trim_by_name(g, window)
         assert trim.vertices == order
         assert len(trim.edges) == sum(min(d, 2) for d in back)
     # every removal from K12 is a tie, so ranks decide the whole order: the
@@ -342,6 +358,12 @@ def _direct_window_counts(g, order, k):
         sum(1 for i, v in enumerate(order[s : s + k]) for w in order[s + i + 1 : s + k] if g.has_edge(v, w))
         for s in range(len(order) - k + 1)
     ]
+
+
+def _by_rank(g, order):
+    """The neighbour lists of ranked(g) and the vertex order as ranks."""
+    g = ranked(g)
+    return g.nbrs, [g.rank(v) for v in order]
 
 
 def test_window_counts_match_a_direct_count():
@@ -359,10 +381,10 @@ def test_window_counts_match_a_direct_count():
         cases.append((g, degeneracy_ordering(g).order, (2, 20, g.n)))
     for g, order, ks in cases:
         for k in ks:
-            counts = _window_counts(g.adjacency(), order, k)
+            counts = _window_counts(*_by_rank(g, order), k)
             assert counts == _direct_window_counts(g, order, k)
     # k = n: one window, holding every edge
-    assert all(_window_counts(g.adjacency(), order, g.n) == [g.m] for g, order, _ in cases)
+    assert all(_window_counts(*_by_rank(g, order), g.n) == [g.m] for g, order, _ in cases)
 
 
 def test_window_counts_are_made_once_and_only_when_the_scan_slides(monkeypatch):
@@ -404,7 +426,7 @@ def _sliding_scan(g, k, goal, budget_end, order=None):
             induced += sum(1 for w in adj[order[hi]] if s <= pos[w] < hi)
         if best is not None and min(induced, cap) < len(best.edges):
             continue
-        trim = _trim_on_set(g, order[s : s + k])
+        trim = trim_by_name(g, order[s : s + k])
         if len(trim.edges) >= goal:
             return trim, False
         key = (-len(trim.edges), trim.vertices)
@@ -433,7 +455,7 @@ def _reference_window_scan(g, k):
     reference for the (-count, order) tie-break when no window reaches the
     goal."""
     order = degeneracy_ordering(g).order
-    trims = [_trim_on_set(g, order[s : s + k]) for s in range(len(order) - k + 1)]
+    trims = [trim_by_name(g, order[s : s + k]) for s in range(len(order) - k + 1)]
     return min(trims, key=lambda trim: (-len(trim.edges), trim.vertices))
 
 
@@ -442,7 +464,7 @@ def _first_window_reaching(g, k, goal):
     or None."""
     order = degeneracy_ordering(g).order
     for s in range(len(order) - k + 1):
-        trim = _trim_on_set(g, order[s : s + k])
+        trim = trim_by_name(g, order[s : s + k])
         if len(trim.edges) >= goal:
             return trim
     return None
@@ -470,11 +492,11 @@ def test_window_scan_out_of_reach_matches_the_full_scan():
     for _ in range(150):
         g = _tied_graph(rng)
         for k in range(2, g.n + 1):
-            assert _window_candidates(g, k, 2 * k - 2, None) == (_reference_window_scan(g, k), False)
+            assert _window_candidates(ranked(g), k, 2 * k - 2, None) == (_reference_window_scan(g, k), False)
     for seed in range(4):
         g = _pair_graph(seed)
         for k in range(2, min(g.n, 24) + 1, 3):
-            assert _window_candidates(g, k, 2 * k - 2, None) == (_reference_window_scan(g, k), False)
+            assert _window_candidates(ranked(g), k, 2 * k - 2, None) == (_reference_window_scan(g, k), False)
 
 
 def test_window_scan_stops_at_the_first_window_reaching_the_goal():
@@ -487,7 +509,7 @@ def test_window_scan_stops_at_the_first_window_reaching_the_goal():
         for k in range(2, min(g.n, 16) + 1):
             for goal in range(2 * k - 2):
                 first = _first_window_reaching(g, k, goal)
-                cand, _ = _window_candidates(g, k, goal, None)
+                cand, _ = _window_candidates(ranked(g), k, goal, None)
                 if first is None:
                     assert cand == _reference_window_scan(g, k)
                 else:
@@ -500,7 +522,7 @@ def _assert_search_is_the_scan(g, k, t):
     """Check that peel's result is the window scan's, and return whether a
     window reached t."""
     res = find_dense_2deg(g, k, t)
-    assert (res.candidate, res.budget_exhausted) == _window_candidates(g, k, 2 * k - t, None)
+    assert (res.candidate, res.budget_exhausted) == _window_candidates(ranked(g), k, 2 * k - t, None)
     first = _first_window_reaching(g, k, 2 * k - t)
     if first is None:
         assert not res.success and res.candidate == _reference_window_scan(g, k)
@@ -541,7 +563,7 @@ def test_budget_stops_the_scan_after_the_first_window(monkeypatch):
     k, t = 6, 2
     res = find_dense_2deg(g, k, t, budget_ms=1)
     assert len(calls) == 1
-    assert res.candidate == _trim_on_set(g, degeneracy_ordering(g).order[:k])
+    assert res.candidate == trim_by_name(g, degeneracy_ordering(g).order[:k])
     assert not res.success
     assert res.budget_exhausted
     # unbudgeted, the scan goes on to a denser window in the strip
@@ -577,7 +599,7 @@ def test_scan_peels_a_window_that_reaches_the_goal_once(monkeypatch):
     # first window reaches t = 3 and is the result, trimmed only once
     g = _k4_and_strip(14)
     k, t = 4, 3
-    order = degeneracy_ordering(g).order
+    ordering = degeneracy_ordering(g)
     peel_core = degsearch._peel_core
     calls = []
 
@@ -586,8 +608,8 @@ def test_scan_peels_a_window_that_reaches_the_goal_once(monkeypatch):
         return peel_core(nbrs)
 
     monkeypatch.setattr(degsearch, "_peel_core", counted)
-    res = find_dense_2deg(g, k, t, order=order)
+    res = find_dense_2deg(g, k, t, order=ordering.ranks)
     assert calls == [k]
     monkeypatch.undo()
     assert res.success
-    assert res.candidate == _trim_on_set(g, order[:k])
+    assert res.candidate == trim_by_name(g, ordering.order[:k])

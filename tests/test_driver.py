@@ -25,11 +25,11 @@ from besforge import auxgraph, degsearch
 from besforge import io as textio
 from besforge.auxgraph import AuxEdge, AuxGraph, build_aux, simple_subgraph
 from besforge.cli import main
-from besforge.degsearch import _trim_on_set
 from besforge.driver import _frame_can_succeed, _greedy_pick, _key_index
 from besforge.unpack import unpack
 
 import test_golden
+from random_candidates import trim_by_name
 from test_auxgraph import _reference_simple_subgraph
 
 PRACTICAL = DriverParams(t=4, tau_max=4, base_e=4)
@@ -443,6 +443,24 @@ def test_solves_make_no_aux_edge_but_the_kept_ones(monkeypatch):
     assert made["edges"] <= made["kept"]
 
 
+def test_a_cold_solve_names_no_row(monkeypatch):
+    built = []
+    build = besforge.driver.build_aux
+    monkeypatch.setattr(besforge.driver, "build_aux", lambda lts: built.append(build(lts)) or built[-1])
+    # a cold random-deep solve builds frame 0 only; this group solve also
+    # builds frame 1 of its residual
+    for lts, e, frames in ((random_linear(24, 24, 24, 320, seed=5), 80, 1), (group_system(11), 63, 2)):
+        besforge.driver._last_host = None
+        built.clear()
+        find_be_s_configuration(lts, e, PRACTICAL)
+        assert len(built) == frames and besforge.driver._last_host[1] is built[0]
+        # no multigraph built its rows, its AuxEdges or its pair graph's
+        # named adjacency
+        for aux in built:
+            assert "rows" not in vars(aux) and "edges" not in vars(aux)
+            assert "_adj" not in vars(aux.graph)
+
+
 def _cold_solve(lts, e, params):
     besforge.driver._last_host = None
     return find_be_s_configuration(lts, e, params).to_json_dict()
@@ -567,7 +585,7 @@ def test_solves_leave_the_cached_pair_multigraph_unchanged():
     assert aux.edges is edges and aux == build_aux(lts)
     fresh = simple_subgraph(build_aux(lts))
     assert aux.graph.adjacency() == fresh.adjacency()
-    assert order == degsearch.degeneracy_ordering(fresh).order
+    assert order == degsearch.degeneracy_ordering(fresh).ranks
     assert by_key == _key_index(lts)
 
 
@@ -625,7 +643,7 @@ def test_no_frame_at_k_up_to_3_can_keep_its_candidate():
         graph = simple_subgraph(aux)
         for k in (2, 3):
             for vertex_set in _connected_sets(graph, k):
-                cand = _trim_on_set(graph, vertex_set)
+                cand = trim_by_name(graph, vertex_set)
                 trace = unpack(cand, aux, lts)[1]
                 fe, v = trace.e_total, trace.v_total
                 assert 0 < fe <= 2 * (k - 1) and fe < v

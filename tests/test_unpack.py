@@ -1,12 +1,15 @@
+import importlib
 import random
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+import besforge.driver
 from besforge import (
     AuditError,
-    AuxGraph,
+    AuxEdge,
     CandidateF,
     IntegrityError,
     TripartiteLinearSystem,
@@ -22,6 +25,9 @@ from besforge import (
     verify_configuration,
 )
 from random_candidates import random_candidate
+
+# the module; the package's `unpack` attribute is the function
+unpack_module = importlib.import_module("besforge.unpack")
 
 DELTA_CAPS = {4: 4, 3: 2, 2: 1, 1: 0, 0: 0}
 
@@ -134,9 +140,10 @@ def test_missing_annotation_raises():
     lts, aux, _graph = _fixture(3)
     u, w = ("A", 0, 1), ("B", 0, 1)
     F = CandidateF((u, w), ((), (u,)))
-    # a multigraph that lacks this edge
-    lacking = AuxGraph(aux.a_vertices, aux.b_vertices,
-                       tuple(ed for ed in aux.edges if (ed.u, ed.w) != (u, w)))
+    # the multigraph of the host less one hyperedge of that edge, which
+    # lacks the edge
+    gone = aux.kept_edge(u, w).h1
+    lacking = build_aux(TripartiteLinearSystem(lts.sizes, tuple(x for x in lts.edges if x != gone)))
     assert lacking.kept_edge(u, w) is None
     with pytest.raises(IntegrityError, match="not in the pair multigraph"):
         unpack(F, lacking, lts)
@@ -241,3 +248,70 @@ def test_trace_json_field_names():
         "i", "vertex", "side", "d", "class", "dE", "dV",
         "apexes", "new_edges", "new_vertices",
     }
+
+
+def _stand_in(kept):
+    """A multigraph stand-in whose kept edge of each candidate edge comes
+    from the dict kept, keyed by the canonical pair."""
+    return SimpleNamespace(kept_edge=lambda u, w: kept[u, w])
+
+
+A01, A02, A23, B01, B02 = ("A", 0, 1), ("A", 0, 2), ("A", 2, 3), ("B", 0, 1), ("B", 0, 2)
+
+# stand-ins whose kept edges break one involvement theorem each, with the
+# host that holds their hyperedges and a candidate that walks them: (host,
+# candidate, kept edges, the AuditError's message)
+_BROKEN_THEOREMS = {
+    # steps 2 and 3 both unpack the apex-0 pair of hyperedges
+    "a pair in two steps": (
+        TripartiteLinearSystem((2, 3, 1), ((0, 0, 0), (1, 1, 0))),
+        CandidateF((A01, B01, B02), ((), (A01,), (A01,))),
+        {(A01, B01): AuxEdge(A01, B01, 0, "S", (0, 0, 0), (1, 1, 0)),
+         (A01, B02): AuxEdge(A01, B02, 0, "S", (0, 0, 0), (1, 1, 0))},
+        "hyperedge pair ((0, 0, 0), (1, 1, 0)) involved in steps [2, 3]",
+    ),
+    # step 3 is a four-step on apexes 1 and 2, and step 4 a 0-step on them
+    "a 0-step apex with no earlier good step": (
+        TripartiteLinearSystem((4, 2, 3), ((0, 0, 1), (1, 1, 1), (2, 0, 2), (3, 1, 2))),
+        CandidateF((A01, B01, A23, A02), ((), (), (A01, B01), (A01, A23))),
+        {(A01, A23): AuxEdge(A01, A23, 1, "S", (0, 0, 1), (1, 1, 1)),
+         (A23, B01): AuxEdge(A23, B01, 2, "S", (2, 0, 2), (3, 1, 2)),
+         (A01, A02): AuxEdge(A01, A02, 1, "S", (0, 0, 1), (2, 0, 2)),
+         (A02, A23): AuxEdge(A02, A23, 2, "S", (1, 1, 1), (3, 1, 2))},
+        "0-step 4 involves apex 1 with no preceding good step",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_THEOREMS))
+def test_unpack_raises_on_a_broken_involvement_theorem(monkeypatch, case):
+    host, cand, kept, message = _BROKEN_THEOREMS[case]
+    with pytest.raises(AuditError) as inline:
+        unpack(cand, _stand_in(kept), host)
+    assert str(inline.value) == message
+    # without the walk's check, the walk ends and the audit of its trace
+    # raises the same error
+    monkeypatch.setattr(unpack_module, "_check_involvement", lambda *args: None)
+    _cfg, trace = unpack(cand, _stand_in(kept), host)
+    with pytest.raises(AuditError) as audited:
+        audit_involvement(trace)
+    assert str(audited.value) == message and audited.value.steps == inline.value.steps
+
+
+def test_a_solve_checks_the_involvement_theorems_at_every_step(monkeypatch):
+    checked, walked = [], []
+    check, unpack_frame = unpack_module._check_involvement, besforge.driver.unpack
+
+    def recording_check(rec, pairs, good_apexes):
+        checked.append(rec)
+        return check(rec, pairs, good_apexes)
+
+    def recording_unpack(cand, aux, sub):
+        cfg, trace = unpack_frame(cand, aux, sub)
+        walked.extend(trace.steps)
+        return cfg, trace
+
+    monkeypatch.setattr(unpack_module, "_check_involvement", recording_check)
+    monkeypatch.setattr(besforge.driver, "unpack", recording_unpack)
+    besforge.driver.find_be_s_configuration(group_system(11), 63)
+    assert len(walked) > 0 and checked == walked
