@@ -71,23 +71,27 @@ class AuxGraph:
     __hash__ = None
 
     def _joins(self, u, w):
-        """The rows joining u and w, the straight one first: at most one of
-        each pairing, as the index holds one hyperedge per (a, b)."""
+        """The rows joining u and w, as a list, the straight one first: at
+        most one of each pairing, as the index holds one hyperedge per
+        (a, b)."""
         _, a1, a2 = u
         _, b1, b2 = w
         at = self._at
+        rows = []
         for pairing, x, y in (("S", b1, b2), ("X", b2, b1)):
             h1 = at.get((a1, x))
             h2 = at.get((a2, y))
             if h1 is not None and h2 is not None and h1[2] == h2[2]:
-                yield (u, w, h1[2], pairing, h1, h2)
+                rows.append((u, w, h1[2], pairing, h1, h2))
+        return rows
 
     def kept_edge(self, u, w):
         """The multigraph edge that the pair graph's u-w edge stands for, as an
         AuxEdge: the straight one, else the crossed one; None when no edge
-        joins u and w. Two reads of the host index, with no row built."""
-        row = next(self._joins(u, w), None)
-        return None if row is None else AuxEdge._make(row)
+        joins u and w. It is the first row of _joins, which states the
+        straight/crossed law once, for kept_edge and rows alike."""
+        rows = self._joins(u, w)
+        return AuxEdge._make(rows[0]) if rows else None
 
     @cached_property
     def rows(self):

@@ -83,6 +83,28 @@ class TripartiteLinearSystem:
         """The edges as a frozenset, made the first time it is read."""
         return frozenset(self.edges)
 
+    @cached_property
+    def key_index(self):
+        """(edge -> id, key -> ids), made the first time it is read: each
+        edge's id, its position in the sorted edges, and each vertex key with
+        the ids of the edges through it, in ascending order.
+
+        The edge ids are grouped by part-local vertex id, one dict per part,
+        and keyed as edge_keys names them only at the end. Dicts rather than
+        lists indexed by vertex id, so that the index is sized by the edges
+        and not by the part sizes that the input header declares.
+        """
+        ids = {}
+        parts = ({}, {}, {})
+        by_a, by_b, by_c = parts
+        for i, x in enumerate(self.edges):
+            ids[x] = i
+            a, b, c = x
+            by_a.setdefault(a, []).append(i)
+            by_b.setdefault(b, []).append(i)
+            by_c.setdefault(c, []).append(i)
+        return ids, {(name, v): xs for name, part in zip("ABC", parts) for v, xs in part.items()}
+
     def edge_keys(self, edge):
         a, b, c = edge
         return (("A", a), ("B", b), ("C", c))

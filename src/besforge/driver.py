@@ -16,8 +16,9 @@ An edge's id is its position in the sorted host edges, so the smallest id
 is the smallest edge. The residual is a flag per id and a count: a kept
 frame clears the flags of its edges, a later frame reads the live edges in
 sorted order, and the greedy base pick works on ids. The key index (each
-edge's id, and the ids of the edges through each vertex key) is built once
-per solve of a host that is not cached.
+edge's id, and the ids of the edges through each vertex key) is the host's
+key_index, made the first time it is read and kept on the host object, so
+a host's solves build it once, whether or not they build frame 0.
 
 A solve keeps the ids of the edges it chooses and the set of their vertex
 keys as it goes: a kept frame adds its unpacked edges, the greedy pick its
@@ -25,11 +26,14 @@ picks. The report's configuration is those edges in id order, which is
 sorted order, with that set as its span; verify_configuration is the one
 step that recomputes the span from the edges.
 
-A host whose frame 0 is built keeps its pair multigraph, the degeneracy
-order of its pair graph by rank and its key index until another host's frame 0 is
-built. So solving one host at many e builds them once, not per solve, and a
-warm solve builds nothing that depends only on the host: its finish does
-work sized by the edges it picks and the edges that meet them.
+A host whose frame 0 is built keeps its pair multigraph and the degeneracy
+order of its pair graph by rank until another host's frame 0 is built. So
+solving one host at many e builds them once, not per solve, and a warm
+solve builds nothing that depends only on the host: its finish does work
+sized by the edges it picks and the edges that meet them. The cache entry
+holds no key index, which stays with its host object, so solving another
+host in between, with or without building its frame 0, costs neither host
+its index.
 """
 
 from __future__ import annotations
@@ -139,24 +143,22 @@ def _greedy_pick(alive, count, span, edges, edge_keys, by_key):
     so the smallest id is the smallest edge. alive[i] is 1 when edge i may be
     picked; the flags are copied, not changed. `by_key` maps each key to the
     ids of the host edges through it, live or not. Edges meeting the span wait
-    in one min-heap per overlap (1-3); a key joining the span moves the live
-    edges through it one heap up, and the entries they leave behind are
-    skipped. When the heaps hold no live edge, none meets the span, and the
-    pick is the smallest live id, found by a pointer that only moves forward.
+    in one min-heap per overlap (1-3): a live id gets an entry each time its
+    overlap reaches a new value, both in the pass that counts the overlaps
+    with the starting span and when a key joins the span, and the entries it
+    leaves behind in lower heaps are skipped. When the heaps hold no live
+    edge, none meets the span, and the pick is the smallest live id, found by
+    a pointer that only moves forward.
     Raises ExhaustionError when fewer than `count` edges are live.
     """
     live = bytearray(alive)  # 1 = not yet chosen
     overlap = [0] * len(live)  # a live id's overlap with the span
-    met = []  # the live ids that meet the span
+    heaps = [[], [], [], []]
     for key in span:
         for i in by_key[key]:
             if live[i]:
-                if not overlap[i]:
-                    met.append(i)
-                overlap[i] += 1
-    heaps = [[], [], [], []]
-    for i in met:
-        heaps[overlap[i]].append(i)
+                ov = overlap[i] = overlap[i] + 1
+                heaps[ov].append(i)
     for heap in heaps:
         heapify(heap)
     chosen = []
@@ -186,63 +188,32 @@ def _greedy_pick(alive, count, span, edges, edge_keys, by_key):
     return chosen
 
 
-def _key_index(lts):
-    """(edge -> id, key -> ids): each host edge's id, its position in the
-    sorted lts.edges, and each vertex key of lts with the ids of the edges
-    through it, in ascending order.
-
-    The edge ids are grouped by part-local vertex id, one dict per part, and
-    keyed as lts.edge_keys names them only at the end. Dicts rather than
-    lists indexed by vertex id, so that the index is sized by the edges and
-    not by the part sizes that the input header declares.
-    """
-    ids = {}
-    parts = ({}, {}, {})
-    by_a, by_b, by_c = parts
-    for i, x in enumerate(lts.edges):
-        ids[x] = i
-        a, b, c = x
-        by_a.setdefault(a, []).append(i)
-        by_b.setdefault(b, []).append(i)
-        by_c.setdefault(c, []).append(i)
-    return ids, {(name, i): xs for name, part in zip("ABC", parts) for i, xs in part.items()}
-
-
-# (host, its AuxGraph, the degeneracy order of its pair graph by rank, its
-# key index)
-# for the last host whose frame 0 was built. Replaced whole, so two entries
-# are never mixed, and no solve changes what a slot holds. Hosts are frozen: a
+# (host, its AuxGraph, the degeneracy order of its pair graph by rank) for
+# the last host whose frame 0 was built. Replaced whole, so two entries are
+# never mixed, and no solve changes what a slot holds. Hosts are frozen: a
 # host equal to the cached one has passed build_aux's checks.
 _last_host = None
 
 
-def _cache_entry(lts):
-    """The cache entry when lts is, or equals, the last host cached, else None."""
-    entry = _last_host
-    if entry is not None and (entry[0] is lts or entry[0] == lts):
-        return entry
-    return None
-
-
-def _frame0(lts, index):
+def _frame0(lts):
     """The multigraph of lts and the degeneracy order of its pair graph, by
     rank.
 
     They come from the one-entry cache when lts is, or equals, the last host
     cached; otherwise the cache is emptied first, so that two multigraphs are
-    never resident at once, and then they are built and cached with `index`,
-    the key index of lts that the solve already has.
+    never resident at once, and then they are built and cached.
     'exhaustive' ignores the order, which costs little on its pair graphs of
     at most 20 vertices.
     """
     global _last_host
-    entry = _cache_entry(lts)
-    if entry is None:
-        _last_host = None
-        aux = build_aux(lts)
-        order = degsearch.degeneracy_ordering(simple_subgraph(aux)).ranks
-        entry = _last_host = (lts, aux, order, index)
-    return entry[1:3]
+    entry = _last_host
+    if entry is not None and (entry[0] is lts or entry[0] == lts):
+        return entry[1:]
+    _last_host = entry = None  # the local too, or the old entry outlives the build
+    aux = build_aux(lts)
+    order = degsearch.degeneracy_ordering(simple_subgraph(aux)).ranks
+    _last_host = (lts, aux, order)
+    return aux, order
 
 
 # The note of the designed end of the recursion: no frame at this e' can keep
@@ -288,9 +259,7 @@ def find_be_s_configuration(lts, e, params=None):
     if lts.m < e:
         raise ExhaustionError(e, lts.m)
 
-    entry = _cache_entry(lts)
-    index = _key_index(lts) if entry is None else entry[3]
-    ids, by_key = index
+    ids, by_key = lts.key_index
     # the residual: alive[i] is 1 while host edge i is left; left counts them
     alive = bytearray(b"\x01") * lts.m
     left = lts.m
@@ -311,7 +280,7 @@ def find_be_s_configuration(lts, e, params=None):
             break
         if not frames:
             sub = lts
-            aux, order = _frame0(lts, index)
+            aux, order = _frame0(lts)
         else:
             grown = set(span)
             finish = _greedy_pick(alive, e_prime, grown, lts.edges, lts.edge_keys, by_key), grown

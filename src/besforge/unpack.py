@@ -5,13 +5,20 @@ pair's two part elements and, per back-neighbour the vertex keeps, the apex
 and the two hyperedges of the multigraph edge that the pair graph keeps for
 their edge. Every step is recorded, classified and checked against the
 per-step accounting rules and the involvement theorems, which hold for
-well-formed inputs. A kept edge is two reads of the host index behind aux
-(see auxgraph), so a walk names only the candidate's own vertices.
+well-formed inputs. A kept edge is at most four reads of the host index
+behind aux (see auxgraph), so a walk names only the candidate's own
+vertices.
+
+A step is a StepRecord, an immutable NamedTuple: it compares equal to the
+plain tuple of its fields. The configuration's span is collected as its
+hyperedges join the walk, so no second pass over them is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .core import Configuration
 from .errors import AuditError, IntegrityError
@@ -23,8 +30,7 @@ CLASS_FOUR = "four_step"
 CLASS_GOOD = "good_regular"
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     i: int  # 1-based step index
     vertex: tuple  # the pair-vertex added
     side: str
@@ -95,11 +101,17 @@ def _classify(d, delta_e, delta_v):
     return CLASS_GOOD
 
 
+# a regular step's largest dV, by its dE
+_DV_CAPS = (0, 0, 1, 2, 4)
+
+_apex = attrgetter("apex")
+
+
 def _check_step_laws(rec):
     if not 0 <= rec.delta_e <= 2 * rec.d <= 4:
         raise IntegrityError(f"step {rec.i}: dE={rec.delta_e} out of range for d={rec.d}")
     if rec.is_regular:
-        cap = {4: 4, 3: 2, 2: 1, 1: 0, 0: 0}[rec.delta_e]
+        cap = _DV_CAPS[rec.delta_e]
         if rec.delta_v > cap:
             raise IntegrityError(
                 f"step {rec.i}: regular with dE={rec.delta_e} but dV={rec.delta_v} > {cap}"
@@ -119,22 +131,23 @@ def _check_involvement(rec, pairs, good_apexes):
     apexes of the earlier good steps; raises AuditError as
     audit_involvement does, and adds rec's pairs and, if it is good, its
     apexes."""
-    for j in range(0, len(rec.involved), 2):
-        pair = frozenset(rec.involved[j : j + 2])
-        first = pairs.setdefault(pair, rec.i)
-        if first != rec.i:
+    i = rec.i
+    involved = iter(rec.involved)  # a kept edge's two hyperedges, edge by edge
+    for pair in map(frozenset, zip(involved, involved)):
+        first = pairs.setdefault(pair, i)
+        if first != i:
             raise AuditError(
-                f"hyperedge pair {tuple(sorted(pair))} involved in steps {[first, rec.i]}",
-                [first, rec.i],
+                f"hyperedge pair {tuple(sorted(pair))} involved in steps {[first, i]}",
+                [first, i],
             )
     if rec.cls == CLASS_ZERO:
         for apex in set(rec.apexes):
             if apex not in good_apexes:
                 raise AuditError(
-                    f"0-step {rec.i} involves apex {apex} with no preceding good step",
-                    (rec.i,),
+                    f"0-step {i} involves apex {apex} with no preceding good step",
+                    (i,),
                 )
-    if rec.is_good:
+    elif rec.is_good:
         good_apexes.update(rec.apexes)
 
 
@@ -149,10 +162,13 @@ def unpack(candidate, aux, host):
     on a whole trace.
     """
     host_edges = host.edge_set
+    kept_edge = aux.kept_edge
 
     walked = set()  # the vertices of the steps so far
     span_keys = set()
     hyperedges = set()
+    # the part-local vertices of those hyperedges by part: the configuration's span
+    span_a, span_b, span_c = parts = (set(), set(), set())
     pairs = {}  # each apex-sharing hyperedge pair involved so far -> its step
     good_apexes = set()  # the apexes of the good steps so far
     steps = []
@@ -164,18 +180,18 @@ def unpack(candidate, aux, host):
             if u not in walked:
                 raise IntegrityError(f"back-neighbour {u} of {v} is not an earlier vertex")
             fe = canon_edge(u, v)
-            ann = aux.kept_edge(*fe)
+            ann = kept_edge(*fe)
             if ann is None:
                 raise IntegrityError(f"candidate edge {fe} is not in the pair multigraph")
             for h in ann.hyperedges():
                 if h not in host_edges:
                     raise IntegrityError(f"hyperedge {h} absent from the host system")
             anns.append(ann)
-        anns.sort(key=lambda a: a.apex)
+        anns.sort(key=_apex)
 
-        side = v[0]
+        side, p, q = v
         new_vertices = []
-        for key in ((side, v[1]), (side, v[2])):
+        for key in ((side, p), (side, q)):
             if key not in span_keys:
                 span_keys.add(key)
                 new_vertices.append(key)
@@ -189,30 +205,25 @@ def unpack(candidate, aux, host):
                 if h not in hyperedges:
                     hyperedges.add(h)
                     new_edges.append(h)
+                    a, b, c = h
+                    span_a.add(a)
+                    span_b.add(b)
+                    span_c.add(c)
             ckey = ("C", ann.apex)
             if ckey not in span_keys:
                 span_keys.add(ckey)
                 new_vertices.append(ckey)
 
-        rec = StepRecord(
-            i=i,
-            vertex=v,
-            side=side,
-            d=len(anns),
-            cls=_classify(len(anns), len(new_edges), len(new_vertices)),
-            delta_e=len(new_edges),
-            delta_v=len(new_vertices),
-            apexes=tuple(apexes),
-            involved=tuple(involved),
-            new_edges=tuple(new_edges),
-            new_vertices=tuple(new_vertices),
-        )
+        d, delta_e, delta_v = len(anns), len(new_edges), len(new_vertices)
+        rec = StepRecord(i, v, side, d, _classify(d, delta_e, delta_v), delta_e, delta_v,
+                         tuple(apexes), tuple(involved), tuple(new_edges), tuple(new_vertices))
         _check_step_laws(rec)
         _check_involvement(rec, pairs, good_apexes)
         steps.append(rec)
         walked.add(v)
 
-    cfg = Configuration.from_edges(host, hyperedges)
+    span = frozenset((name, x) for name, part in zip("ABC", parts) for x in part)
+    cfg = Configuration(tuple(sorted(hyperedges)), span)
     return cfg, UnpackTrace(tuple(steps), len(span_keys), len(hyperedges))
 
 

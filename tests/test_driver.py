@@ -2,6 +2,8 @@ import gc
 import json
 import random
 import weakref
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import combinations, count
 from types import SimpleNamespace
 
@@ -25,7 +27,7 @@ from besforge import auxgraph, degsearch
 from besforge import io as textio
 from besforge.auxgraph import AuxEdge, AuxGraph, build_aux, simple_subgraph
 from besforge.cli import main
-from besforge.driver import _frame_can_succeed, _greedy_pick, _key_index
+from besforge.driver import _frame_can_succeed, _greedy_pick
 from besforge.unpack import unpack
 
 import test_golden
@@ -195,7 +197,7 @@ def _pick_edges(pool, count, span, lts, index=None):
     """_greedy_pick with the host edges in pool live, its ids mapped back to
     edges; checks that the pick leaves the live flags as they were and adds
     its picks' keys to (a copy of) span."""
-    ids, by_key = _key_index(lts) if index is None else index
+    ids, by_key = lts.key_index if index is None else index
     alive = bytearray(lts.m)
     for x in pool:
         alive[ids[x]] = 1
@@ -218,7 +220,7 @@ def test_greedy_pick_matches_the_rescanning_reference():
         if not lts.m:
             continue
         # the index covers every host edge, as the driver's does
-        index = _key_index(lts)
+        index = lts.key_index
         pool = rng.sample(lts.edges, rng.randint(1, lts.m))
         count = rng.randint(0, len(pool))
         span = {key for x in rng.sample(lts.edges, rng.randint(0, min(3, lts.m))) for key in lts.edge_keys(x)}
@@ -247,9 +249,82 @@ def test_greedy_pick_raises_when_the_live_edges_run_out():
         assert (err.value.needed, err.value.available) == (4, 3)
 
 
+def _two_pass_greedy_pick(alive, count, span, edges, edge_keys, by_key):
+    """The greedy pick as it filled its overlap heaps before the one-pass
+    fill, kept as the reference for its picks: one pass counts the overlap
+    of each live id with the span and lists the ids that meet it, and a
+    second pass puts each listed id in the heap of its overlap."""
+    live = bytearray(alive)
+    overlap = [0] * len(live)
+    met = []
+    for key in span:
+        for i in by_key[key]:
+            if live[i]:
+                if not overlap[i]:
+                    met.append(i)
+                overlap[i] += 1
+    heaps = [[], [], [], []]
+    for i in met:
+        heaps[overlap[i]].append(i)
+    for heap in heaps:
+        heapify(heap)
+    chosen = []
+    p = 0
+    while len(chosen) < count:
+        for ov in (3, 2, 1):
+            heap = heaps[ov]
+            while heap and overlap[heap[0]] != ov:
+                heappop(heap)
+            if heap:
+                i = heappop(heap)
+                break
+        else:
+            try:
+                p = i = live.index(1, p)
+            except ValueError:
+                raise ExhaustionError(count, len(chosen)) from None
+        live[i] = 0
+        chosen.append(i)
+        for key in edge_keys(edges[i]):
+            if key not in span:
+                span.add(key)
+                for j in by_key[key]:
+                    if live[j]:
+                        overlap[j] += 1
+                        heappush(heaps[overlap[j]], j)
+    return chosen
+
+
+def test_greedy_pick_matches_the_two_pass_fill():
+    rng = random.Random(3232)
+    hosts = [group_system(m) for m in range(4, 11)]
+    hosts += [random_linear(10, 10, 10, 60, seed) for seed in range(5)]
+    seen = {"picked": 0, "exhausted": 0}
+    for lts in hosts:
+        _, by_key = lts.key_index
+        for _ in range(40):
+            share = rng.random()
+            alive = bytearray(rng.random() < share for _ in range(lts.m))
+            span = {key for x in rng.sample(lts.edges, rng.randint(0, 8)) for key in lts.edge_keys(x)}
+            count = rng.randint(0, sum(alive) + 2)
+            outcomes = []
+            for pick in (_greedy_pick, _two_pass_greedy_pick):
+                grown = set(span)
+                try:
+                    outcome = pick(alive, count, grown, lts.edges, lts.edge_keys, by_key)
+                except ExhaustionError as err:
+                    outcome = ("exhausted", err.needed, err.available)
+                outcomes.append((outcome, grown))
+            assert outcomes[0] == outcomes[1]
+            seen["exhausted" if type(outcomes[0][0]) is tuple else "picked"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_key_index_numbers_the_sorted_host_edges():
     lts = random_linear(6, 6, 6, 30, seed=3)
-    ids, by_key = _key_index(lts)
+    ids, by_key = lts.key_index
+    # made once and kept on the host
+    assert lts.key_index is lts.key_index
     assert ids == {x: i for i, x in enumerate(lts.edges)}
     for key, through in by_key.items():
         assert through == sorted(through)
@@ -483,19 +558,35 @@ def test_solves_through_the_host_cache_equal_cold_solves():
     assert warm == [_cold_solve(lts, e, params) for lts, e, params in runs]
 
 
+def _count_key_indexes(monkeypatch):
+    """Record each host whose key index is made, by a counting copy of the
+    key_index cached property."""
+    made = []
+    make = TripartiteLinearSystem.key_index.func
+
+    def counting(lts):
+        made.append(lts)
+        return make(lts)
+
+    prop = cached_property(counting)
+    prop.__set_name__(TripartiteLinearSystem, "key_index")
+    monkeypatch.setattr(TripartiteLinearSystem, "key_index", prop)
+    return made
+
+
 def _count_frame0_builds(monkeypatch):
-    """Record each host whose multigraph _frame0 builds, and each order and key
-    index built from such a multigraph or host; later frames' multigraphs are
-    not counted."""
-    built = {"aux": [], "order": [], "index": []}
+    """Record each host whose multigraph _frame0 builds, each order built from
+    such a multigraph, and each host whose key index is made; later frames'
+    multigraphs are not counted."""
+    built = {"aux": [], "order": [], "index": _count_key_indexes(monkeypatch)}
     frame0, build_aux = besforge.driver._frame0, besforge.driver.build_aux
-    ordering, key_index = degsearch.degeneracy_ordering, besforge.driver._key_index
+    ordering = degsearch.degeneracy_ordering
     in_frame0 = []
 
-    def counting_frame0(lts, index):
+    def counting_frame0(lts):
         in_frame0.append(lts)
         try:
-            return frame0(lts, index)
+            return frame0(lts)
         finally:
             in_frame0.pop()
 
@@ -510,14 +601,9 @@ def _count_frame0_builds(monkeypatch):
             built["order"].append(g)
         return ordering(g)
 
-    def counting_index(lts):
-        built["index"].append((lts, key_index(lts)))
-        return built["index"][-1][1]
-
     monkeypatch.setattr(besforge.driver, "_frame0", counting_frame0)
     monkeypatch.setattr(besforge.driver, "build_aux", counting_build)
     monkeypatch.setattr(degsearch, "degeneracy_ordering", counting_ordering)
-    monkeypatch.setattr(besforge.driver, "_key_index", counting_index)
     return built
 
 
@@ -525,19 +611,20 @@ def test_build_aux_runs_once_per_host(monkeypatch):
     built = _count_frame0_builds(monkeypatch)
 
     def builds():
-        # each frame-0 multigraph gets one order; every solve here reaches
-        # frame 0, so a solve builds a key index exactly
-        # when it builds the multigraph, and at most one
-        counts = {name: len(made) for name, made in built.items()}
-        assert len(set(counts.values())) == 1, counts
+        # each frame-0 multigraph gets one order
+        assert len(built["order"]) == len(built["aux"])
         return [lts for lts, _ in built["aux"]]
+
+    def indexed():
+        return list(map(id, built["index"]))
 
     a, b = group_system(8), group_system(7)
     find_be_s_configuration(a, 20, PRACTICAL)
-    # the first solve of a host fills the whole entry, with the index it built
-    host, aux, order, index = besforge.driver._last_host
-    assert host is a and aux is built["aux"][0][1] and index is built["index"][0][1]
+    # the first solve of a host fills the whole entry, and makes its key index
+    host, aux, order = besforge.driver._last_host
+    assert host is a and aux is built["aux"][0][1]
     assert built["order"] == [aux.graph] and order is not None
+    assert indexed() == [id(a)]
     for e in (40, 50, 60):
         find_be_s_configuration(a, e, PRACTICAL)
     assert builds() == [a]
@@ -547,12 +634,18 @@ def test_build_aux_runs_once_per_host(monkeypatch):
     assert builds() == [a, b]
     find_be_s_configuration(a, 20, PRACTICAL)
     assert len(builds()) == 3
+    # the key index is kept with its host, so rebuilding a's frame 0 made
+    # none: one index per host object
+    assert indexed() == [id(a), id(b)]
     # an equal host counts as the same host, whatever object it is
     a_copy = textio.loads_system(textio.dumps_system(a))
     find_be_s_configuration(a_copy, 30, PRACTICAL)
     find_be_s_configuration(a, 40, PRACTICAL)
     find_be_s_configuration(a_copy, 50, PRACTICAL)
     assert len(builds()) == 3
+    # but another object makes its own key index, once
+    assert indexed() == [id(a), id(b), id(a_copy)]
+    assert a_copy.key_index == a.key_index
 
 
 def test_the_last_hosts_multigraph_is_dead_when_the_next_is_built(monkeypatch):
@@ -577,7 +670,8 @@ def test_solves_leave_the_cached_pair_multigraph_unchanged():
     lts = group_system(11)
     find_be_s_configuration(lts, 20, PRACTICAL)
     entry = besforge.driver._last_host
-    _, aux, order, by_key = entry
+    _, aux, order = entry
+    index = lts.key_index
     edges = aux.edges
     report = find_be_s_configuration(lts, 63, PRACTICAL)
     assert [f.branch for f in report.frames] == ["recurse", "recurse", "base"]
@@ -586,7 +680,8 @@ def test_solves_leave_the_cached_pair_multigraph_unchanged():
     fresh = simple_subgraph(build_aux(lts))
     assert aux.graph.adjacency() == fresh.adjacency()
     assert order == degsearch.degeneracy_ordering(fresh).ranks
-    assert by_key == _key_index(lts)
+    assert lts.key_index is index
+    assert index == TripartiteLinearSystem(lts.sizes, lts.edges).key_index
 
 
 def test_the_host_cache_holds_only_the_last_host():
@@ -611,9 +706,7 @@ def test_a_solve_stopped_before_frame_0_builds_nothing_and_keeps_the_cache(monke
 
     monkeypatch.setattr(besforge.driver, "build_aux", no_build)
     monkeypatch.setattr(besforge.driver, "simple_subgraph", no_build)
-    indexed = []
-    key_index = besforge.driver._key_index
-    monkeypatch.setattr(besforge.driver, "_key_index", lambda lts: indexed.append(lts) or key_index(lts))
+    indexed = _count_key_indexes(monkeypatch)
     # e' <= 15 at the default tau_max: k <= 3 and e' - 2(k - 1) > 4
     for lts, e in ((b, 15), (b, 8), (a, 12), (b, 5)):
         report = find_be_s_configuration(lts, e, PRACTICAL)
@@ -621,8 +714,9 @@ def test_a_solve_stopped_before_frame_0_builds_nothing_and_keeps_the_cache(monke
         assert report.frames[0].note == besforge.driver._END_NOTE
         assert not report.any_flagged
         assert besforge.driver._last_host is entry
-    # the cached host's base pick reads the kept key index
-    assert indexed == [b, b, b]
+    # every base pick reads its host's key index: a's, made by its frame-0
+    # solve, and b's, made on b's first solve and kept with b
+    assert len(indexed) == 1 and indexed[0] is b
 
 
 def _connected_sets(g, k):

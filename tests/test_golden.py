@@ -84,6 +84,20 @@ def _ladder_solve(e):
     return json.dumps(report.to_json_dict())
 
 
+def _deep_solve(seed):
+    """One solve of a random-deep-shaped host, random_linear(24,24,24,320), at
+    e = 80, with the unpack trace of its frame-0 candidate (k = 20)."""
+    lts = random_linear(24, 24, 24, 320, seed)
+    params = PARAMS["default"]
+    report = find_be_s_configuration(lts, 80, params)
+    aux = build_aux(lts)
+    cand = find_dense_2deg(simple_subgraph(aux), 80 // 4, params.t).candidate
+    _cfg, trace = unpack(cand, aux, lts)
+    return "\n".join([json.dumps(report.to_json_dict()),
+                      json.dumps([trace.v_total, trace.e_total]),
+                      json.dumps([s.to_json_dict() for s in trace.steps])])
+
+
 def _cli_output(argv_of):
     """Run the CLI on a group host written to a scratch dir; return the output file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -206,6 +220,7 @@ CASES = {
     **{f"solve/{h}/{p}": (_solve_corpus, (h, p)) for h in HOSTS for p in PARAMS},
     # one and two recurse frames; e=103 shrinks the pair graph twice
     **{f"solve/group30/e{e}": (_ladder_solve, (e,)) for e in (28, 60, 103)},
+    **{f"solve/random24/s{s}": (_deep_solve, (s,)) for s in range(5)},
     "sweep/group6": (_sweep_csv, ()),
     **{f"unpack/group5/{s}": (_unpack_trace, (s,)) for s in STRATEGIES},
     **{f"unpack/corpus/{s}": (_unpack_corpus, (s,)) for s in STRATEGIES},

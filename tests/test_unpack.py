@@ -1,7 +1,7 @@
 import importlib
 import random
 import re
-from dataclasses import replace
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +12,7 @@ from besforge import (
     AuxEdge,
     CandidateF,
     IntegrityError,
+    StepRecord,
     TripartiteLinearSystem,
     UnpackTrace,
     audit_involvement,
@@ -24,7 +25,9 @@ from besforge import (
     unpack,
     verify_configuration,
 )
-from random_candidates import random_candidate
+from besforge.graphs import canon_edge
+from random_candidates import random_candidate, trim_by_name
+from reference_unpack import reference_unpack
 
 # the module; the package's `unpack` attribute is the function
 unpack_module = importlib.import_module("besforge.unpack")
@@ -103,7 +106,7 @@ def test_a_zero_step_puts_its_apexes_in_z():
 def test_audit_rejects_a_repeated_pair_and_a_zero_step_without_a_good_one():
     steps = _zero_step_trace().steps
     with pytest.raises(AuditError, match=r"involved in steps \[3, 8\]"):
-        audit_involvement(UnpackTrace((*steps, replace(steps[2], i=8)), 0, 0))
+        audit_involvement(UnpackTrace((*steps, steps[2]._replace(i=8)), 0, 0))
     with pytest.raises(AuditError, match="0-step 7 involves apex 0 with no preceding good step"):
         audit_involvement(UnpackTrace(steps[-1:], 0, 0))
 
@@ -280,6 +283,18 @@ _BROKEN_THEOREMS = {
          (A02, A23): AuxEdge(A02, A23, 2, "S", (1, 1, 1), (3, 1, 2))},
         "0-step 4 involves apex 1 with no preceding good step",
     ),
+    # the same walk on apexes 2 and 9, which a set holds in the order 9, 2:
+    # neither has an earlier good step, and the error names the apex that
+    # comes first in the set of the step's apexes
+    "two 0-step apexes with no earlier good step": (
+        TripartiteLinearSystem((4, 2, 10), ((0, 0, 2), (1, 1, 2), (2, 0, 9), (3, 1, 9))),
+        CandidateF((A01, B01, A23, A02), ((), (), (A01, B01), (A01, A23))),
+        {(A01, A23): AuxEdge(A01, A23, 2, "S", (0, 0, 2), (1, 1, 2)),
+         (A23, B01): AuxEdge(A23, B01, 9, "S", (2, 0, 9), (3, 1, 9)),
+         (A01, A02): AuxEdge(A01, A02, 2, "S", (0, 0, 2), (2, 0, 9)),
+         (A02, A23): AuxEdge(A02, A23, 9, "S", (1, 1, 2), (3, 1, 9))},
+        "0-step 4 involves apex 9 with no preceding good step",
+    ),
 }
 
 
@@ -315,3 +330,139 @@ def test_a_solve_checks_the_involvement_theorems_at_every_step(monkeypatch):
     monkeypatch.setattr(besforge.driver, "unpack", recording_unpack)
     besforge.driver.find_be_s_configuration(group_system(11), 63)
     assert len(walked) > 0 and checked == walked
+
+
+def test_steps_are_named_tuples_equal_to_their_fields():
+    steps = _zero_step_trace().steps
+    for s in steps:
+        assert type(s) is StepRecord and s == tuple(s)
+        assert s == StepRecord(*s) and hash(s) == hash(tuple(s))
+    moved = steps[2]._replace(i=8)
+    assert moved.i == 8 and moved[1:] == steps[2][1:]
+    with pytest.raises(AttributeError):
+        steps[0].i = 2
+
+
+# a phrase of each message that unpack's checks raise
+_CHECKS = ("repeats in the candidate", "is not an earlier vertex", "is not in the pair multigraph",
+           "absent from the host system", "out of range for d", "but dV=", "two distinct apexes",
+           "singular with dE=", "involved in steps", "no preceding good step")
+
+
+def _outcome(walk):
+    """Which check a walk's result failed, or 'walked'."""
+    if len(walk) == 5:
+        return "walked"
+    return next(check for check in _CHECKS if check in walk[1])
+
+
+def _error(err):
+    return type(err), str(err), getattr(err, "steps", None)
+
+
+def _walk(cand, aux, host):
+    """unpack's configuration, totals, step fields and step JSON, or the
+    type, message and steps of the error it raised."""
+    try:
+        cfg, trace = unpack(cand, aux, host)
+    except Exception as err:
+        return _error(err)
+    assert all(type(s) is StepRecord for s in trace.steps)
+    return (cfg, trace.v_total, trace.e_total, [tuple(s) for s in trace.steps],
+            [(s.is_regular, s.is_good, s.to_json_dict()) for s in trace.steps])
+
+
+def _reference_walk(cand, aux, host):
+    try:
+        cfg, v_total, e_total, steps = reference_unpack(cand, aux, host)
+    except Exception as err:
+        return _error(err)
+    return (cfg, v_total, e_total, [s.fields() for s in steps],
+            [(s.is_regular, s.is_good, s.to_json_dict()) for s in steps])
+
+
+def _without(lts, gone):
+    return TripartiteLinearSystem(lts.sizes, tuple(x for x in lts.edges if x != gone))
+
+
+def _broken_copies(cand, aux, lts, graph, rng):
+    """(candidate, multigraph, host) triples that fail one check each on the
+    way through cand: a repeated vertex, a later back-neighbour, an unjoined
+    pair, a multigraph or a host without one of the walk's hyperedges."""
+    vs, back = cand.vertices, cand.back
+    yield CandidateF(vs + (rng.choice(vs),), back + ((),)), aux, lts
+    yield CandidateF(vs, ((vs[-1],),) + back[1:]), aux, lts
+    far = [u for u in vs[:-1] if u[0] != vs[-1][0] and not graph.has_edge(u, vs[-1])]
+    if far:
+        yield CandidateF(vs, back[:-1] + ((*back[-1][:1], rng.choice(far)),)), aux, lts
+    kept = [aux.kept_edge(*canon_edge(u, v)) for v, us in zip(vs, back) for u in us]
+    if kept:
+        gone = rng.choice(rng.choice(kept).hyperedges())
+        yield cand, build_aux(_without(lts, gone)), lts
+        yield cand, aux, _without(lts, gone)
+
+
+def test_unpack_matches_the_record_building_reference():
+    rng = random.Random(32)
+    hosts = [group_system(m) for m in range(2, 9)]
+    hosts += [random_linear(8, 8, 8, 40, seed) for seed in range(5)]
+    outcomes = {"walked": 0}
+    for lts in hosts:
+        aux = build_aux(lts)
+        graph = simple_subgraph(aux)
+        if not graph.m:
+            continue
+        cands = [find_dense_2deg(graph, k, t).candidate
+                 for k in range(2, min(graph.n, 10) + 1) for t in (0, 4)]
+        cands += [trim_by_name(graph, rng.sample(graph.vertices, rng.randint(1, min(graph.n, 10))))
+                  for _ in range(10)]
+        cands += [random_candidate(graph, rng.randint(2, min(graph.n, 10)), rng) for _ in range(10)]
+        for cand in cands:
+            for case in ((cand, aux, lts), *_broken_copies(cand, aux, lts, graph, rng)):
+                got = _walk(*case)
+                assert got == _reference_walk(*case)
+                outcomes[_outcome(got)] = outcomes.get(_outcome(got), 0) + 1
+    # the walks ran into a repeated vertex, a later back-neighbour, an
+    # unjoined pair and a hyperedge missing from the host
+    assert set(outcomes) == {"walked", *_CHECKS[:4]} and min(outcomes.values()) >= 20, outcomes
+    # and into each involvement theorem, broken by a stand-in
+    for host, cand, kept, message in _BROKEN_THEOREMS.values():
+        got = _walk(cand, _stand_in(kept), host)
+        assert got == _reference_walk(cand, _stand_in(kept), host) and got[1] == message
+
+
+def _random_stand_in(rng):
+    """A small host, a candidate and a stand-in multigraph whose kept edges
+    are drawn at random: some vertices repeat or keep later ones, some pairs
+    are unjoined, and some hyperedges lie outside the host."""
+    pool = rng.sample([(a, b, c) for a in range(3) for b in range(3) for c in range(4)], 8)
+    host = TripartiteLinearSystem((3, 3, 4), tuple(pool[:6]))
+    names = [(side, p, q) for side in "AB" for p, q in combinations(range(3), 2)]
+    vertices = rng.sample(names, rng.randint(1, 6))
+    if rng.random() < 0.1:
+        vertices.append(rng.choice(vertices))
+    back = []
+    for j in range(len(vertices)):
+        earlier = vertices[:j] if rng.random() < 0.95 else vertices
+        back.append(tuple(rng.sample(earlier, min(len(earlier), rng.choice((0, 1, 2, 2, 2, 3))))))
+    kept = {}
+    for u, w in combinations(names, 2):
+        if rng.random() < 0.95:
+            h1, h2 = (rng.choice(pool[:6] if rng.random() < 0.97 else pool) for _ in range(2))
+            kept[u, w] = AuxEdge(u, w, rng.randrange(4), "S", h1, h2)
+    stand_in = SimpleNamespace(kept_edge=lambda u, w: kept.get((u, w)))
+    return CandidateF(tuple(vertices), tuple(back)), stand_in, host
+
+
+def test_unpack_matches_the_reference_on_every_check():
+    rng = random.Random(3232)
+    outcomes = {}
+    for _ in range(6000):
+        case = _random_stand_in(rng)
+        got = _walk(*case)
+        assert got == _reference_walk(*case)
+        outcomes[_outcome(got)] = outcomes.get(_outcome(got), 0) + 1
+    # each check but the 0-step one raised, and some walks ended; a random
+    # walk does not reach a 0-step whose apex only non-good steps involved,
+    # which the _BROKEN_THEOREMS stand-ins walk into
+    assert set(outcomes) == {"walked", *_CHECKS[:-1]} and min(outcomes.values()) >= 5, outcomes
