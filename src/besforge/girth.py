@@ -8,19 +8,26 @@ t and the lines (v, u1, u2) for v = t, t+1, ...; side_of is the side rule.
 
 Each side keeps an open list of its members of degree at most 7, in
 insertion order, updated as vertices join and fill up, so a step does not
-rescan the side. The two candidates lie on one side, so their distance is
-even, and the test asks for distance at most g - 2 rounded down to even:
-the same pairs pass, and g = 2j + 1 costs what g = 2j costs. The distance
-test is graphs.within_distance, which meets in the middle: a ball of half
-the radius around one end, then a search of the other half from the other
-end, each with its outermost level done as set operations.
+rescan the side. A step draws its candidate pairs as rng.sample(open, 2)
+would, with the same random draws, and writes the new vertex straight into
+the graph's adjacency sets. The two candidates lie on one side, so their
+distance is even, and the test asks for distance at most g - 2 rounded down
+to even: the same pairs pass, and g = 2j + 1 costs what g = 2j costs. The
+distance test is graphs.within_distance. Up to distance 4 (g <= 7) it is a
+few set operations: the ball of radius 2 around one end is a union of
+neighbour sets, tested for a shared vertex with the other end's neighbours'
+neighbour sets. Beyond that it meets in the middle: a ball of half the
+radius around one end, then a search of the other half from the other end,
+each with its outermost level done as set operations.
 
-girth_of checks a grown graph without that test. It runs a breadth-first
-search from each root in descending (degree, vertex) order, and a search
-skips the roots before its own, as if each were deleted once its search is
-done, so the hubs go first and every later search explores a smaller graph.
-A search expanding depth d can only close cycles of length 2d + 1 or 2d + 2,
-so it stops at the first depth with 2d + 1 >= best, or 2d + 2 >= best in a
+girth_of checks a grown graph without that test. It numbers the vertices in
+descending (degree, vertex) order, with rank-indexed neighbour lists, and
+decides bipartiteness by one stack 2-colouring of those lists. It runs a
+breadth-first search from each root in that order, and a search skips the
+roots before its own, as if each were deleted once its search is done, so
+the hubs go first and every later search explores a smaller graph. A search
+expanding depth d can only close cycles of length 2d + 1 or 2d + 2, so it
+stops at the first depth with 2d + 1 >= best, or 2d + 2 >= best in a
 bipartite graph, which has no odd cycle.
 """
 
@@ -31,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import GrowthError, IntegrityError, ParameterError
-from .graphs import Graph, two_coloring, within_distance
+from .graphs import Graph, within_distance
 
 _PAIR_DEGREE_CAP = 7
 _MAX_DEGREE = _PAIR_DEGREE_CAP + 1  # what the open lists let a degree reach
@@ -64,15 +71,17 @@ def grow_girth_graph(k, t, g, seed=0):
         raise ParameterError("girth target must be at least 3")
     rng = random.Random(seed)
     graph = Graph()
+    # the growth writes the graph's own adjacency sets, vertex by vertex, so
+    # graph.n and graph.degree stay current for _pick_pair
+    adj = graph.adjacency()
     # per side, the members of degree at most _PAIR_DEGREE_CAP in insertion
     # order: exactly the vertices a new vertex of the other side may attach to
     open_members = {"A": [], "B": []}
     attachments = []
 
     for v in range(t):
-        s = side_of(v)
-        graph.add_vertex(v)
-        open_members[s].append(v)
+        adj[v] = set()
+        open_members[side_of(v)].append(v)
 
     for v in range(t, k):
         s = side_of(v)
@@ -82,17 +91,17 @@ def grow_girth_graph(k, t, g, seed=0):
         if pair is None:
             raise GrowthError(v, graph.n)
         u1, u2 = pair
-        graph.add_vertex(v)
-        graph.add_edge(v, u1)
-        graph.add_edge(v, u2)
+        adj[v] = {u1, u2}
+        adj[u1].add(v)
+        adj[u2].add(v)
         attachments.append((v, u1, u2))
         open_members[s].append(v)
         for u in (u1, u2):
             # degrees grow by one per attachment, so u leaves the open list
             # at the attachment that takes it one past the cap
-            if graph.degree(u) == _PAIR_DEGREE_CAP + 1:
+            if len(adj[u]) == _PAIR_DEGREE_CAP + 1:
                 eligible.remove(u)
-        if graph.degree(u1) > _MAX_DEGREE or graph.degree(u2) > _MAX_DEGREE:
+        if len(adj[u1]) > _MAX_DEGREE or len(adj[u2]) > _MAX_DEGREE:
             raise IntegrityError(f"degree cap {_MAX_DEGREE} violated at step {v}")
 
     return graph, GrowthCertificate(t, tuple(attachments))
@@ -105,7 +114,7 @@ def _pick_pair(graph, eligible, g, rng):
     if len(eligible) < 2:
         return None
     for _ in range(_RANDOM_ATTEMPTS):
-        u, w = rng.sample(eligible, 2)
+        u, w = _draw_two(eligible, rng)
         if not within_distance(graph, u, w, limit):
             return (min(u, w), max(u, w))
     pairs = [(u, w) for i, u in enumerate(eligible) for w in eligible[i + 1 :]]
@@ -114,6 +123,47 @@ def _pick_pair(graph, eligible, g, rng):
         if not within_distance(graph, u, w, limit):
             return (u, w)
     return None
+
+
+def _draw_two(seq, rng):
+    """The two items rng.sample(seq, 2) returns, taken from the same random
+    draws by rng.randrange, without sample's type check and pool copy."""
+    n = len(seq)
+    i = rng.randrange(n)
+    if n <= 21:
+        # sample's pool branch: the second draw is from the n - 1 items left
+        # once the last item has moved into the first one's place
+        j = rng.randrange(n - 1)
+        if j == i:
+            j = n - 1
+    else:
+        # sample's set branch: redraw until the index is new
+        j = rng.randrange(n)
+        while j == i:
+            j = rng.randrange(n)
+    return seq[i], seq[j]
+
+
+def two_coloring(nbrs):
+    """A stack 2-colouring of rank-indexed neighbour lists as a list rank ->
+    0/1, or None if the graph is not bipartite: graphs.two_coloring over the
+    lists girth_of builds, with no vertex names."""
+    color = [-1] * len(nbrs)
+    for root in range(len(nbrs)):
+        if color[root] >= 0:
+            continue
+        color[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            c = 1 - color[u]
+            for w in nbrs[u]:
+                if color[w] < 0:
+                    color[w] = c
+                    stack.append(w)
+                elif color[w] != c:
+                    return None
+    return color
 
 
 def girth_of(graph):
@@ -142,15 +192,15 @@ def girth_of(graph):
       edge within level d) or 2d + 2, and a search stops at the first u with
       2 * dist[u] + 1 >= best. A bipartite graph has no closed walk of odd
       length, so there the rule is 2 * dist[u] + 2 >= best; one two_coloring
-      pass decides which rule applies. The depth d that reports a shortest
-      cycle of length L has 2d + 1 <= L, and 2d + 2 <= L when L is even, so
-      the search that reports L runs until it has.
+      pass over the rank lists decides which rule applies. The depth d that
+      reports a shortest cycle of length L has 2d + 1 <= L, and 2d + 2 <= L
+      when L is even, so the search that reports L runs until it has.
     """
     adj = graph.adjacency()
     order = sorted(adj, key=lambda v: (len(adj[v]), v), reverse=True)
     rank = dict(zip(order, range(len(order)))).__getitem__
     nbrs = [list(map(rank, adj[v])) for v in order]
-    slack = 1 if two_coloring(graph) is None else 2
+    slack = 1 if two_coloring(nbrs) is None else 2
     # dist[w] is w's depth in the search whose root rank is seen[w]
     dist = [0] * len(order)
     seen = [-1] * len(order)

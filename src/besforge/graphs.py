@@ -146,20 +146,43 @@ def two_coloring(g):
 def within_distance(g, u, v, limit):
     """True iff there is a u-v path of length at most limit.
 
-    Meets in the middle: collects the ball of radius ceil(limit/2) around u,
-    then searches out from v to radius floor(limit/2) and stops at the first
-    vertex inside that ball. Each search does its outermost level as set
-    operations: the ball's last level is one set update per vertex of the
-    level before it, and a vertex x that the search from v has reached
-    closes a path iff the ball meets adj[x], so the last level of that search
-    is one isdisjoint test per frontier vertex, with no loop over its
-    neighbours.
+    Limits up to 4 are set tests on neighbour sets: limit 2 asks whether
+    adj[u] meets adj[v]; limits 3 and 4 take the ball of radius 2 around u
+    as one union of neighbour sets and ask whether it meets adj[v] (limit 3)
+    or adj[b] for some b in adj[v] (limit 4).
+
+    Larger limits meet in the middle: collect the ball of radius
+    ceil(limit/2) around u, then search out from v to radius floor(limit/2)
+    and stop at the first vertex inside that ball. Each search does its
+    outermost level as set operations: the ball's last level is one set
+    update per vertex of the level before it, and a vertex x that the search
+    from v has reached closes a path iff the ball meets adj[x], so the last
+    level of that search is one isdisjoint test per frontier vertex, with no
+    loop over its neighbours.
     """
     if u == v:
         return True
     if limit <= 0:
         return False
     adj = g.adjacency()
+    near = adj[u]
+    if v in near:
+        return True
+    target = adj.get(v)
+    if limit == 1 or target is None:
+        return False
+    if limit == 2:
+        return not near.isdisjoint(target)
+    if limit <= 4:
+        ball = set(near)
+        for x in near:
+            ball |= adj[x]
+        if limit == 3:
+            return not ball.isdisjoint(target)
+        for b in target:
+            if not ball.isdisjoint(adj[b]):
+                return True
+        return False
     ball = {u}
     frontier = [u]
     for _ in range((limit - 1) // 2):
@@ -174,8 +197,6 @@ def within_distance(g, u, v, limit):
         ball.update(adj[x])
     if v in ball:
         return True
-    if v not in adj or limit == 1:
-        return False
     seen = {v}
     frontier = [v]
     for _ in range(limit // 2 - 1):

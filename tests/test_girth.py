@@ -447,6 +447,11 @@ def test_growth_makes_the_same_distance_tests(monkeypatch):
         (2000, 7, 0, "71200d87f5afe1bf4e13b5ca452f76fd28b87d163f34409b2f7f5b6896c23ce9"),
         (2000, 7, 1, "b46863ad5f64af56849fe01b2b963d7c859df1d4287f0efe941b8e5de9e1e574"),
         (5000, 6, 1, "d75e0b27a92bc340c158b95386abbb9434f8806c19abd07941b70d4d39922a1a"),
+        # limits 0 and 6, which the distance test's set shortcuts leave to its
+        # general search; g = 8 also runs the all-pairs fallback
+        (2000, 3, 1, "29b96b2a4640fd6f352a274632d8e43a0076349110129c0766a88f0a8419d8e1"),
+        (2000, 8, 1, "56d619717e190bc397ba0cca2fb87dffcebb3d44186785c824a9b6e1808edde3"),
+        (2000, 9, 1, "56d619717e190bc397ba0cca2fb87dffcebb3d44186785c824a9b6e1808edde3"),
     ],
 )
 def test_growth_outputs_are_pinned(k, g, seed, digest):
@@ -547,3 +552,83 @@ def test_within_distance_across_components_and_on_grown_graphs():
         _t, grown, _cert = find_growth_t(300, g, seed=g)
         for _ in range(200):
             _assert_distance_tests_agree(grown, *rng.sample(range(300), 2))
+
+
+def test_within_distance_on_odd_cycles_and_adjacent_pairs():
+    # triangles and 5-cycles make odd distances and several shortest paths,
+    # which the grown bipartite graphs never have
+    petersen = Graph(edges=[(i, (i + 1) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    wheel = Graph(edges=[(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    # a triangle and a 5-cycle sharing vertex 0, with a path hanging off each
+    bowtie = Graph(edges=[(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 0),
+                          (2, 7), (7, 8), (5, 9), (9, 10), (10, 11)])
+    for graph in (petersen, wheel, bowtie):
+        for u, v in itertools.combinations(graph.vertices, 2):
+            _assert_distance_tests_agree(graph, u, v)
+        for u, v in graph.edges:
+            assert all(within_distance(graph, u, v, limit) for limit in range(1, 9))
+            assert not within_distance(graph, u, v, 0)
+
+
+def test_within_distance_to_a_target_that_is_not_a_vertex():
+    graph = Graph(vertices=[5], edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    for limit in range(-1, 9):
+        for u in graph.vertices:
+            assert not within_distance(graph, u, 99, limit), (u, limit)
+            assert not _reference_within_distance(graph, u, 99, limit)
+        # a path of length 0 needs no vertex
+        assert within_distance(graph, 99, 99, limit)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_draw_two_is_random_sample(n):
+    # the same two items as rng.sample(seq, 2), and the generator left in
+    # the same state, on both sides of sample's 21-item switch
+    seq = [10 * i + 7 for i in range(n)]
+    for seed in range(8):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            assert besforge.girth._draw_two(seq, ours) == tuple(theirs.sample(seq, 2))
+            assert ours.getstate() == theirs.getstate()
+
+
+def _rank_lists(graph):
+    names = graph.vertices
+    rank = {v: i for i, v in enumerate(names)}
+    return [[rank[w] for w in graph.neighbors(v)] for v in names]
+
+
+@pytest.mark.parametrize("even, odd", [(4, 3), (6, 5), (12, 11), (30, 29), (30, 5)])
+def test_girth_of_finds_an_odd_cycle_late_in_root_order(even, odd):
+    # every cycle vertex has degree 2, so roots go in descending label
+    # order: the long even cycle on the high labels first, then the odd
+    # cycle on the low labels, whose component the colouring reaches last;
+    # the isolated vertices go last of all. Taken for bipartite, the odd
+    # cycle's searches would stop one level early and, for odd = even - 1,
+    # report the even cycle.
+    graph = Graph(vertices=range(odd, odd + 3),
+                  edges=[(i, (i + 1) % odd) for i in range(odd)]
+                  + [(100 + i, 100 + (i + 1) % even) for i in range(even)])
+    assert besforge.girth.two_coloring(_rank_lists(graph)) is None
+    assert _assert_girths_agree(graph) == odd
+    # without the odd cycle the same colouring finds the graph bipartite
+    bipartite = Graph(vertices=range(odd + 3), edges=graph.edges[odd:])
+    assert besforge.girth.two_coloring(_rank_lists(bipartite)) is not None
+    assert _assert_girths_agree(bipartite) == even
+
+
+def test_rank_list_coloring_agrees_with_two_coloring():
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        graph = Graph(vertices=range(n))
+        for _ in range(rng.randint(0, 2 * n)):
+            if n > 1:
+                graph.add_edge(*rng.sample(range(n), 2))
+        nbrs = _rank_lists(graph)
+        color = besforge.girth.two_coloring(nbrs)
+        assert (color is None) == (two_coloring(graph) is None)
+        if color is not None:
+            assert all(color[i] != color[j] for i, ws in enumerate(nbrs) for j in ws)

@@ -260,6 +260,33 @@ def test_cli_girth_check_with_a_seed_count_beyond_the_graph(tmp_path, capsys):
     assert capsys.readouterr().out == "girth acyclic, certificate FAILED\n" * 2
 
 
+def test_cli_girth_check_names_the_check_that_failed(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    assert main(["girth", "grow", "--k", "200", "--t", "8", "--g", "4",
+                 "--seed", "1", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == "grown: 200 vertices, 384 edges, girth 6\n"
+    # a valid certificate on a graph whose girth is below the one asked for
+    assert main(["girth", "check", "--input", str(path), "--g", "8"]) == 1
+    assert capsys.readouterr().out == "girth 6 (below --g 8), certificate ok\n"
+    assert main(["girth", "check", "--input", str(path), "--g", "6"]) == 0
+    assert capsys.readouterr().out == "girth 6, certificate ok\n"
+    # the same graph without its certificate lines
+    text = path.read_text()
+    path.write_text("".join(line for line in text.splitlines(keepends=True)
+                            if not line.startswith(("c ", "a "))))
+    assert main(["girth", "check", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "girth 6, no certificate\n"
+    assert main(["girth", "check", "--input", str(path), "--g", "7"]) == 1
+    assert capsys.readouterr().out == "girth 6 (below --g 7), no certificate\n"
+    # both checks fail: the cube's certificate names anchors after their vertex
+    path.write_text("p graph 8 12\n" + "".join(f"g {u} {w}\n" for u, w in [
+        (0, 3), (0, 5), (0, 7), (1, 2), (1, 4), (1, 6),
+        (2, 3), (3, 4), (4, 7), (6, 7), (5, 6), (2, 5)])
+        + "c 2\na 2 1 3\na 3 0 4\na 4 1 7\na 5 0 2\na 6 1 5\na 7 0 6\n")
+    assert main(["girth", "check", "--input", str(path), "--g", "5"]) == 1
+    assert capsys.readouterr().out == "girth 4 (below --g 5), certificate FAILED\n"
+
+
 _GEN_RANDOM = ["gen", "random", "--na", "6", "--nb", "7", "--nc", "8", "--target", "20"]
 
 
