@@ -214,6 +214,26 @@ def to_triple_system(lts):
     return TripleSystem(lts.n, tuple(edges))
 
 
+def draw_below(bits, n, k):
+    """rng.randrange(n), drawn from bits = rng.getrandbits and k = n.bit_length().
+
+    It redraws bits(k) until the value is below n, which is the rule of
+    CPython's randrange (Random._randbelow_with_getrandbits), so a generator
+    gives the same values and is left in the same state, without randrange's
+    two Python-level calls per draw.
+
+    Needs n >= 1: at n = 0, bits(0) is 0 and the loop never ends, where
+    randrange(0) raises. Each caller has n >= 1 already: random_linear checks
+    its part sizes and picks from its list of fitting triples only while it
+    is non-empty, girth._pick_pair returns before it draws from fewer than
+    two vertices, and reduce_or_win draws one of 3 colours.
+    """
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 @dataclass(frozen=True)
 class ReduceOrWin:
     """Result of reduce_or_win: exactly one of win / reduction is set."""
@@ -272,8 +292,8 @@ def reduce_or_win(ts, e, seed=0):
 
     candidates = [_greedy_coloring(ts)]
     for i in range(20):
-        rng = random.Random(f"{seed}:{i}")
-        candidates.append(tuple(rng.randrange(3) for _ in range(ts.n)))
+        bits = random.Random(f"{seed}:{i}").getrandbits
+        candidates.append(tuple([draw_below(bits, 3, 2) for _ in range(ts.n)]))
     coloring = max(candidates, key=lambda c: _tripartite_count(ts, c))
     tri_edges = [x for x in ts.edges if len({coloring[v] for v in x}) == 3]
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .core import TripartiteLinearSystem
+from .core import TripartiteLinearSystem, draw_below
 from .errors import ParameterError
 
 _REJECTION_RUN = 1000  # consecutive rejections before listing what still fits
@@ -30,6 +30,10 @@ def random_linear(na, nb, nc, target_edges, seed=0):
     exactly when the system is maximal (no triple can be added). Fewer edges
     than requested therefore means maximal. Deterministic in (sizes, target,
     seed).
+
+    Each bounded draw is core.draw_below on the generator's getrandbits, the
+    rule rng.randrange(n) follows, so the random stream and the systems are
+    those that randrange draws would give.
     """
     if min(na, nb, nc) < 1:
         raise ParameterError("part sizes must be positive")
@@ -40,10 +44,12 @@ def random_linear(na, nb, nc, target_edges, seed=0):
     ab, ac, bc = set(), set(), set()
     edges = []
     rejections = 0
+    bits = rng.getrandbits
+    ka, kb, kc = na.bit_length(), nb.bit_length(), nc.bit_length()
     while len(edges) < target_edges and rejections < _REJECTION_RUN:
-        a = rng.randrange(na)
-        b = rng.randrange(nb)
-        c = rng.randrange(nc)
+        a = draw_below(bits, na, ka)
+        b = draw_below(bits, nb, kb)
+        c = draw_below(bits, nc, kc)
         if a * nb + b in ab or a * nc + c in ac or b * nc + c in bc:
             rejections += 1
             continue
@@ -64,7 +70,7 @@ def random_linear(na, nb, nc, target_edges, seed=0):
             for c in sorted(free_a[a] & free_b[b])
         ]
         while fits and len(edges) < target_edges:
-            a, b, c = fits[rng.randrange(len(fits))]
+            a, b, c = fits[draw_below(bits, len(fits), len(fits).bit_length())]
             edges.append((a, b, c))
             fits = [
                 (x, y, z)

@@ -9,14 +9,15 @@ t and the lines (v, u1, u2) for v = t, t+1, ...; side_of is the side rule.
 Each side keeps an open list of its members of degree at most 7, in
 insertion order, updated as vertices join and fill up, so a step does not
 rescan the side. A step draws its candidate pairs as rng.sample(open, 2)
-would, with the same random draws, and writes the new vertex straight into
-the graph's adjacency sets. The two candidates lie on one side, so their
-distance is even, and the test asks for distance at most g - 2 rounded down
-to even: the same pairs pass, and g = 2j + 1 costs what g = 2j costs. The
-distance test is graphs.within_distance. Up to distance 4 (g <= 7) it is a
-few set operations: the ball of radius 2 around one end is a union of
-neighbour sets, tested for a shared vertex with the other end's neighbours'
-neighbour sets. Beyond that it meets in the middle: a ball of half the
+would, from the same random stream: each index is core.draw_below on the
+generator's getrandbits, the rule rng.randrange follows. It writes the new
+vertex straight into the graph's adjacency sets. The two candidates lie on
+one side, so their distance is even, and the test asks for distance at most
+g - 2 rounded down to even: the same pairs pass, and g = 2j + 1 costs what
+g = 2j costs. The distance test is graphs.within_distance. Up to distance 4
+(g <= 7) it is a few set operations: the ball of radius 2 around one end is
+a union of neighbour sets, tested for a shared vertex with the other end's
+neighbours' neighbour sets. Beyond that it meets in the middle: a ball of half the
 radius around one end, then a search of the other half from the other end,
 each with its outermost level done as set operations.
 
@@ -37,6 +38,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+from .core import draw_below
 from .errors import GrowthError, IntegrityError, ParameterError
 from .graphs import Graph, within_distance
 
@@ -126,21 +128,25 @@ def _pick_pair(graph, eligible, g, rng):
 
 
 def _draw_two(seq, rng):
-    """The two items rng.sample(seq, 2) returns, taken from the same random
-    draws by rng.randrange, without sample's type check and pool copy."""
+    """The two items rng.sample(seq, 2) returns, for a seq of at least two
+    items, without sample's type check and pool copy. Each index is
+    core.draw_below on rng.getrandbits, the rule sample's own draws follow,
+    so the random stream is the same."""
+    bits = rng.getrandbits
     n = len(seq)
-    i = rng.randrange(n)
+    k = n.bit_length()
+    i = draw_below(bits, n, k)
     if n <= 21:
         # sample's pool branch: the second draw is from the n - 1 items left
         # once the last item has moved into the first one's place
-        j = rng.randrange(n - 1)
+        j = draw_below(bits, n - 1, (n - 1).bit_length())
         if j == i:
             j = n - 1
     else:
         # sample's set branch: redraw until the index is new
-        j = rng.randrange(n)
+        j = draw_below(bits, n, k)
         while j == i:
-            j = rng.randrange(n)
+            j = draw_below(bits, n, k)
     return seq[i], seq[j]
 
 

@@ -146,6 +146,9 @@ def two_coloring(g):
 def within_distance(g, u, v, limit):
     """True iff there is a u-v path of length at most limit.
 
+    A name that is not a vertex of g, on either side, is reached by no path
+    unless u == v, where the path of length 0 needs no vertex.
+
     Limits up to 4 are set tests on neighbour sets: limit 2 asks whether
     adj[u] meets adj[v]; limits 3 and 4 take the ball of radius 2 around u
     as one union of neighbour sets and ask whether it meets adj[v] (limit 3)
@@ -165,11 +168,13 @@ def within_distance(g, u, v, limit):
     if limit <= 0:
         return False
     adj = g.adjacency()
-    near = adj[u]
+    near = adj.get(u)
+    target = adj.get(v)
+    if near is None or target is None:
+        return False
     if v in near:
         return True
-    target = adj.get(v)
-    if limit == 1 or target is None:
+    if limit == 1:
         return False
     if limit == 2:
         return not near.isdisjoint(target)

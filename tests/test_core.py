@@ -19,7 +19,7 @@ from besforge import (
     verify_configuration,
 )
 from besforge import auxgraph, driver
-from besforge.core import LinearityVerdict, pair_map
+from besforge.core import LinearityVerdict, draw_below, pair_map
 from besforge.unpack import unpack
 
 
@@ -206,6 +206,21 @@ def test_solves_read_one_edge_set_per_host(monkeypatch):
     # frame 0 unpacks against the host, a later frame against its residual
     assert hosts[0] is lts and hosts[1] is not lts
     assert all(vars(host)["edge_set"] == frozenset(host.edges) for host in hosts)
+
+
+def test_draw_below_is_randrange():
+    # the same values as rng.randrange(n), and the generator left in the same
+    # state, for every n up to 300 and on both sides of each power of two,
+    # where a draw of n.bit_length() bits is most and least often redrawn
+    sizes = sorted({*range(1, 301), *(2**j + d for j in range(21) for d in (-1, 0, 1))} - {0})
+    for seed in range(4):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        bits = ours.getrandbits
+        for n in sizes:
+            k = n.bit_length()
+            for _ in range(8):
+                assert draw_below(bits, n, k) == theirs.randrange(n), (seed, n)
+            assert ours.getstate() == theirs.getstate(), (seed, n)
 
 
 def test_reduce_or_win_star_wins():

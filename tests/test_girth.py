@@ -578,6 +578,8 @@ def test_within_distance_to_a_target_that_is_not_a_vertex():
         for u in graph.vertices:
             assert not within_distance(graph, u, 99, limit), (u, limit)
             assert not _reference_within_distance(graph, u, 99, limit)
+            # and from it: the reference BFS would ask for the neighbours of 99
+            assert not within_distance(graph, 99, u, limit), (u, limit)
         # a path of length 0 needs no vertex
         assert within_distance(graph, 99, 99, limit)
 

@@ -57,6 +57,40 @@ def test_no_assert_in_the_package():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+_BOUNDED_DRAWS = {"randrange", "randint", "choice", "sample"}
+
+
+def _bounded_draws(tree):
+    """The lines in tree that call a bounded-draw function by name, or read
+    a bounded-draw method, called or not, as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _BOUNDED_DRAWS
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _BOUNDED_DRAWS
+    )
+
+
+def test_bounded_draw_is_found():
+    tree = ast.parse(
+        "import random\nfrom random import choice\n\nrng = random.Random(0)\nrng.shuffle([1, 2])\n"
+        "x = rng.randrange(5)\ny = choice([1, 2])\nz = random.randint(0, 3)\n"
+        "w = rng.sample(range(9), 2)\nf = rng.randrange\nbits = rng.getrandbits(3)\n"
+        "sample = {}\nsample[1] = bits\n"
+    )
+    assert _bounded_draws(tree) == [6, 7, 8, 9, 10]
+
+
+def test_no_bounded_draw_in_the_package():
+    # every bounded draw goes through core.draw_below, randrange's own rule
+    # on getrandbits; shuffle is still called
+    found = {
+        path.name: _bounded_draws(ast.parse(path.read_text(), str(path)))
+        for path in sorted(SOURCES.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _read_names(trees):
     """The names that the asts in trees load, bare or as an attribute."""
     read = set()
