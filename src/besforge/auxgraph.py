@@ -41,7 +41,7 @@ class AuxEdge(NamedTuple):
         return (self.h1, self.h2)
 
 
-_pair = itemgetter(0, 1)  # a row's (u, w); a hyperedge's (a, b)
+_pair = itemgetter(0, 1)  # an edge's (u, w); a hyperedge's (a, b)
 
 
 class AuxGraph:
@@ -50,8 +50,8 @@ class AuxGraph:
     a_vertices + b_vertices, its edge count, and the host's (a, b) ->
     hyperedge index, which kept_edge reads.
 
-    rows, edges and multiplicities, like the pair graph's named adjacency,
-    are views made the first time they are read (by the CLI, the dump and
+    edges and multiplicities, like the pair graph's named adjacency, are
+    views made the first time they are read (by the CLI, the dump and
     the tests); a solve reads none of them. Nothing built is changed.
     """
 
@@ -63,10 +63,11 @@ class AuxGraph:
         self._at = at
 
     def __eq__(self, other):
-        """Equal rows on equal pair-vertices."""
+        """Equal edges on equal pair-vertices."""
         if not isinstance(other, AuxGraph):
             return NotImplemented
-        return (self.a_vertices, self.b_vertices, self.rows) == (other.a_vertices, other.b_vertices, other.rows)
+        return ((self.a_vertices, self.b_vertices, self.edges)
+                == (other.a_vertices, other.b_vertices, other.edges))
 
     __hash__ = None
 
@@ -89,28 +90,22 @@ class AuxGraph:
         """The multigraph edge that the pair graph's u-w edge stands for, as an
         AuxEdge: the straight one, else the crossed one; None when no edge
         joins u and w. It is the first row of _joins, which states the
-        straight/crossed law once, for kept_edge and rows alike."""
+        straight/crossed law once, for kept_edge and edges alike."""
         rows = self._joins(u, w)
         return AuxEdge._make(rows[0]) if rows else None
 
     @cached_property
-    def rows(self):
-        """The multigraph edges as plain rows (u, w, apex, pairing, h1, h2),
-        in AuxEdge field order, sorted."""
+    def edges(self):
+        """The multigraph edges as AuxEdges, sorted."""
         names, nbrs = self.graph.names, self.graph.nbrs
-        rows = []
+        edges = []
         for u, ws in zip(self.a_vertices, nbrs):
             for j in sorted(ws):
-                rows += sorted(self._joins(u, names[j]))
-        return tuple(rows)
-
-    @cached_property
-    def edges(self):
-        """The rows as AuxEdges."""
-        return tuple(map(AuxEdge._make, self.rows))
+                edges += sorted(map(AuxEdge._make, self._joins(u, names[j])))
+        return tuple(edges)
 
     def multiplicities(self):
-        return Counter(map(_pair, self.rows))
+        return Counter(map(_pair, self.edges))
 
 
 def build_aux(lts):

@@ -266,8 +266,12 @@ def _greedy_coloring(ts):
     return tuple(color[x] for x in range(ts.n))
 
 
-def _tripartite_count(ts, coloring):
-    return sum(1 for e in ts.edges if len({coloring[x] for x in e}) == 3)
+def _colorings(ts, seed):
+    """The candidate colourings in order: first-fit, then 20 seeded uniform ones."""
+    yield _greedy_coloring(ts)
+    for i in range(20):
+        bits = random.Random(f"{seed}:{i}").getrandbits
+        yield tuple([draw_below(bits, 3, 2) for _ in range(ts.n)])
 
 
 def reduce_or_win(ts, e, seed=0):
@@ -275,8 +279,9 @@ def reduce_or_win(ts, e, seed=0):
     or reduce ts to a linear tripartite subsystem.
 
     The reduction 3-colors vertices (one deterministic first-fit candidate,
-    then 20 seeded uniform candidates; best properly-tripartite count wins)
-    and then keeps edges greedily so no vertex pair repeats. Since in the
+    then 20 seeded uniform candidates, each scored as it is made; the first
+    with the most properly tripartite edges is kept, with those edges) and
+    then keeps edges greedily so no vertex pair repeats. Since in the
     reduction branch every pair lies in at most e-1 edges, each kept edge
     blocks at most 3(e-2) others, so at least a 1/(3e-5) fraction of the
     properly tripartite edges is retained.
@@ -290,20 +295,20 @@ def reduce_or_win(ts, e, seed=0):
         chosen = sorted(pm[pair])[:e]
         return ReduceOrWin(win=Configuration.from_edges(ts, chosen))
 
-    candidates = [_greedy_coloring(ts)]
-    for i in range(20):
-        bits = random.Random(f"{seed}:{i}").getrandbits
-        candidates.append(tuple([draw_below(bits, 3, 2) for _ in range(ts.n)]))
-    coloring = max(candidates, key=lambda c: _tripartite_count(ts, c))
-    tri_edges = [x for x in ts.edges if len({coloring[v] for v in x}) == 3]
+    coloring = tri_edges = None
+    for col in _colorings(ts, seed):
+        rainbow = [x for x in ts.edges if len({col[x[0]], col[x[1]], col[x[2]]}) == 3]
+        # only a strictly larger count replaces: max's first-maximum rule
+        if tri_edges is None or len(rainbow) > len(tri_edges):
+            coloring, tri_edges = col, rainbow
 
     rng = random.Random(f"{seed}:block")
-    order = list(tri_edges)
-    rng.shuffle(order)
+    rng.shuffle(tri_edges)
     used_pairs = set()
     kept = []
-    for x in order:
-        pairs = [tuple(sorted(p)) for p in combinations(x, 2)]
+    for x in tri_edges:
+        # a TripleSystem edge is a sorted triple, so its pairs come sorted
+        pairs = list(combinations(x, 2))
         if any(p in used_pairs for p in pairs):
             continue
         kept.append(x)
@@ -312,14 +317,17 @@ def reduce_or_win(ts, e, seed=0):
     if not kept:
         raise DegenerateInputError("no win available and the reduction is empty")
 
-    parts = [sorted(v for v in range(ts.n) if coloring[v] == c) for c in range(3)]
-    local = [{v: i for i, v in enumerate(part)} for part in parts]
+    # a vertex's part-local id: the number of earlier vertices of its colour
+    sizes = [0, 0, 0]
+    local = []
+    for c in coloring:
+        local.append(sizes[c])
+        sizes[c] += 1
     edges = []
     for x in kept:
-        by_color = sorted(x, key=lambda v: coloring[v])
-        a, b, c = by_color
-        edges.append((local[0][a], local[1][b], local[2][c]))
-    lts = TripartiteLinearSystem(tuple(len(p) for p in parts), tuple(edges))
+        a, b, c = sorted(x, key=coloring.__getitem__)
+        edges.append((local[a], local[b], local[c]))
+    lts = TripartiteLinearSystem(tuple(sizes), tuple(edges))
     return ReduceOrWin(
         reduction=lts,
         tripartite_edges=len(tri_edges),

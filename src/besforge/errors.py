@@ -46,12 +46,10 @@ class AuditError(BesforgeError):
 class GrowthError(BesforgeError):
     """High-girth growth ran out of valid attachment pairs."""
 
-    def __init__(self, step, current_k, message=None):
+    def __init__(self, step):
+        # step v adds vertex v, so the graph has v vertices when it fails
         self.step = step
-        self.current_k = current_k
-        super().__init__(
-            message or f"no valid attachment pair at step {step} (graph has {current_k} vertices)"
-        )
+        super().__init__(f"no valid attachment pair at step {step} (graph has {step} vertices)")
 
 
 class ExhaustionError(BesforgeError):

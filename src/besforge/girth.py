@@ -14,12 +14,7 @@ generator's getrandbits, the rule rng.randrange follows. It writes the new
 vertex straight into the graph's adjacency sets. The two candidates lie on
 one side, so their distance is even, and the test asks for distance at most
 g - 2 rounded down to even: the same pairs pass, and g = 2j + 1 costs what
-g = 2j costs. The distance test is graphs.within_distance. Up to distance 4
-(g <= 7) it is a few set operations: the ball of radius 2 around one end is
-a union of neighbour sets, tested for a shared vertex with the other end's
-neighbours' neighbour sets. Beyond that it meets in the middle: a ball of half the
-radius around one end, then a search of the other half from the other end,
-each with its outermost level done as set operations.
+g = 2j costs. The distance test is graphs.within_distance.
 
 girth_of checks a grown graph without that test. It numbers the vertices in
 descending (degree, vertex) order, with rank-indexed neighbour lists, and
@@ -91,7 +86,7 @@ def grow_girth_graph(k, t, g, seed=0):
         eligible = open_members[other]
         pair = _pick_pair(graph, eligible, g, rng)
         if pair is None:
-            raise GrowthError(v, graph.n)
+            raise GrowthError(v)
         u1, u2 = pair
         adj[v] = {u1, u2}
         adj[u1].add(v)

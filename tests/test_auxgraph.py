@@ -102,8 +102,8 @@ def test_simple_subgraph_prefers_straight_pairing():
 
 def _reference_kept_edge(aux, u, w):
     """AuxGraph.kept_edge as two bisects keyed on each row's (u, w) in the
-    rows view, kept as the reference for the reads of the host index."""
-    rows = aux.rows
+    edges view, kept as the reference for the reads of the host index."""
+    rows = aux.edges
     pair = itemgetter(0, 1)
     lo = bisect_left(rows, (u, w), key=pair)
     hi = bisect_right(rows, (u, w), lo, key=pair)
@@ -118,9 +118,9 @@ def test_kept_edge_matches_the_keyed_bisect():
     seen = {"straight first": 0, "crossed first": 0, "after the last row": 0, "u without w": 0}
     for lts in hosts:
         aux = build_aux(lts)
-        if not aux.rows:
+        if not aux.edges:
             continue
-        last_u = aux.rows[-1][0]
+        last_u = aux.edges[-1][0]
         past = ("A", lts.sizes[0], lts.sizes[0] + 1)
         probes = [(u, w) for u in aux.a_vertices for w in aux.b_vertices]
         # part-local ids past the header: no key of them may alias another pair
@@ -129,11 +129,11 @@ def test_kept_edge_matches_the_keyed_bisect():
             want = _reference_kept_edge(aux, u, w)
             assert aux.kept_edge(u, w) == want
             assert want is None or type(aux.kept_edge(u, w)) is AuxEdge
-            run = [r[3] for r in aux.rows if r[:2] == (u, w)]
+            run = [r[3] for r in aux.edges if r[:2] == (u, w)]
             seen["straight first"] += run == ["S", "X"]
             seen["crossed first"] += run == ["X", "S"]
             seen["u without w"] += not run
-            seen["after the last row"] += (u, w) > aux.rows[-1][:2]
+            seen["after the last row"] += (u, w) > aux.edges[-1][:2]
     assert min(seen.values()) >= 2, seen
 
 
@@ -204,7 +204,7 @@ def _reference_restriction(aux, residual):
     multigraph of residual made by filtering a larger one, kept as the
     reference for build_aux on a later frame."""
     left = set(residual.edges)
-    rows = tuple(row for row in aux.rows if row[4] in left and row[5] in left)
+    rows = tuple(row for row in aux.edges if row[4] in left and row[5] in left)
     a_vertices = tuple(sorted({row[0] for row in rows}))
     b_vertices = tuple(sorted({row[1] for row in rows}))
     graph = Graph(vertices=a_vertices + b_vertices, edges=map(itemgetter(0, 1), rows))
@@ -217,7 +217,7 @@ def _assert_same_restriction(aux, residual):
     build; returns the build."""
     fresh = build_aux(residual)
     *restricted, restricted_graph = _reference_restriction(aux, residual)
-    assert [fresh.a_vertices, fresh.b_vertices, fresh.rows] == restricted
+    assert [fresh.a_vertices, fresh.b_vertices, fresh.edges] == restricted
     graph = simple_subgraph(fresh)
     assert graph.vertices == restricted_graph.vertices
     assert graph.edges == restricted_graph.edges
@@ -283,7 +283,7 @@ def test_build_aux_matches_the_row_building_reference():
     for lts in _reference_hosts():
         aux, ref = build_aux(lts), reference_aux(lts)
         assert (aux.a_vertices, aux.b_vertices) == (ref.a_vertices, ref.b_vertices)
-        assert aux.rows == ref.rows and aux.edges == ref.edges
+        assert aux.edges == ref.rows and aux.edges == ref.edges
         assert aux.multi_edge_count == ref.multi_edge_count
         assert aux.multiplicities() == ref.multiplicities
         graph = simple_subgraph(aux)

@@ -1,5 +1,7 @@
 import random
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
+from itertools import combinations
 
 import pytest
 
@@ -18,8 +20,8 @@ from besforge import (
     validate_linear,
     verify_configuration,
 )
-from besforge import auxgraph, driver
-from besforge.core import LinearityVerdict, draw_below, pair_map
+from besforge import auxgraph, core, driver
+from besforge.core import LinearityVerdict, ReduceOrWin, draw_below, pair_map
 from besforge.unpack import unpack
 
 
@@ -270,6 +272,93 @@ def test_reduce_or_win_random_reduction_is_linear_tripartite():
 def test_reduce_or_win_degenerate_input():
     with pytest.raises(DegenerateInputError):
         reduce_or_win(TripleSystem(5, ()), 3, seed=0)
+
+
+def _reference_reduce_or_win(ts, e, seed=0):
+    """reduce_or_win as it held all 21 candidate colourings and took their
+    max, then renumbered the parts through sorted part lists and dicts;
+    returns the result and each candidate's tripartite edge count."""
+    pm = pair_map(ts)
+    heavy = sorted(p for p, hits in pm.items() if len(hits) >= e)
+    if heavy:
+        chosen = sorted(pm[heavy[0]])[:e]
+        return ReduceOrWin(win=Configuration.from_edges(ts, chosen)), []
+
+    def tripartite_count(coloring):
+        return sum(1 for x in ts.edges if len({coloring[v] for v in x}) == 3)
+
+    candidates = [core._greedy_coloring(ts)]
+    for i in range(20):
+        bits = random.Random(f"{seed}:{i}").getrandbits
+        candidates.append(tuple([draw_below(bits, 3, 2) for _ in range(ts.n)]))
+    counts = [tripartite_count(c) for c in candidates]
+    coloring = max(candidates, key=tripartite_count)
+    tri_edges = [x for x in ts.edges if len({coloring[v] for v in x}) == 3]
+
+    rng = random.Random(f"{seed}:block")
+    order = list(tri_edges)
+    rng.shuffle(order)
+    used_pairs = set()
+    kept = []
+    for x in order:
+        pairs = [tuple(sorted(p)) for p in combinations(x, 2)]
+        if any(p in used_pairs for p in pairs):
+            continue
+        kept.append(x)
+        used_pairs.update(pairs)
+
+    parts = [sorted(v for v in range(ts.n) if coloring[v] == c) for c in range(3)]
+    local = [{v: i for i, v in enumerate(part)} for part in parts]
+    edges = []
+    for x in kept:
+        a, b, c = sorted(x, key=lambda v: coloring[v])
+        edges.append((local[0][a], local[1][b], local[2][c]))
+    lts = TripartiteLinearSystem(tuple(len(p) for p in parts), tuple(edges))
+    result = ReduceOrWin(reduction=lts, tripartite_edges=len(tri_edges),
+                         kept_edges=len(kept), coloring=coloring)
+    return result, counts
+
+
+def _relabelled(ts, n, seed):
+    """ts with its vertices sent to n >= ts.n vertices by a seeded injection."""
+    image = random.Random(seed).sample(range(n), ts.n)
+    return TripleSystem(n, tuple(tuple(image[v] for v in x) for x in ts.edges))
+
+
+def test_reduce_or_win_matches_the_all_candidates_reference():
+    hosts = [_relabelled(to_triple_system(group_system(m)), 3 * m, m) for m in range(4, 9)]
+    hosts += [_relabelled(to_triple_system(random_linear(8, 8, 8, 40, seed=s)), 24, s) for s in range(3)]
+    # 16 of 40 vertices named by no edge
+    hosts.append(_relabelled(to_triple_system(random_linear(4, 4, 4, 12, seed=5)), 40, 5))
+    tied = wins = 0
+    for ts in hosts:
+        for e in (1, 3):
+            for seed in range(4):
+                want, counts = _reference_reduce_or_win(ts, e, seed)
+                got = reduce_or_win(ts, e, seed)
+                for field in fields(ReduceOrWin):
+                    assert getattr(got, field.name) == getattr(want, field.name), (ts, e, seed, field.name)
+                if want.is_win:
+                    wins += 1
+                else:
+                    tied += counts.count(max(counts)) >= 2
+    assert wins == len(hosts) * 4
+    # some maximum is reached by two candidates, so the first-maximum rule is tested
+    assert tied >= 1
+
+
+def test_reduce_or_win_holds_one_best_colouring():
+    ts = TripleSystem(10**5, ((0, 1, 2),))
+    peaks = []
+    for run in (_reference_reduce_or_win, reduce_or_win):
+        tracemalloc.start()
+        try:
+            run(ts, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    reference, ours = peaks
+    assert 2 * ours <= reference, peaks
 
 
 def test_configuration_span_idempotent():

@@ -55,6 +55,14 @@ def test_growth_failure_when_t_too_small():
         grow_girth_graph(60, 2, 8, seed=0)
 
 
+def test_growth_failure_names_its_step_and_the_graph_size():
+    # step v would add vertex v, so the graph it fails on has v vertices
+    with pytest.raises(GrowthError) as failed:
+        grow_girth_graph(200, 10, 8, seed=0)
+    assert failed.value.step == 22
+    assert str(failed.value) == "no valid attachment pair at step 22 (graph has 22 vertices)"
+
+
 def test_degree_cap_violation_is_an_integrity_error(monkeypatch):
     monkeypatch.setattr(besforge.girth, "_PAIR_DEGREE_CAP", 100)
     # always the first two eligible vertices, so their degrees pass the cap

@@ -1,6 +1,7 @@
 """Static checks on the package sources, with the stdlib ast module."""
 
 import ast
+import re
 from pathlib import Path
 
 import besforge
@@ -8,6 +9,7 @@ import besforge
 SOURCES = Path(besforge.__file__).parent
 TESTS = Path(__file__).parent
 PERFBENCH = TESTS.parent / "perfbench"
+README = TESTS.parent / "README.md"
 
 
 def _unused_imports(tree):
@@ -261,3 +263,24 @@ def test_no_field_is_orphaned():
         for path in sorted([*TESTS.rglob("*.py"), *PERFBENCH.rglob("*.py")])
     ]
     assert _orphan_fields(package, [*package.values(), *readers]) == {}
+
+
+def _tabled_modules(markdown):
+    """The names x of the `besforge.x` cells in the first column of the
+    tables in markdown."""
+    return {
+        name
+        for line in markdown.splitlines() if line.startswith("|")
+        for name in re.findall(r"`besforge\.(\w+)`", line.split("|")[1])
+    }
+
+
+def test_tabled_module_is_found():
+    text = ("| module | contents |\n| --- | --- |\n| `besforge.a`, `besforge.b` | see `besforge.c` |\n"
+            "\n`besforge.d` in a sentence\n")
+    assert _tabled_modules(text) == {"a", "b"}
+
+
+def test_every_module_has_a_readme_row():
+    modules = {path.stem for path in SOURCES.glob("*.py")} - {"__init__"}
+    assert modules - _tabled_modules(README.read_text()) == set()
