@@ -20,7 +20,6 @@ from .degsearch import (
     CandidateF,
     DegeneracyOrdering,
     SearchResult,
-    brute_force_best_2deg,
     degeneracy_ordering,
     find_dense_2deg,
 )
@@ -51,13 +50,12 @@ from .girth import (
     grow_girth_graph,
     verify_certificate,
 )
-from .graphs import Graph, two_coloring, within_distance
+from .graphs import Graph, within_distance
 from .oracle import OracleResult, exists_config, min_span
 from .unpack import (
     LemmaBoundsReport,
     StepRecord,
     UnpackTrace,
-    audit_involvement,
     check_lemma_bounds,
     unpack,
 )

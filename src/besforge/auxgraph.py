@@ -50,9 +50,9 @@ class AuxGraph:
     a_vertices + b_vertices, its edge count, and the host's (a, b) ->
     hyperedge index, which kept_edge reads.
 
-    edges and multiplicities, like the pair graph's named adjacency, are
-    views made the first time they are read (by the CLI, the dump and
-    the tests); a solve reads none of them. Nothing built is changed.
+    edges, like the pair graph's named adjacency, is a view made the first
+    time it is read (by the CLI, the dump and the tests); a solve reads
+    neither. Nothing built is changed.
     """
 
     def __init__(self, a_vertices, b_vertices, graph, multi_edge_count, at):
@@ -103,9 +103,6 @@ class AuxGraph:
             for j in sorted(ws):
                 edges += sorted(map(AuxEdge._make, self._joins(u, names[j])))
         return tuple(edges)
-
-    def multiplicities(self):
-        return Counter(map(_pair, self.edges))
 
 
 def build_aux(lts):

@@ -26,7 +26,7 @@ from .driver import DriverParams, find_be_s_configuration
 from .errors import BesforgeError, FormatError, ParameterError
 from .girth import girth_of, grow_girth_graph, verify_certificate
 from .oracle import exists_config, min_span
-from .unpack import audit_involvement, check_lemma_bounds, unpack
+from .unpack import check_lemma_bounds, unpack
 
 
 def _read_system(path):
@@ -260,7 +260,6 @@ def _cmd_unpack(args):
     cand = result.candidate
     cfg, trace = unpack(cand, aux, lts)
     bounds = check_lemma_bounds(trace, cand.k, cand.achieved_t)
-    audit_involvement(trace)
     if args.trace:
         steps = [s.to_json_dict() for s in trace.steps]
         _write_text(args.trace, json.dumps(steps, indent=2) + "\n")

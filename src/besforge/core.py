@@ -117,13 +117,6 @@ class TripartiteLinearSystem:
     def m(self):
         return len(self.edges)
 
-    def apex_degrees(self):
-        """d(c) for every c in the C part, as a list indexed by c."""
-        d = [0] * self.sizes[2]
-        for _, _, c in self.edges:
-            d[c] += 1
-        return d
-
 
 @dataclass(frozen=True)
 class Configuration:

@@ -11,7 +11,15 @@ search scans windows of the degeneracy ordering, trims each window it peels
 once, and stops at the first trim that meets the target t, not at the
 densest window overall; when no window meets it, it returns the densest
 trim. The 'exhaustive' search is exact and serves as the oracle on small
-hosts, and brute_force_best_2deg checks it by enumerating vertex subsets.
+hosts; the tests check it against a reference that enumerates vertex
+subsets (tests/reference_degsearch.py).
+
+A bipartite 2-degenerate graph on k >= 3 vertices has at most 2k - 4 edges:
+in a certifying order the first three vertices add at most 2 edges between
+them, as a triangle is not bipartite, and every later vertex at most 2. A
+pair graph is bipartite, so on it achieved_t >= 4 for k >= 3, and a target
+t < 4 is never met there; the goal is not capped, so such a 'peel' scan
+runs to its last window.
 
 The searches work on a RankedGraph: vertex ranks follow vertex order, so
 the (degree, rank) tie-breaks and the order of window vertices are those of
@@ -26,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 
 from .errors import GuardExceededError, ParameterError
@@ -318,61 +326,6 @@ def _exhaustive_best(g, k):
         rev.append(i)
         mask ^= 1 << i
     return _candidate(g.names, rev[::-1], g.nbrs)
-
-
-def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):
-    """Oracle: enumerate every k-vertex subset and solve each exactly by a
-    per-subset DP over orderings. Returns (max_edges, witness)."""
-    g = ranked(g)
-    n = g.n
-    if k < 0 or k > n:
-        raise ParameterError(f"k={k} outside [0, {n}]")
-    if comb(n, k) > guard:
-        raise GuardExceededError(f"C({n},{k}) exceeds guard {guard}")
-    if comb(n, k) * (1 << k) * max(k, 1) > 4 * 10**8:
-        raise GuardExceededError("per-subset DP work exceeds the feasibility cap")
-    adj = [set(ws) for ws in g.nbrs]
-    best_val = -1
-    best_subset = best_ch = None
-    for subset in combinations(range(n), k):
-        local_nbr = []
-        for pos, i in enumerate(subset):
-            m = 0
-            for qos, j in enumerate(subset):
-                if j in adj[i]:
-                    m |= 1 << qos
-            local_nbr.append(m)
-        size = 1 << k
-        f = [0] * size
-        ch = [0] * size
-        for mask in range(1, size):
-            bv = -1
-            bi = -1
-            rest_bits = mask
-            while rest_bits:
-                low = rest_bits & -rest_bits
-                i = low.bit_length() - 1
-                rest_bits ^= low
-                rest = mask ^ low
-                val = f[rest] + min(2, bin(local_nbr[i] & rest).count("1"))
-                if val > bv:
-                    bv = val
-                    bi = i
-            f[mask] = bv
-            ch[mask] = bi
-        full = size - 1
-        if f[full] > best_val:
-            best_val = f[full]
-            best_subset, best_ch = subset, ch
-    # every k-subset has f >= 0 > -1, so the first one sets best_subset
-    rev = []
-    mask = (1 << k) - 1
-    while mask:
-        i = best_ch[mask]
-        rev.append(i)
-        mask ^= 1 << i
-    sub_verts = [g.names[i] for i in best_subset]
-    return best_val, _candidate(sub_verts, rev[::-1], _induced(g.nbrs, best_subset))
 
 
 def find_dense_2deg(g, k, t_target, strategy="peel", budget_ms=None, *, order=None):

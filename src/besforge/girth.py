@@ -147,8 +147,9 @@ def _draw_two(seq, rng):
 
 def two_coloring(nbrs):
     """A stack 2-colouring of rank-indexed neighbour lists as a list rank ->
-    0/1, or None if the graph is not bipartite: graphs.two_coloring over the
-    lists girth_of builds, with no vertex names."""
+    0/1, or None if the graph is not bipartite. It reads the lists girth_of
+    builds, with no vertex names; the tests check it against a breadth-first
+    colouring of the named graph (tests/reference_graphs.py)."""
     color = [-1] * len(nbrs)
     for root in range(len(nbrs)):
         if color[root] >= 0:

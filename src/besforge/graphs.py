@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 
 
@@ -21,9 +20,6 @@ class Graph:
             self._adj.setdefault(v, set())
         for u, v in edges:
             self.add_edge(u, v)
-
-    def add_vertex(self, v):
-        self._adj.setdefault(v, set())
 
     def add_edge(self, u, v):
         if u == v:
@@ -47,12 +43,6 @@ class Graph:
     def m(self):
         return sum(len(s) for s in self._adj.values()) // 2
 
-    def degree(self, v):
-        return len(self._adj[v])
-
-    def neighbors(self, v):
-        return self._adj[v]
-
     def has_edge(self, u, v):
         return u in self._adj and v in self._adj[u]
 
@@ -65,9 +55,10 @@ class RankedGraph:
     sorted, and nbrs[i] lists the ranks of its neighbours, so comparing ranks
     compares vertices. The searches read only the ranks.
 
-    It answers the read-only Graph queries that the CLI, the tests and
-    CandidateF.validate make of a pair graph. The name -> rank dict behind
-    has_edge and the named adjacency are made the first time they are read.
+    It answers every read-only Graph query (vertices, edges, n, m, has_edge
+    and adjacency), which the CLI, the tests and CandidateF.validate make of
+    a pair graph. The name -> rank dict behind has_edge and the named
+    adjacency are made the first time they are read.
     """
 
     def __init__(self, names, nbrs):
@@ -96,10 +87,6 @@ class RankedGraph:
     def _rank(self):
         return dict(zip(self.names, range(len(self.names))))
 
-    def rank(self, v):
-        """The rank of v, or None when v is not a vertex."""
-        return self._rank.get(v)
-
     def has_edge(self, u, v):
         rank = self._rank
         i, j = rank.get(u), rank.get(v)
@@ -122,25 +109,6 @@ def ranked(g):
     names = tuple(sorted(adj))
     rank = {v: i for i, v in enumerate(names)}
     return RankedGraph(names, [[rank[w] for w in adj[v]] for v in names])
-
-
-def two_coloring(g):
-    """A BFS 2-coloring as a dict vertex -> 0/1, or None if not bipartite."""
-    color = {}
-    for root in g.vertices:
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return color
 
 
 def within_distance(g, u, v, limit):

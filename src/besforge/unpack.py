@@ -12,6 +12,10 @@ vertices.
 A step is a StepRecord, an immutable NamedTuple: it compares equal to the
 plain tuple of its fields. The configuration's span is collected as its
 hyperedges join the walk, so no second pass over them is made.
+
+The involvement theorems are checked once, step by step, inside the walk;
+the audit of a whole trace that the tests compare it with lives in
+tests/reference_unpack.py.
 """
 
 from __future__ import annotations
@@ -73,16 +77,6 @@ class UnpackTrace:
     v_total: int  # includes pair elements of isolated candidate vertices
     e_total: int
 
-    def running_difference(self):
-        """The series |E_i| - |V_i| after each step."""
-        series = []
-        e = v = 0
-        for s in self.steps:
-            e += s.delta_e
-            v += s.delta_v
-            series.append(e - v)
-        return series
-
 
 @dataclass(frozen=True)
 class LemmaBoundsReport:
@@ -128,9 +122,11 @@ def _check_step_laws(rec):
 def _check_involvement(rec, pairs, good_apexes):
     """The involvement theorems for step rec, given the apex-sharing
     hyperedge pairs of the earlier steps (pair -> its first step) and the
-    apexes of the earlier good steps; raises AuditError as
-    audit_involvement does, and adds rec's pairs and, if it is good, its
-    apexes."""
+    apexes of the earlier good steps: (i) no apex-sharing hyperedge pair is
+    involved in two steps, and (ii) every 0-step apex was involved in an
+    earlier good (good-regular or singular) step. A violation raises
+    AuditError naming the steps; otherwise rec's pairs and, if it is good,
+    its apexes are added."""
     i = rec.i
     involved = iter(rec.involved)  # a kept edge's two hyperedges, edge by edge
     for pair in map(frozenset, zip(involved, involved)):
@@ -158,8 +154,8 @@ def unpack(candidate, aux, host):
     each kept back-edge unpacks into aux.kept_edge of its pair. A repeated
     vertex, or a back-neighbour no earlier step walked, raises IntegrityError.
     Each step is checked against the step laws and then the involvement
-    theorems, which raise AuditError; audit_involvement re-checks the latter
-    on a whole trace.
+    theorems, which raise AuditError, so a trace that unpack returns obeys
+    both theorems.
     """
     host_edges = host.edge_set
     kept_edge = aux.kept_edge
@@ -246,45 +242,3 @@ def check_lemma_bounds(trace, k, t):
     else:
         branch = "violated"
     return LemmaBoundsReport(assertion1, branch, within)
-
-
-def audit_involvement(trace):
-    """Verify the involvement theorems and return Z, the frozenset of the
-    apexes involved in 0-steps.
-
-    (i) no apex-sharing hyperedge pair is involved in two steps;
-    (ii) every 0-step apex was involved in an earlier good (good-regular or
-    singular) step. Violations raise AuditError naming the steps.
-    """
-    apex_steps = {}
-    pair_steps = {}
-    step_by_index = {s.i: s for s in trace.steps}
-    for s in trace.steps:
-        for apex in set(s.apexes):
-            apex_steps.setdefault(apex, []).append(s.i)
-        seen_pairs = set()
-        for j in range(0, len(s.involved), 2):
-            pair = frozenset(s.involved[j : j + 2])
-            if pair in seen_pairs:
-                continue
-            seen_pairs.add(pair)
-            pair_steps.setdefault(pair, []).append(s.i)
-
-    for pair, where in pair_steps.items():
-        if len(where) > 1:
-            raise AuditError(
-                f"hyperedge pair {tuple(sorted(pair))} involved in steps {where}", where
-            )
-
-    zero_apexes = set()
-    for s in trace.steps:
-        if s.cls != CLASS_ZERO:
-            continue
-        zero_apexes.update(s.apexes)
-        for apex in set(s.apexes):
-            if not any(j < s.i and step_by_index[j].is_good for j in apex_steps[apex]):
-                raise AuditError(
-                    f"0-step {s.i} involves apex {apex} with no preceding good step",
-                    (s.i,),
-                )
-    return frozenset(zero_apexes)

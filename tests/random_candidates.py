@@ -8,7 +8,7 @@ def trim_by_name(g, vertex_set):
     """The trim of g on a set of its vertices given by name: _trim_on_set
     on their ranks in ranked(g)."""
     g = ranked(g)
-    return _trim_on_set(g, [g.rank(v) for v in vertex_set])
+    return _trim_on_set(g, [g._rank[v] for v in vertex_set])
 
 
 def random_candidate(g, k, rng):

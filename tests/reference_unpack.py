@@ -6,6 +6,9 @@ from keyword arguments; the step laws read a dict of dV caps per call, a
 kept edge's hyperedges are walked twice, and the configuration's span is
 taken from its edges after the walk by Configuration.from_edges. Every
 self-check raises the exception, with the message, that unpack raises.
+
+audit_involvement re-checks the involvement theorems on a whole trace, the
+reference for the check that unpack makes at every step.
 """
 
 from dataclasses import dataclass, fields
@@ -178,3 +181,46 @@ def reference_unpack(candidate, aux, host):
 
     cfg = Configuration.from_edges(host, hyperedges)
     return cfg, len(span_keys), len(hyperedges), tuple(steps)
+
+
+def audit_involvement(trace):
+    """Verify the involvement theorems on a whole trace and return Z, the
+    frozenset of the apexes involved in 0-steps: the reference for the check
+    that unpack makes at every step (unpack._check_involvement).
+
+    (i) no apex-sharing hyperedge pair is involved in two steps;
+    (ii) every 0-step apex was involved in an earlier good (good-regular or
+    singular) step. Violations raise AuditError naming the steps.
+    """
+    apex_steps = {}
+    pair_steps = {}
+    step_by_index = {s.i: s for s in trace.steps}
+    for s in trace.steps:
+        for apex in set(s.apexes):
+            apex_steps.setdefault(apex, []).append(s.i)
+        seen_pairs = set()
+        for j in range(0, len(s.involved), 2):
+            pair = frozenset(s.involved[j : j + 2])
+            if pair in seen_pairs:
+                continue
+            seen_pairs.add(pair)
+            pair_steps.setdefault(pair, []).append(s.i)
+
+    for pair, where in pair_steps.items():
+        if len(where) > 1:
+            raise AuditError(
+                f"hyperedge pair {tuple(sorted(pair))} involved in steps {where}", where
+            )
+
+    zero_apexes = set()
+    for s in trace.steps:
+        if s.cls != CLASS_ZERO:
+            continue
+        zero_apexes.update(s.apexes)
+        for apex in set(s.apexes):
+            if not any(j < s.i and step_by_index[j].is_good for j in apex_steps[apex]):
+                raise AuditError(
+                    f"0-step {s.i} involves apex {apex} with no preceding good step",
+                    (s.i,),
+                )
+    return frozenset(zero_apexes)

@@ -11,7 +11,6 @@ from besforge import (
     Graph,
     ParameterError,
     TripartiteLinearSystem,
-    brute_force_best_2deg,
     build_aux,
     degeneracy_ordering,
     find_dense_2deg,
@@ -30,6 +29,7 @@ from besforge.degsearch import (
 )
 from besforge.graphs import ranked
 from random_candidates import trim_by_name
+from reference_degsearch import brute_force_best_2deg
 
 
 def path3():
@@ -59,7 +59,7 @@ def test_degeneracy_back_degrees_consistent():
     ordering = degeneracy_ordering(g)
     pos = {v: i for i, v in enumerate(ordering.order)}
     for i, v in enumerate(ordering.order):
-        back = sum(1 for u in g.neighbors(v) if pos[u] < i)
+        back = sum(1 for u in g.adjacency()[v] if pos[u] < i)
         assert back == ordering.back_degrees[i]
     assert ordering.degeneracy == max(ordering.back_degrees)
 
@@ -136,6 +136,36 @@ def test_exhaustive_matches_brute_force_and_heuristics_never_exceed():
         res = find_dense_2deg(g, k, 0, strategy="peel")
         res.candidate.validate(g)
         assert len(res.candidate.edges) <= opt
+
+
+def test_a_bipartite_2_degenerate_graph_has_at_most_2k_minus_4_edges():
+    # the first three vertices of a certifying order add at most 2 edges, as
+    # a triangle is not bipartite, and every later vertex at most 2
+    rng = random.Random(44)
+    reached = set()
+    for _ in range(40):
+        g = _random_bipartite(rng)
+        for k in range(3, g.n + 1):
+            opt, _witness = brute_force_best_2deg(g, k)
+            assert opt <= 2 * k - 4
+            if opt == 2 * k - 4:
+                reached.add(k)
+    assert reached == set(range(3, 11))  # the bound is met at every k
+
+
+def test_no_pair_graph_search_beats_t_4():
+    # a pair graph is bipartite, so achieved_t >= 4 at every k >= 3 and a
+    # target below 4 is never met
+    hosts = [group_system(m) for m in range(3, 9)] + [random_linear(8, 8, 8, 40)]
+    achieved = []
+    for lts in hosts:
+        graph = simple_subgraph(build_aux(lts))
+        for k in range(3, min(graph.n, 14) + 1):
+            for t in (0, 3, 4):
+                res = find_dense_2deg(graph, k, t)
+                assert res.success == (t == 4 and res.achieved_t == 4)
+                achieved.append(res.achieved_t)
+    assert len(achieved) > 200 and min(achieved) == 4
 
 
 def test_candidate_revalidates_by_reverse_peeling():
@@ -363,7 +393,7 @@ def _direct_window_counts(g, order, k):
 def _by_rank(g, order):
     """The neighbour lists of ranked(g) and the vertex order as ranks."""
     g = ranked(g)
-    return g.nbrs, [g.rank(v) for v in order]
+    return g.nbrs, [g._rank[v] for v in order]
 
 
 def test_window_counts_match_a_direct_count():

@@ -169,44 +169,56 @@ def test_no_private_constant_is_orphaned():
     assert _orphan_constants(trees) == {}
 
 
-def _orphan_methods(package, readers):
-    """Methods and properties of the top-level classes in package (a dict of
-    module name to ast), by 'module:Class.name', that no ast in readers
-    reads, with their lines. Dunder methods are called by the language, so
-    they are skipped."""
+def _unread_definitions(package, readers):
+    """The top-level functions and classes of package (a dict of module name
+    to ast), and the non-dunder methods of its top-level classes, by
+    'module:name' or 'module:Class.name', whose names no ast in readers
+    reads, with their lines.
+
+    The check is by name: a definition passes when anything of the same
+    name is read, such as a function beside a same-named function of
+    another module, or a method beside a local variable of its name."""
     read = _read_names(readers)
-    return {
-        f"{module}:{cls.name}.{node.name}": node.lineno
-        for module, tree in package.items()
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef)
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in read
-    }
+    found = {}
+    for module, tree in package.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read:
+                found[f"{module}:{node.name}"] = node.lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))
+                            and item.name not in read):
+                        found[f"{module}:{node.name}.{item.name}"] = item.lineno
+    return found
 
 
-def test_orphan_method_is_found():
+def test_unread_definition_is_found():
     package = {
         "a": ast.parse(
-            "class A:\n    def used(self):\n        pass\n\n    @property\n    def prop(self):\n"
-            "        return 1\n\n    def orphan(self):\n        pass\n\n    def __len__(self):\n"
-            "        return 0\n"
+            "def used():\n    pass\n\n\ndef test_only():\n    pass\n\n\nclass A:\n"
+            "    def method(self):\n        pass\n\n    @property\n    def prop(self):\n"
+            "        return 1\n\n    def helper(self):\n        pass\n\n"
+            "    def __eq__(self, other):\n        return True\n\n\nclass Unused:\n    pass\n"
         ),
+        "b": ast.parse("from .a import A, used\n\nused()\nA().method()\nprint(A().prop)\n"),
     }
-    readers = [*package.values(), ast.parse("from a import A\n\nA().used()\nprint(A().prop)\n")]
-    assert _orphan_methods(package, readers) == {"a:A.orphan": 9}
+    tests = ast.parse("from a import A, Unused, test_only\n\ntest_only()\nA().helper()\nUnused()\n")
+    assert _unread_definitions(package, package.values()) == {
+        "a:test_only": 5, "a:A.helper": 17, "a:Unused": 24,
+    }
+    # read by a test, the same definitions pass: the readers decide
+    assert _unread_definitions(package, [*package.values(), tests]) == {}
 
 
-def test_no_method_is_orphaned():
-    # a method counts as read when src/, tests/ or perfbench/ reads its name
+def test_every_definition_is_read_outside_the_tests():
+    # every function, class and method of the package is read by name in a
+    # package module or in perfbench/; __init__.py only re-exports, and a
+    # definition read only by the tests belongs in tests/reference_*.py
     package = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCES.glob("*.py"))}
-    readers = [
-        ast.parse(path.read_text(), str(path))
-        for path in sorted([*TESTS.rglob("*.py"), *PERFBENCH.rglob("*.py")])
-    ]
-    assert _orphan_methods(package, [*package.values(), *readers]) == {}
+    readers = [tree for name, tree in package.items() if name != "__init__.py"]
+    readers += [ast.parse(path.read_text(), str(path)) for path in sorted(PERFBENCH.rglob("*.py"))]
+    assert _unread_definitions(package, readers) == {}
 
 
 def _serializes_self(cls):
