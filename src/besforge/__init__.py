@@ -51,7 +51,7 @@ from .girth import (
     verify_certificate,
 )
 from .graphs import Graph, within_distance
-from .oracle import OracleResult, exists_config, min_span
+from .oracle import OracleResult, exists_config, min_span, span_lower_bound
 from .unpack import (
     LemmaBoundsReport,
     StepRecord,

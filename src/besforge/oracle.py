@@ -9,9 +9,20 @@ so e may be as large as the host's edge count.
 
 Bit coding. Each vertex key gets one bit, in first-seen order over
 ``host.edges``. An edge is the int of its keys' bits, the running union of a
-branch is an int, and its size is ``int.bit_count()``. Nothing here assumes
-three keys per edge, three parts or linearity, so ``p ts`` hosts are
-searched the same way.
+branch is an int, and its size is ``int.bit_count()``. The search assumes
+nothing of three keys per edge, three parts or linearity, so ``p ts`` hosts
+are searched the same way. Only the lower bound below assumes them, and it
+is gated on them.
+
+Lower bound. Let e edges of a linear tripartite host meet x, y and z
+vertices of parts A, B and C. A pair lies in at most one edge, so
+e <= min(xy, xz, yz). Each edge has one A vertex, so e is at most the sum
+of the x largest A-degrees of the host; likewise for B and C. And x is at
+most the number of A vertices of positive degree; likewise y and z. The
+least x + y + z meeting all of these is ``span_lower_bound``. A host that
+is not tripartite, or that ``validate_linear`` rejects, gets ``None``: on
+the non-linear edges (0, 0, 0) and (0, 0, 1) two edges span 4, but x = y = 1
+breaks the pair rule.
 
 Pruning. Let ``r`` be the number of edges still to pick and
 ``slack = best_v - 1 - |union|``: a strictly better completion adds at most
@@ -41,6 +52,14 @@ first record at or below it, which is again the first such configuration
 in that order. ``best_v`` starts one above the number of vertex keys, a
 span no configuration reaches, so the first complete configuration is
 always recorded, whatever ``_target`` is.
+
+The search also stops at the first record at or below the lower bound, so
+it stops at ``max(_target, bound)``. No configuration spans less than the
+bound, so such a record is an optimum. Records strictly improve, so it is
+the first optimum in DFS order: the witness the full search returns. Below
+the bound a ``_target`` can be met by nothing, and the full search would
+return that same optimum too. So ``(v, witness)`` is unchanged by the stop,
+with or without ``_target``.
 """
 
 from __future__ import annotations
@@ -48,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import Configuration
+from .core import Configuration, TripartiteLinearSystem, validate_linear
 from .errors import GuardExceededError, ParameterError
 
 DEFAULT_GUARD = 10**7
@@ -65,16 +84,74 @@ def min_span(host, e, guard=DEFAULT_GUARD, _target=None):
 
     If _target is given the search stops as soon as some configuration with
     span <= _target is found (the returned v is then only an upper bound,
-    sufficient for existence queries).
+    sufficient for existence queries). The search also stops at the first
+    record at or below span_lower_bound, which changes neither v nor the
+    witness.
     """
-    edges = list(host.edges)
-    m = len(edges)
+    _check_query(host, e, guard)
+    bound = span_lower_bound(host, e)
+    stop = max((s for s in (_target, bound) if s is not None), default=None)
+    return _min_span(host, e, stop)
+
+
+def exists_config(host, v, e, guard=DEFAULT_GUARD):
+    """True iff host contains an (v, e)-configuration; short-circuits, and
+    answers below span_lower_bound without searching."""
+    _check_query(host, e, guard)
+    bound = span_lower_bound(host, e)
+    if bound is not None and v < bound:
+        return False
+    return _min_span(host, e, v).v <= v
+
+
+def span_lower_bound(host, e):
+    """A lower bound on the span of any e edges of a linear tripartite host
+    (the counting argument of the module docstring); None for any other
+    host."""
+    _check_query(host, e)
+    if not isinstance(host, TripartiteLinearSystem) or not validate_linear(host):
+        return None
+    degrees = {"A": [], "B": [], "C": []}
+    for (part, _), ids in host.key_index[1].items():
+        degrees[part].append(len(ids))
+    # per part: the least count whose largest degrees sum to e or more, and
+    # the count of vertices of positive degree
+    lows = []
+    for ds in degrees.values():
+        ds.sort(reverse=True)
+        total = 0
+        for least, d in enumerate(ds, 1):
+            total += d
+            if total >= e:
+                break
+        lows.append((least, len(ds)))
+    (xa, na), (xb, nb), (xc, nc) = lows
+    best = na + nb + nc  # the whole host meets every rule
+    for x in range(xa, na + 1):
+        if x + xb + xc >= best:
+            break
+        z_low = max(xc, -(-e // x))
+        for y in range(max(xb, -(-e // x)), nb + 1):
+            if x + y + z_low >= best:
+                break
+            z = max(z_low, -(-e // y))
+            if z <= nc:
+                best = min(best, x + y + z)
+    return best
+
+
+def _check_query(host, e, guard=None):
+    m = host.m
     if e < 1:
         raise ParameterError("e must be positive")
     if e > m:
         raise ParameterError(f"e={e} exceeds the host's {m} edges")
-    if comb(m, e) > guard:
+    if guard is not None and comb(m, e) > guard:
         raise GuardExceededError(f"C({m},{e}) exceeds guard {guard}")
+
+
+def _min_span(host, e, stop):
+    edges = list(host.edges)
     bit = {}
     masks = []
     for x in edges:
@@ -82,14 +159,14 @@ def min_span(host, e, guard=DEFAULT_GUARD, _target=None):
         for k in host.edge_keys(x):
             mask |= 1 << bit.setdefault(k, len(bit))
         masks.append(mask)
-    best_v, best_pick = _search(masks, e, len(bit) + 1, _target)
+    best_v, best_pick = _search(masks, e, len(bit) + 1, stop)
     witness = Configuration.from_edges(host, [edges[i] for i in best_pick])
     return OracleResult(best_v, witness)
 
 
-def _search(masks, e, best_v, target):
+def _search(masks, e, best_v, stop):
     """(best span, picked indices) of the first configuration in DFS order
-    with the least span below best_v, or the first at or below target."""
+    with the least span below best_v, or the first at or below stop."""
     m = len(masks)
     tails = [0] * (m + 1)  # tails[i]: the union of masks[i:]
     for i in range(m - 1, -1, -1):
@@ -122,7 +199,7 @@ def _search(masks, e, best_v, target):
                 completion, span = inside[:r], size
         if completion is not None and span < best_v:
             best_v, best_pick = span, picked + list(completion)
-            if target is not None and best_v <= target:
+            if stop is not None and best_v <= stop:
                 return best_v, best_pick
         if children is not None and len(children) >= r:
             frames.append([union, size, children, 0])
@@ -147,8 +224,3 @@ def _search(masks, e, best_v, target):
         size = union.bit_count()
         start = j + 1
 
-
-def exists_config(host, v, e, guard=DEFAULT_GUARD):
-    """True iff host contains an (v, e)-configuration; short-circuits."""
-    result = min_span(host, e, guard=guard, _target=v)
-    return result.v <= v

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
@@ -6,11 +8,13 @@ import pytest
 from besforge import (
     GuardExceededError,
     ParameterError,
+    TripartiteLinearSystem,
     TripleSystem,
     exists_config,
     group_system,
     min_span,
     random_linear,
+    span_lower_bound,
     validate_linear,
     verify_configuration,
 )
@@ -132,11 +136,15 @@ def test_min_span_matches_the_recursive_reference():
     queries += [(ts, e) for ts in triple_systems for e in _queries(ts, 10)]
     checked = 0
     for lts, e in queries:
-        for target in (None, 3 * e - 2, 2 * e, e + 3):
+        targets = [None, 3 * e - 2, 2 * e, e + 3]
+        bound = span_lower_bound(lts, e)
+        if bound is not None:
+            targets += [bound - 1, bound]
+        for target in targets:
             got = min_span(lts, e, _target=target)
             assert (got.v, got.witness.edges) == _reference_min_span(lts, e, target)
             checked += 1
-    assert checked > 300
+    assert checked > 400
 
 
 def test_target_at_or_above_every_span_still_returns_a_witness():
@@ -152,7 +160,7 @@ def test_target_at_or_above_every_span_still_returns_a_witness():
         assert not exists_config(lts, least - 1, e)
 
 
-@pytest.mark.parametrize("e", [1599, 1600])
+@pytest.mark.parametrize("e", [1598, 1599, 1600])
 def test_min_span_with_e_close_to_the_edge_count(e):
     lts = group_system(40)
     assert lts.m == 1600 and comb(lts.m, e) <= DEFAULT_GUARD
@@ -166,3 +174,63 @@ def test_min_span_on_a_host_with_over_a_thousand_edges():
     assert min_span(lts, 1).v == 3
     assert min_span(lts, 2).v == 5
     assert exists_config(lts, 5, 2)
+
+
+def test_exists_config_below_the_lower_bound_answers_without_searching():
+    lts = group_system(40)
+    assert span_lower_bound(lts, 1598) == 120
+    assert not exists_config(lts, 119, 1598)
+    assert exists_config(lts, 120, 1598)
+    # the argument and guard checks come first, whatever v is
+    with pytest.raises(GuardExceededError):
+        exists_config(lts, 1, 4, guard=10)
+    with pytest.raises(ParameterError):
+        exists_config(lts, 1, 0)
+    with pytest.raises(ParameterError):
+        exists_config(lts, 1, 1601)
+
+
+def test_span_lower_bound_is_sound_and_mostly_tight():
+    hosts = [group_system(k) for k in range(3, 7)]
+    hosts += [random_linear(6, 6, 6, 30, seed=s) for s in range(4)]
+    checked = tight = 0
+    for lts in hosts:
+        for e in _queries(lts, 9):
+            bound, least = span_lower_bound(lts, e), min_span(lts, e).v
+            assert bound <= least
+            checked += 1
+            tight += bound == least
+    assert (checked, tight) == (66, 54)
+
+
+def _naive_lower_bound(lts, e):
+    """The least x + y + z over every triple of part counts that meets the
+    bound's rules, with degrees counted from the edges."""
+    degrees = [sorted(Counter(x[p] for x in lts.edges).values(), reverse=True) for p in range(3)]
+    return min(
+        x + y + z
+        for x, y, z in product(*(range(1, len(ds) + 1) for ds in degrees))
+        if min(x * y, x * z, y * z) >= e
+        and all(sum(ds[:k]) >= e for ds, k in zip(degrees, (x, y, z)))
+    )
+
+
+def test_span_lower_bound_matches_the_naive_minimum():
+    rng = random.Random(5)
+    for seed in range(20):
+        lts = random_linear(7, 5, 9, rng.randrange(5, 30), seed=seed)
+        for e in range(1, lts.m + 1):
+            assert span_lower_bound(lts, e) == _naive_lower_bound(lts, e)
+
+
+def test_span_lower_bound_is_gated_on_linear_tripartite_hosts():
+    assert span_lower_bound(_random_triple_system(0), 2) is None
+    # two edges through the pair (A0, B0) span 4, which x = y = 1 cannot meet
+    shared = TripartiteLinearSystem((1, 1, 2), ((0, 0, 0), (0, 0, 1)))
+    assert not validate_linear(shared)
+    assert span_lower_bound(shared, 2) is None
+    assert min_span(shared, 2).v == 4
+    with pytest.raises(ParameterError):
+        span_lower_bound(group_system(3), 0)
+    with pytest.raises(ParameterError):
+        span_lower_bound(group_system(3), 10)
