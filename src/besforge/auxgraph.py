@@ -74,9 +74,12 @@ class AuxGraph:
     def _joins(self, u, w):
         """The rows joining u and w, as a list, the straight one first: at
         most one of each pairing, as the index holds one hyperedge per
-        (a, b)."""
-        _, a1, a2 = u
-        _, b1, b2 = w
+        (a, b). Rows join an A pair-vertex u to a B pair-vertex w, so any
+        other pair of sides has none."""
+        side_u, a1, a2 = u
+        side_w, b1, b2 = w
+        if side_u != "A" or side_w != "B":
+            return []
         at = self._at
         rows = []
         for pairing, x, y in (("S", b1, b2), ("X", b2, b1)):
@@ -89,8 +92,10 @@ class AuxGraph:
     def kept_edge(self, u, w):
         """The multigraph edge that the pair graph's u-w edge stands for, as an
         AuxEdge: the straight one, else the crossed one; None when no edge
-        joins u and w. It is the first row of _joins, which states the
-        straight/crossed law once, for kept_edge and edges alike."""
+        joins u and w, and always None unless u is an A pair-vertex and w a
+        B pair-vertex. It is the first row of _joins, which states the side
+        rule and the straight/crossed law once, for kept_edge and edges
+        alike."""
         rows = self._joins(u, w)
         return AuxEdge._make(rows[0]) if rows else None
 

@@ -25,7 +25,7 @@ from .degsearch import STRATEGIES, find_dense_2deg
 from .driver import DriverParams, find_be_s_configuration
 from .errors import BesforgeError, FormatError, ParameterError
 from .girth import girth_of, grow_girth_graph, verify_certificate
-from .oracle import exists_config, min_span
+from .oracle import DEFAULT_GUARD, exists_config, min_span
 from .unpack import check_lemma_bounds, unpack
 
 
@@ -132,7 +132,7 @@ def build_parser():
     orc = sub.add_parser("oracle", parents=[inp, target],
                          help="exact minimum span by branch and bound")
     orc.add_argument("--v", type=int, default=None, help="existence query instead of minimum")
-    orc.add_argument("--guard", type=int, default=10**7)
+    orc.add_argument("--guard", type=int, default=DEFAULT_GUARD)
 
     gi = sub.add_parser("girth", help="grow or check high-girth degenerate graphs")
     gisub = gi.add_subparsers(dest="action", required=True)

@@ -47,19 +47,16 @@ of such a completion also adds at most ``slack`` new vertices on its own.
 Witness. Each prune removes only subtrees with no configuration below the
 best so far. The order and the strict-improvement rule are those of the
 plain branch and bound, so the witness is still the first configuration in
-DFS order that attains the minimum. With ``_target`` the search stops at the
-first record at or below it, which is again the first such configuration
-in that order. ``best_v`` starts one above the number of vertex keys, a
-span no configuration reaches, so the first complete configuration is
-always recorded, whatever ``_target`` is.
+DFS order that attains the minimum. ``best_v`` starts one above the number
+of vertex keys, a span no configuration reaches, so the first complete
+configuration is always recorded.
 
-The search also stops at the first record at or below the lower bound, so
-it stops at ``max(_target, bound)``. No configuration spans less than the
-bound, so such a record is an optimum. Records strictly improve, so it is
-the first optimum in DFS order: the witness the full search returns. Below
-the bound a ``_target`` can be met by nothing, and the full search would
-return that same optimum too. So ``(v, witness)`` is unchanged by the stop,
-with or without ``_target``.
+Stop. The search stops at the first record at or below its stop, which is
+again the first such configuration in that order. ``min_span`` stops at the
+lower bound. No configuration spans less, so such a record is an optimum.
+Records strictly improve, so it is the first optimum in DFS order: the
+witness the full search returns. So ``(v, witness)`` is unchanged by the
+stop. ``exists_config`` stops at its v, the first record that answers it.
 """
 
 from __future__ import annotations
@@ -79,19 +76,14 @@ class OracleResult:
     witness: Configuration
 
 
-def min_span(host, e, guard=DEFAULT_GUARD, _target=None):
+def min_span(host, e, guard=DEFAULT_GUARD):
     """Exact minimum v admitting a (v, e)-configuration in host, with witness.
 
-    If _target is given the search stops as soon as some configuration with
-    span <= _target is found (the returned v is then only an upper bound,
-    sufficient for existence queries). The search also stops at the first
-    record at or below span_lower_bound, which changes neither v nor the
-    witness.
+    The search stops at the first record at or below span_lower_bound,
+    which changes neither v nor the witness.
     """
     _check_query(host, e, guard)
-    bound = span_lower_bound(host, e)
-    stop = max((s for s in (_target, bound) if s is not None), default=None)
-    return _min_span(host, e, stop)
+    return _min_span(host, e, span_lower_bound(host, e))
 
 
 def exists_config(host, v, e, guard=DEFAULT_GUARD):

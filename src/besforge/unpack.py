@@ -152,7 +152,9 @@ def unpack(candidate, aux, host):
 
     `aux` is the multigraph whose pair graph the candidate was found in;
     each kept back-edge unpacks into aux.kept_edge of its pair. A repeated
-    vertex, or a back-neighbour no earlier step walked, raises IntegrityError.
+    vertex, a back-neighbour no earlier step walked, or a back-edge that aux
+    does not join (two pair-vertices of one side among them) raises
+    IntegrityError.
     Each step is checked against the step laws and then the involvement
     theorems, which raise AuditError, so a trace that unpack returns obeys
     both theorems.

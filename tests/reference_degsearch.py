@@ -6,9 +6,11 @@ as the reference for the exact search (degsearch._exhaustive_best, the
 from itertools import combinations
 from math import comb
 
-from besforge.degsearch import _ENUM_GUARD, _candidate, _induced
+from besforge.degsearch import _candidate, _induced
 from besforge.errors import GuardExceededError, ParameterError
 from besforge.graphs import ranked
+
+_ENUM_GUARD = 10**7  # the most k-vertex subsets it enumerates
 
 
 def brute_force_best_2deg(g, k, guard=_ENUM_GUARD):

@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import combinations
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -126,6 +127,9 @@ def test_kept_edge_matches_the_keyed_bisect():
         probes = [(u, w) for u in aux.a_vertices for w in aux.b_vertices]
         # part-local ids past the header: no key of them may alias another pair
         probes += [(last_u, ("B", lts.sizes[1], lts.sizes[1] + 1)), (past, aux.b_vertices[0])]
+        # rows join an A pair-vertex to a B one: same-side and (B, A) pairs have none
+        probes += [pair for side in (aux.a_vertices, aux.b_vertices) for pair in combinations(side, 2)]
+        probes += [(w, u) for u in aux.a_vertices for w in aux.b_vertices]
         for u, w in probes:
             want = _reference_kept_edge(aux, u, w)
             assert aux.kept_edge(u, w) == want

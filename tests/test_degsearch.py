@@ -9,6 +9,7 @@ import pytest
 from besforge import (
     CandidateF,
     Graph,
+    GuardExceededError,
     ParameterError,
     TripartiteLinearSystem,
     build_aux,
@@ -208,10 +209,42 @@ def test_validate_on_a_pair_graph_rejects_what_a_graph_copy_rejects():
     CandidateF((a01, b01), ((), (a01,))).validate(graph)
 
 
-def test_validate_rejects_a_same_side_pair():
+def test_validate_accepts_a_same_side_edge_its_host_has():
+    # validate checks the certificate on any graph; only a pair graph's own
+    # edges cross sides, and build_aux makes them so
     a01, a02 = ("A", 0, 1), ("A", 0, 2)
-    with pytest.raises(ParameterError, match="does not cross sides"):
-        CandidateF((a01, a02), ((), (a01,))).validate(Graph(edges=[(a01, a02)]))
+    CandidateF((a01, a02), ((), (a01,))).validate(Graph(edges=[(a01, a02)]))
+    triangle = Graph(edges=[((0, 1), (0, 2)), ((0, 2), (1, 3)), ((0, 1), (1, 3))])
+    assert find_dense_2deg(triangle, 3, 3).achieved_t == 3
+
+
+@pytest.mark.parametrize("strategy", ["peel", "exhaustive"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_tuple_names_search_as_their_order_preserving_relabelling(strategy, k):
+    rng = random.Random(k)
+    # names (i // 3, i % 3): each triple sharing a first coordinate is a
+    # triangle, and other pairs are joined at random
+    names = [divmod(i, 3) for i in range(9)]
+    ints = Graph(edges=[(i, j) for i in range(9) for j in range(i + 1, 9)
+                        if i // 3 == j // 3 or rng.random() < 0.5])
+    tuples = Graph(vertices=names, edges=[(names[i], names[j]) for i, j in ints.edges])
+    want = find_dense_2deg(ints, k, 2 * k - 3, strategy=strategy)
+    got = find_dense_2deg(tuples, k, 2 * k - 3, strategy=strategy)
+    assert got.candidate == CandidateF(tuple(names[v] for v in want.candidate.vertices),
+                                       tuple(tuple(names[u] for u in us) for us in want.candidate.back))
+    assert (got.success, got.budget_exhausted) == (want.success, want.budget_exhausted)
+    assert any(u[0] == v[0] for u, v in got.candidate.edges)
+
+
+def test_exhaustive_runs_to_20_vertices_and_refuses_more():
+    graph = simple_subgraph(build_aux(group_system(5)))
+    assert graph.n == 20
+    res = find_dense_2deg(graph, 4, 4, strategy="exhaustive")
+    assert res.success and res.achieved_t == 4
+    graph = simple_subgraph(build_aux(group_system(6)))
+    assert graph.n == 30
+    with pytest.raises(GuardExceededError, match=r"exhaustive search infeasible for n=30, k=4"):
+        find_dense_2deg(graph, 4, 4, strategy="exhaustive")
 
 
 def _parent_candidate_edges(verts, order, nbrs, key=None):

@@ -18,6 +18,7 @@ from besforge import (
     validate_linear,
     verify_configuration,
 )
+from besforge import oracle
 from besforge.oracle import DEFAULT_GUARD
 
 
@@ -136,12 +137,14 @@ def test_min_span_matches_the_recursive_reference():
     queries += [(ts, e) for ts in triple_systems for e in _queries(ts, 10)]
     checked = 0
     for lts, e in queries:
+        got = min_span(lts, e)
+        assert (got.v, got.witness.edges) == _reference_min_span(lts, e)
         targets = [None, 3 * e - 2, 2 * e, e + 3]
         bound = span_lower_bound(lts, e)
         if bound is not None:
             targets += [bound - 1, bound]
         for target in targets:
-            got = min_span(lts, e, _target=target)
+            got = oracle._min_span(lts, e, target)
             assert (got.v, got.witness.edges) == _reference_min_span(lts, e, target)
             checked += 1
     assert checked > 400
@@ -153,7 +156,7 @@ def test_target_at_or_above_every_span_still_returns_a_witness():
         least = min_span(lts, e).v
         for v in (3 * e, 3 * e + 1, 3 * e + 5):
             assert exists_config(lts, v, e)
-            got = min_span(lts, e, _target=v)
+            got = oracle._min_span(lts, e, v)
             assert got.witness.e == e and got.v == got.witness.v <= v
             assert (got.v, got.witness.edges) == _reference_min_span(lts, e, v)
         assert exists_config(lts, least, e)

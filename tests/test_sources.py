@@ -221,6 +221,47 @@ def test_every_definition_is_read_outside_the_tests():
     assert _unread_definitions(package, readers) == {}
 
 
+def _private_parameters(package):
+    """The parameters whose names start with '_' of the public top-level
+    functions of package (a dict of module name to ast) and of the public
+    or dunder methods of its top-level classes, by 'module.function.param'
+    or 'module.Class.method.param'."""
+    found = []
+    for module, tree in package.items():
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [
+            (f"{cls.name}.{item.name}", item)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for item in cls.body if isinstance(item, ast.FunctionDef)
+        ]
+        for name, node in defs:
+            method = name.rsplit(".", 1)[-1]
+            if method.startswith("_") and not method.endswith("__"):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            found += [f"{module}.{name}.{a.arg}" for a in params if a is not None and a.arg.startswith("_")]
+    return found
+
+
+def test_private_parameter_is_found():
+    tree = ast.parse(
+        "def f(a, _b, *_rest, c=1, _d=2, **_kw):\n    pass\n\n\ndef _g(_x):\n    pass\n\n\n"
+        "class A:\n    def __init__(self, _y):\n        pass\n\n    def m(self, /, _p, *, _k):\n"
+        "        pass\n\n    def _h(self, _z):\n        pass\n"
+    )
+    assert _private_parameters({"a": tree}) == [
+        "a.f._b", "a.f._d", "a.f._rest", "a.f._kw", "a.A.__init__._y", "a.A.m._p", "a.A.m._k",
+    ]
+
+
+def test_no_public_function_takes_a_private_parameter():
+    # a parameter that callers are told not to pass is an option that only
+    # the tests use; such a test calls the private routine instead
+    package = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCES.glob("*.py"))}
+    assert _private_parameters(package) == []
+
+
 def _serializes_self(cls):
     """Whether a method of cls passes self to vars() or asdict(), which
     reads every field without naming it."""

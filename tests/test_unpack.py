@@ -151,6 +151,15 @@ def test_missing_annotation_raises():
         unpack(F, lacking, lts)
 
 
+def test_a_same_side_back_edge_is_not_in_the_pair_multigraph():
+    lts = group_system(4)
+    aux = build_aux(lts)
+    a01, a23 = ("A", 0, 1), ("A", 2, 3)
+    assert aux.kept_edge(a01, a23) is None
+    with pytest.raises(IntegrityError, match="is not in the pair multigraph"):
+        unpack(CandidateF((a01, a23), ((), (a01,))), aux, lts)
+
+
 def test_a_hyperedge_missing_from_the_host_raises():
     lts, aux, graph = _fixture(3)
     u, w = graph.edges[0]
