@@ -89,6 +89,10 @@ class AuxGraph:
                 rows.append((u, w, h1[2], pairing, h1, h2))
         return rows
 
+    def has_vertex(self, v):
+        """Whether v is one of the supported pair-vertices."""
+        return self.graph.has_vertex(v)
+
     def kept_edge(self, u, w):
         """The multigraph edge that the pair graph's u-w edge stands for, as an
         AuxEdge: the straight one, else the crossed one; None when no edge

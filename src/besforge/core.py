@@ -105,6 +105,21 @@ class TripartiteLinearSystem:
             by_c.setdefault(c, []).append(i)
         return ids, {(name, v): xs for name, part in zip("ABC", parts) for v, xs in part.items()}
 
+    @cached_property
+    def is_linear(self):
+        """Whether validate_linear accepts the system, checked the first time
+        it is read."""
+        return bool(validate_linear(self))
+
+    @cached_property
+    def part_degrees(self):
+        """Per part, the degrees of its vertices that lie in an edge, largest
+        first, as a tuple: read from key_index the first time it is read."""
+        degrees = {"A": [], "B": [], "C": []}
+        for (part, _), ids in self.key_index[1].items():
+            degrees[part].append(len(ids))
+        return tuple(tuple(sorted(ds, reverse=True)) for ds in degrees.values())
+
     def edge_keys(self, edge):
         a, b, c = edge
         return (("A", a), ("B", b), ("C", c))

@@ -57,8 +57,9 @@ class RankedGraph:
 
     It answers every read-only Graph query (vertices, edges, n, m, has_edge
     and adjacency), which the CLI, the tests and CandidateF.validate make of
-    a pair graph. The name -> rank dict behind has_edge and the named
-    adjacency are made the first time they are read.
+    a pair graph, and has_vertex, which unpack makes. The name -> rank dict
+    behind has_vertex and has_edge and the named adjacency are made the
+    first time they are read.
     """
 
     def __init__(self, names, nbrs):
@@ -86,6 +87,9 @@ class RankedGraph:
     @cached_property
     def _rank(self):
         return dict(zip(self.names, range(len(self.names))))
+
+    def has_vertex(self, v):
+        return v in self._rank
 
     def has_edge(self, u, v):
         rank = self._rank

@@ -22,7 +22,9 @@ most the number of A vertices of positive degree; likewise y and z. The
 least x + y + z meeting all of these is ``span_lower_bound``. A host that
 is not tripartite, or that ``validate_linear`` rejects, gets ``None``: on
 the non-linear edges (0, 0, 0) and (0, 0, 1) two edges span 4, but x = y = 1
-breaks the pair rule.
+breaks the pair rule. The verdict and the sorted degrees are kept with the
+host (``is_linear`` and ``part_degrees``, as ``key_index`` is kept), so a
+ladder of queries on one host computes them once.
 
 Pruning. Let ``r`` be the number of edges still to pick and
 ``slack = best_v - 1 - |union|``: a strictly better completion adds at most
@@ -64,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import Configuration, TripartiteLinearSystem, validate_linear
+from .core import Configuration, TripartiteLinearSystem
 from .errors import GuardExceededError, ParameterError
 
 DEFAULT_GUARD = 10**7
@@ -101,16 +103,12 @@ def span_lower_bound(host, e):
     (the counting argument of the module docstring); None for any other
     host."""
     _check_query(host, e)
-    if not isinstance(host, TripartiteLinearSystem) or not validate_linear(host):
+    if not isinstance(host, TripartiteLinearSystem) or not host.is_linear:
         return None
-    degrees = {"A": [], "B": [], "C": []}
-    for (part, _), ids in host.key_index[1].items():
-        degrees[part].append(len(ids))
     # per part: the least count whose largest degrees sum to e or more, and
     # the count of vertices of positive degree
     lows = []
-    for ds in degrees.values():
-        ds.sort(reverse=True)
+    for ds in host.part_degrees:
         total = 0
         for least, d in enumerate(ds, 1):
             total += d

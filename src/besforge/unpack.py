@@ -151,16 +151,17 @@ def unpack(candidate, aux, host):
     """Run the unpacking process and return (Configuration, UnpackTrace).
 
     `aux` is the multigraph whose pair graph the candidate was found in;
-    each kept back-edge unpacks into aux.kept_edge of its pair. A repeated
-    vertex, a back-neighbour no earlier step walked, or a back-edge that aux
-    does not join (two pair-vertices of one side among them) raises
-    IntegrityError.
+    each kept back-edge unpacks into aux.kept_edge of its pair. A vertex that
+    is not a pair-vertex of aux, a repeated vertex, a back-neighbour no
+    earlier step walked, or a back-edge that aux does not join (two
+    pair-vertices of one side among them) raises IntegrityError.
     Each step is checked against the step laws and then the involvement
     theorems, which raise AuditError, so a trace that unpack returns obeys
     both theorems.
     """
     host_edges = host.edge_set
     kept_edge = aux.kept_edge
+    pair_vertex = aux.has_vertex
 
     walked = set()  # the vertices of the steps so far
     span_keys = set()
@@ -173,6 +174,8 @@ def unpack(candidate, aux, host):
     for i, (v, us) in enumerate(zip(candidate.vertices, candidate.back), start=1):
         if v in walked:
             raise IntegrityError(f"vertex {v} repeats in the candidate")
+        if not pair_vertex(v):
+            raise IntegrityError(f"vertex {v} is not a pair-vertex of the multigraph")
         anns = []
         for u in us:
             if u not in walked:

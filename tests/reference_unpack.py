@@ -126,6 +126,8 @@ def reference_unpack(candidate, aux, host):
     for i, (v, us) in enumerate(zip(candidate.vertices, candidate.back), start=1):
         if v in walked:
             raise IntegrityError(f"vertex {v} repeats in the candidate")
+        if not aux.has_vertex(v):
+            raise IntegrityError(f"vertex {v} is not a pair-vertex of the multigraph")
         anns = []
         for u in us:
             if u not in walked:

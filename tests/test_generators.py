@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from besforge import group_system, pair_map, random_linear, validate_linear
+from besforge import generators, group_system, pair_map, random_linear, validate_linear
 from besforge.errors import ParameterError
+from reference_generators import random_linear as reference_random_linear
 
 
 def test_group_system_smallest():
@@ -124,10 +125,58 @@ def test_random_linear_listing_phase_honours_the_target():
     ],
 )
 def test_saturating_edge_lists_are_pinned(sizes, target, digest):
-    # every call stops short of its target, so each one runs the listing phase
+    # every call stops short of its target, so each one ends at a maximality
+    # checkpoint or after the listing phase
     h = hashlib.sha256()
     for seed in range(10):
         lts = random_linear(*sizes, target, seed=seed)
         assert lts.m < target
         h.update(repr(lts.edges).encode())
     assert h.hexdigest() == digest
+
+
+# (sizes, target, seeds): saturating systems on small parts, the target
+# reached from the listed triples (seed 26 of (10, 10, 10), 85), and parts
+# where s = na*nb + na*nc + nb*nc >= 1,000, so no checkpoint fires, with a
+# saturating (30, 30, 30) target among them
+_CORPUS = [
+    ((2, 2, 2), 5, 40), ((4, 5, 3), 21, 40), ((5, 5, 5), 40, 40), ((8, 8, 8), 64, 40),
+    ((10, 10, 10), 85, 40), ((10, 10, 10), 101, 40), ((24, 24, 24), 320, 10),
+    ((30, 30, 30), 901, 4), ((60, 60, 60), 2000, 4),
+]
+
+
+@pytest.mark.parametrize("sizes, target, seeds", _CORPUS)
+def test_random_linear_matches_the_rejection_run_reference(sizes, target, seeds):
+    for seed in range(seeds):
+        lts = random_linear(*sizes, target, seed=seed)
+        assert lts == reference_random_linear(*sizes, target, seed=seed)
+
+
+def test_saturating_small_systems_stop_soon_after_their_last_edge(monkeypatch):
+    log = []
+    draw = generators.draw_below
+
+    def logged(bits, n, k):
+        r = draw(bits, n, k)
+        log.append(r)
+        return r
+
+    monkeypatch.setattr(generators, "draw_below", logged)
+    sampled = 0
+    for sizes, target in (((2, 2, 2), 5), ((4, 5, 3), 21), ((5, 5, 5), 40), ((10, 10, 10), 101)):
+        for seed in range(10):
+            log.clear()
+            lts = random_linear(*sizes, target, seed=seed)
+            assert lts.m < target
+            # sampling draws a triple at a time; an accepted triple is never
+            # drawn before, as its pairs were free then, and a triple drawn
+            # by sampling and rejected is never listed later
+            drawn = [tuple(log[i:i + 3]) for i in range(0, len(log) - 2, 3)]
+            accepted = [drawn.index(x) for x in lts.edges if x in drawn]
+            if len(accepted) < lts.m:
+                continue  # the last edges came from the listed triples
+            sampled += 1
+            after = len(log) - 3 * (max(accepted) + 1)
+            assert after < 3 * generators._REJECTION_RUN, (sizes, seed, after)
+    assert sampled >= 20

@@ -18,7 +18,7 @@ from besforge import (
     validate_linear,
     verify_configuration,
 )
-from besforge import oracle
+from besforge import core, oracle
 from besforge.oracle import DEFAULT_GUARD
 
 
@@ -237,3 +237,25 @@ def test_span_lower_bound_is_gated_on_linear_tripartite_hosts():
         span_lower_bound(group_system(3), 0)
     with pytest.raises(ParameterError):
         span_lower_bound(group_system(3), 10)
+
+
+def test_a_ladder_of_queries_checks_its_host_once(monkeypatch):
+    calls = []
+    check = core.validate_linear
+
+    def counting(system):
+        calls.append(system)
+        return check(system)
+
+    # the oracle's own name too, where a module holds one
+    for module in (core, oracle):
+        monkeypatch.setattr(module, "validate_linear", counting, raising=False)
+    lts = random_linear(6, 6, 6, 20, seed=4)
+    ladder = range(1, 9)
+    bounds = [span_lower_bound(lts, e) for e in ladder]
+    assert all(min_span(lts, e).v >= bound for e, bound in zip(ladder, bounds))
+    assert not any(exists_config(lts, bound - 1, e) for e, bound in zip(ladder, bounds))
+    assert calls == [lts]
+    # a host read for the first time is checked once more
+    assert span_lower_bound(random_linear(6, 6, 6, 20, seed=4), 3) == bounds[2]
+    assert len(calls) == 2

@@ -217,6 +217,30 @@ def test_a_later_back_neighbour_or_a_repeated_vertex_raises():
         unpack(CandidateF((u, w, u), ((), (u,), ())), aux, lts)
 
 
+# candidates on group_system(4) with one vertex that is not a pair-vertex of
+# its multigraph: a C-side name, an unsupported name and two malformed ones,
+# walked alone, at the end of a back-edge or as a back-edge's later end
+_NOT_PAIR_VERTICES = [
+    (("C", 0, 1), CandidateF((("C", 0, 1),), ((),))),
+    (("A", 0, 0), CandidateF((("A", 0, 0),), ((),))),
+    (("A", 0), CandidateF((("A", 0), ("B", 0, 1)), ((), (("A", 0),)))),
+    (("B", 0, 1, 2), CandidateF((("B", 0, 1, 2), ("A", 0, 1)), ((), (("B", 0, 1, 2),)))),
+    (("B", 0, 1, 2), CandidateF((("A", 0, 1), ("B", 0, 1, 2)), ((), (("A", 0, 1),)))),
+]
+
+
+@pytest.mark.parametrize("bad, cand", _NOT_PAIR_VERTICES)
+def test_a_vertex_that_is_not_a_pair_vertex_raises(bad, cand):
+    lts = group_system(4)
+    aux = build_aux(lts)
+    assert bad not in aux.a_vertices + aux.b_vertices
+    message = f"vertex {bad} is not a pair-vertex of the multigraph"
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        unpack(cand, aux, lts)
+    assert not aux.has_vertex(bad)
+    assert _walk(cand, aux, lts) == _reference_walk(cand, aux, lts)
+
+
 def test_prefix_sums_match_totals():
     lts, aux, graph = _fixture(4)
     res = find_dense_2deg(graph, 6, 12, strategy="peel")
@@ -261,8 +285,10 @@ def test_trace_json_field_names():
 
 def _stand_in(kept):
     """A multigraph stand-in whose kept edge of each candidate edge comes
-    from the dict kept, keyed by the canonical pair."""
-    return SimpleNamespace(kept_edge=lambda u, w: kept[u, w])
+    from the dict kept, keyed by the canonical pair, and whose pair-vertices
+    are the ends of those edges."""
+    return SimpleNamespace(has_vertex={v for pair in kept for v in pair}.__contains__,
+                           kept_edge=lambda u, w: kept[u, w])
 
 
 A01, A02, A23, B01, B02 = ("A", 0, 1), ("A", 0, 2), ("A", 2, 3), ("B", 0, 1), ("B", 0, 2)
@@ -350,9 +376,10 @@ def test_steps_are_named_tuples_equal_to_their_fields():
 
 
 # a phrase of each message that unpack's checks raise
-_CHECKS = ("repeats in the candidate", "is not an earlier vertex", "is not in the pair multigraph",
-           "absent from the host system", "out of range for d", "but dV=", "two distinct apexes",
-           "singular with dE=", "involved in steps", "no preceding good step")
+_CHECKS = ("repeats in the candidate", "is not a pair-vertex", "is not an earlier vertex",
+           "is not in the pair multigraph", "absent from the host system", "out of range for d",
+           "but dV=", "two distinct apexes", "singular with dE=", "involved in steps",
+           "no preceding good step")
 
 
 def _outcome(walk):
@@ -393,10 +420,12 @@ def _without(lts, gone):
 
 def _broken_copies(cand, aux, lts, graph, rng):
     """(candidate, multigraph, host) triples that fail one check each on the
-    way through cand: a repeated vertex, a later back-neighbour, an unjoined
-    pair, a multigraph or a host without one of the walk's hyperedges."""
+    way through cand: a repeated vertex, a C-side last vertex, a later
+    back-neighbour, an unjoined pair, a multigraph or a host without one of
+    the walk's hyperedges."""
     vs, back = cand.vertices, cand.back
     yield CandidateF(vs + (rng.choice(vs),), back + ((),)), aux, lts
+    yield CandidateF(vs[:-1] + (("C", *vs[-1][1:]),), back), aux, lts
     yield CandidateF(vs, ((vs[-1],),) + back[1:]), aux, lts
     far = [u for u in vs[:-1] if u[0] != vs[-1][0] and not graph.has_edge(u, vs[-1])]
     if far:
@@ -428,19 +457,22 @@ def test_unpack_matches_the_record_building_reference():
                 got = _walk(*case)
                 assert got == _reference_walk(*case)
                 outcomes[_outcome(got)] = outcomes.get(_outcome(got), 0) + 1
-    # the walks ran into a repeated vertex, a later back-neighbour, an
-    # unjoined pair and a hyperedge missing from the host
-    assert set(outcomes) == {"walked", *_CHECKS[:4]} and min(outcomes.values()) >= 20, outcomes
+    # the walks ran into a repeated vertex, a vertex that is not a
+    # pair-vertex, a later back-neighbour, an unjoined pair and a hyperedge
+    # missing from the host
+    assert set(outcomes) == {"walked", *_CHECKS[:5]} and min(outcomes.values()) >= 20, outcomes
     # and into each involvement theorem, broken by a stand-in
     for host, cand, kept, message in _BROKEN_THEOREMS.values():
         got = _walk(cand, _stand_in(kept), host)
         assert got == _reference_walk(cand, _stand_in(kept), host) and got[1] == message
 
 
-def _random_stand_in(rng):
+def _random_stand_in(rng, drops):
     """A small host, a candidate and a stand-in multigraph whose kept edges
     are drawn at random: some vertices repeat or keep later ones, some pairs
-    are unjoined, and some hyperedges lie outside the host."""
+    are unjoined, and some hyperedges lie outside the host. The random
+    stream drops decides which candidates have a vertex that the stand-in
+    does not hold, so the other draws follow rng alone."""
     pool = rng.sample([(a, b, c) for a in range(3) for b in range(3) for c in range(4)], 8)
     host = TripartiteLinearSystem((3, 3, 4), tuple(pool[:6]))
     names = [(side, p, q) for side in "AB" for p, q in combinations(range(3), 2)]
@@ -456,15 +488,19 @@ def _random_stand_in(rng):
         if rng.random() < 0.95:
             h1, h2 = (rng.choice(pool[:6] if rng.random() < 0.97 else pool) for _ in range(2))
             kept[u, w] = AuxEdge(u, w, rng.randrange(4), "S", h1, h2)
-    stand_in = SimpleNamespace(kept_edge=lambda u, w: kept.get((u, w)))
+    pair_vertices = set(names)
+    if drops.random() < 0.05:
+        pair_vertices.discard(drops.choice(vertices))
+    stand_in = SimpleNamespace(has_vertex=pair_vertices.__contains__,
+                               kept_edge=lambda u, w: kept.get((u, w)))
     return CandidateF(tuple(vertices), tuple(back)), stand_in, host
 
 
 def test_unpack_matches_the_reference_on_every_check():
-    rng = random.Random(3232)
+    rng, drops = random.Random(3232), random.Random(3233)
     outcomes = {}
     for _ in range(6000):
-        case = _random_stand_in(rng)
+        case = _random_stand_in(rng, drops)
         got = _walk(*case)
         assert got == _reference_walk(*case)
         outcomes[_outcome(got)] = outcomes.get(_outcome(got), 0) + 1
