@@ -111,7 +111,7 @@ def build_parser():
     gr.add_argument("--target", type=int, required=True)
     gr.add_argument("--out", default=None)
 
-    red = sub.add_parser("reduce", parents=[inp, target, seed, report],
+    red = sub.add_parser("reduce", parents=[inp, target, report],
                          help="reduce a triple system or win a trivial configuration")
     red.add_argument("--out", default=None, help="path for the reduced system")
 
@@ -172,7 +172,7 @@ def _cmd_reduce(args):
     if isinstance(system, TripartiteLinearSystem):
         # reduce_or_win reads global ids; 'p tls' ids are part-local
         system = to_triple_system(system)
-    result = reduce_or_win(system, args.e, seed=args.seed)
+    result = reduce_or_win(system, args.e)
     if result.is_win:
         payload = {
             "branch": "win",

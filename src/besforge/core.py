@@ -9,7 +9,6 @@ Vertex addressing conventions:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -233,8 +232,8 @@ def draw_below(bits, n, k):
     Needs n >= 1: at n = 0, bits(0) is 0 and the loop never ends, where
     randrange(0) raises. Each caller has n >= 1 already: random_linear checks
     its part sizes and picks from its list of fitting triples only while it
-    is non-empty, girth._pick_pair returns before it draws from fewer than
-    two vertices, and reduce_or_win draws one of 3 colours.
+    is non-empty, and girth._pick_pair returns before it draws from fewer
+    than two vertices.
     """
     r = bits(k)
     while r >= n:
@@ -257,42 +256,50 @@ class ReduceOrWin:
         return self.win is not None
 
 
-def _greedy_coloring(ts):
-    """First-fit rainbow 3-coloring; recovers a tripartition when one is easy."""
+def _sweep_coloring(ts):
+    """Sweep the vertices that edges name, in id order, until a sweep moves
+    none. An uncoloured vertex takes the colour that makes the most of its
+    edges rainbow, or able to become so while an end is uncoloured; a
+    coloured one moves only to a colour that makes strictly more of them
+    rainbow. Ties go to the smallest colour. Any other vertex x gets x % 3."""
+    ends = {}
+    for a, b, c in ts.edges:
+        ends.setdefault(a, []).append((b, c))
+        ends.setdefault(b, []).append((a, c))
+        ends.setdefault(c, []).append((a, b))
+    named = sorted(ends)
     color = {}
-    for e in ts.edges:
-        used = {color[x] for x in e if x in color}
-        for x in e:
-            if x in color:
-                continue
-            avail = [c for c in range(3) if c not in used]
-            c = avail[0] if avail else len(color) % 3
-            color[x] = c
-            used.add(c)
-    for x in range(ts.n):
-        color.setdefault(x, x % 3)
-    return tuple(color[x] for x in range(ts.n))
+    moved = True
+    while moved:
+        moved = False
+        for v in named:
+            # score[k]: v's edges that are rainbow, or can still become so,
+            # if v takes colour k; an uncoloured end (None) takes any colour
+            score = [0, 0, 0]
+            for p, q in ends[v]:
+                cp, cq = color.get(p), color.get(q)
+                if cp is None or cp != cq:
+                    for k in {0, 1, 2} - {cp, cq}:
+                        score[k] += 1
+            best = score.index(max(score))
+            old = color.get(v)
+            if old is None or score[best] > score[old]:
+                color[v] = best
+                moved = True
+    return tuple([color.get(x, x % 3) for x in range(ts.n)])
 
 
-def _colorings(ts, seed):
-    """The candidate colourings in order: first-fit, then 20 seeded uniform ones."""
-    yield _greedy_coloring(ts)
-    for i in range(20):
-        bits = random.Random(f"{seed}:{i}").getrandbits
-        yield tuple([draw_below(bits, 3, 2) for _ in range(ts.n)])
-
-
-def reduce_or_win(ts, e, seed=0):
+def reduce_or_win(ts, e):
     """Either find e edges through one pair (a trivial (e+2, e)-configuration)
     or reduce ts to a linear tripartite subsystem.
 
-    The reduction 3-colors vertices (one deterministic first-fit candidate,
-    then 20 seeded uniform candidates, each scored as it is made; the first
-    with the most properly tripartite edges is kept, with those edges) and
-    then keeps edges greedily so no vertex pair repeats. Since in the
-    reduction branch every pair lies in at most e-1 edges, each kept edge
-    blocks at most 3(e-2) others, so at least a 1/(3e-5) fraction of the
-    properly tripartite edges is retained.
+    The reduction 3-colours the vertices (_sweep_coloring) and keeps the
+    rainbow edges greedily, in sorted order, so that no vertex pair repeats.
+    The sweeps end: the first colours each named vertex once, and every
+    later move raises the number of rainbow edges, which is at most m. Since
+    in the reduction branch every pair lies in at most e-1 edges, each kept
+    edge blocks at most 3(e-2) others, so at least a 1/(3e-5) fraction of
+    the rainbow edges is retained.
     """
     if e < 1:
         raise ParameterError("e must be positive")
@@ -303,15 +310,8 @@ def reduce_or_win(ts, e, seed=0):
         chosen = sorted(pm[pair])[:e]
         return ReduceOrWin(win=Configuration.from_edges(ts, chosen))
 
-    coloring = tri_edges = None
-    for col in _colorings(ts, seed):
-        rainbow = [x for x in ts.edges if len({col[x[0]], col[x[1]], col[x[2]]}) == 3]
-        # only a strictly larger count replaces: max's first-maximum rule
-        if tri_edges is None or len(rainbow) > len(tri_edges):
-            coloring, tri_edges = col, rainbow
-
-    rng = random.Random(f"{seed}:block")
-    rng.shuffle(tri_edges)
+    coloring = _sweep_coloring(ts)
+    tri_edges = [x for x in ts.edges if len({coloring[v] for v in x}) == 3]
     used_pairs = set()
     kept = []
     for x in tri_edges:

@@ -69,7 +69,7 @@ def grow_girth_graph(k, t, g, seed=0):
     rng = random.Random(seed)
     graph = Graph()
     # the growth writes the graph's own adjacency sets, vertex by vertex, so
-    # graph.n and graph.degree stay current for _pick_pair
+    # the adjacency that _pick_pair's distance tests read stays current
     adj = graph.adjacency()
     # per side, the members of degree at most _PAIR_DEGREE_CAP in insertion
     # order: exactly the vertices a new vertex of the other side may attach to

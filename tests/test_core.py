@@ -228,30 +228,36 @@ def test_draw_below_is_randrange():
 def test_reduce_or_win_star_wins():
     edges = tuple((0, 1, x) for x in range(2, 7))
     ts = TripleSystem(7, edges)
-    result = reduce_or_win(ts, 5, seed=0)
+    result = reduce_or_win(ts, 5)
     assert result.is_win
     assert result.win.e == 5 and result.win.v == 7
     assert verify_configuration(ts, result.win, 7, 5)
 
 
 def test_reduce_or_win_identity_on_tripartite_linear_input():
-    ts = to_triple_system(group_system(3))
-    result = reduce_or_win(ts, 4, seed=0)
-    assert not result.is_win
-    assert result.kept_edges == ts.m == 9
-    assert result.tripartite_edges == 9
-    assert validate_linear(result.reduction).ok
+    # A ids come before B ids, which come before C ids, so the first sweep
+    # colours A, B and C one colour each and every edge is rainbow
+    for m in range(1, 11):
+        lts = group_system(m)
+        for e in (2, 5):
+            result = reduce_or_win(to_triple_system(lts), e)
+            assert result.reduction == lts, (m, e)
+            assert result.kept_edges == result.tripartite_edges == lts.m
+    for seed in range(6):
+        # some vertices lie in no edge and take x % 3
+        ts = to_triple_system(random_linear(9, 10, 11, 60, seed=seed))
+        result = reduce_or_win(ts, 3)
+        assert result.kept_edges == result.tripartite_edges == ts.m, seed
+        assert validate_linear(result.reduction).ok
 
 
 def test_reduce_or_win_random_reduction_is_linear_tripartite():
-    import random
-
     rng = random.Random(99)
     edges = set()
     while len(edges) < 200:
         edges.add(tuple(sorted(rng.sample(range(30), 3))))
     ts = TripleSystem(30, tuple(edges))
-    result = reduce_or_win(ts, 10, seed=1)
+    result = reduce_or_win(ts, 10)
     if result.is_win:
         assert verify_configuration(ts, result.win, 12, 10)
         return
@@ -271,33 +277,26 @@ def test_reduce_or_win_random_reduction_is_linear_tripartite():
 
 def test_reduce_or_win_degenerate_input():
     with pytest.raises(DegenerateInputError):
-        reduce_or_win(TripleSystem(5, ()), 3, seed=0)
+        reduce_or_win(TripleSystem(5, ()), 3)
 
 
-def _reference_reduce_or_win(ts, e, seed=0):
-    """reduce_or_win as it held all 21 candidate colourings and took their
-    max, then renumbered the parts through sorted part lists and dicts;
-    returns the result and each candidate's tripartite edge count."""
+def _reference_win(ts, e):
+    """The win of reduce_or_win, or None when no pair lies in e edges."""
     pm = pair_map(ts)
     heavy = sorted(p for p, hits in pm.items() if len(hits) >= e)
     if heavy:
-        chosen = sorted(pm[heavy[0]])[:e]
-        return ReduceOrWin(win=Configuration.from_edges(ts, chosen)), []
+        return ReduceOrWin(win=Configuration.from_edges(ts, sorted(pm[heavy[0]])[:e]))
+    return None
 
-    def tripartite_count(coloring):
-        return sum(1 for x in ts.edges if len({coloring[v] for v in x}) == 3)
 
-    candidates = [core._greedy_coloring(ts)]
-    for i in range(20):
-        bits = random.Random(f"{seed}:{i}").getrandbits
-        candidates.append(tuple([draw_below(bits, 3, 2) for _ in range(ts.n)]))
-    counts = [tripartite_count(c) for c in candidates]
-    coloring = max(candidates, key=tripartite_count)
+def _reference_reduction(ts, coloring, shuffle=None):
+    """The reduction that keeps the rainbow edges of coloring greedily, in
+    sorted order or after shuffle(edges), and renumbers each part through a
+    sorted list and a dict."""
     tri_edges = [x for x in ts.edges if len({coloring[v] for v in x}) == 3]
-
-    rng = random.Random(f"{seed}:block")
     order = list(tri_edges)
-    rng.shuffle(order)
+    if shuffle is not None:
+        shuffle(order)
     used_pairs = set()
     kept = []
     for x in order:
@@ -314,9 +313,72 @@ def _reference_reduce_or_win(ts, e, seed=0):
         a, b, c = sorted(x, key=lambda v: coloring[v])
         edges.append((local[0][a], local[1][b], local[2][c]))
     lts = TripartiteLinearSystem(tuple(len(p) for p in parts), tuple(edges))
-    result = ReduceOrWin(reduction=lts, tripartite_edges=len(tri_edges),
-                         kept_edges=len(kept), coloring=coloring)
-    return result, counts
+    return ReduceOrWin(reduction=lts, tripartite_edges=len(tri_edges),
+                       kept_edges=len(kept), coloring=coloring)
+
+
+def _first_fit(ts):
+    """First-fit rainbow 3-colouring in edge order; x % 3 for a vertex no
+    edge names."""
+    color = {}
+    for e in ts.edges:
+        used = {color[x] for x in e if x in color}
+        for x in e:
+            if x in color:
+                continue
+            avail = [c for c in range(3) if c not in used]
+            c = avail[0] if avail else len(color) % 3
+            color[x] = c
+            used.add(c)
+    return tuple(color.get(x, x % 3) for x in range(ts.n))
+
+
+def _reference_reduce_or_win(ts, e, seed=0):
+    """reduce_or_win as it scored 21 candidate colourings (first-fit, then 20
+    seeded uniform ones), kept the first best and blocked its rainbow edges
+    in a seeded shuffle; returns the result and each candidate's tripartite
+    edge count."""
+    win = _reference_win(ts, e)
+    if win is not None:
+        return win, []
+
+    def tripartite_count(coloring):
+        return sum(1 for x in ts.edges if len({coloring[v] for v in x}) == 3)
+
+    candidates = [_first_fit(ts)]
+    for i in range(20):
+        bits = random.Random(f"{seed}:{i}").getrandbits
+        candidates.append(tuple([draw_below(bits, 3, 2) for _ in range(ts.n)]))
+    counts = [tripartite_count(c) for c in candidates]
+    coloring = max(candidates, key=tripartite_count)
+    return _reference_reduction(ts, coloring, random.Random(f"{seed}:block").shuffle), counts
+
+
+def _naive_sweep_coloring(ts):
+    """_sweep_coloring's rule, with each trial colour of a vertex scored by
+    recounting every edge of ts: an edge counts when the colours of its
+    coloured vertices are distinct, so a fully coloured edge counts when it
+    is rainbow. Edges away from the vertex add the same to every trial."""
+    def live(color):
+        count = 0
+        for x in ts.edges:
+            cs = [color[v] for v in x if v in color]
+            count += len(set(cs)) == len(cs)
+        return count
+
+    named = sorted({v for x in ts.edges for v in x})
+    color = {}
+    changed = True
+    while changed:
+        changed = False
+        for v in named:
+            scores = [live({**color, v: k}) for k in range(3)]
+            best = scores.index(max(scores))
+            old = color.get(v)
+            if old is None or scores[best] > scores[old]:
+                color[v] = best
+                changed = True
+    return tuple(color.get(x, x % 3) for x in range(ts.n))
 
 
 def _relabelled(ts, n, seed):
@@ -325,26 +387,72 @@ def _relabelled(ts, n, seed):
     return TripleSystem(n, tuple(tuple(image[v] for v in x) for x in ts.edges))
 
 
-def test_reduce_or_win_matches_the_all_candidates_reference():
-    hosts = [_relabelled(to_triple_system(group_system(m)), 3 * m, m) for m in range(4, 9)]
-    hosts += [_relabelled(to_triple_system(random_linear(8, 8, 8, 40, seed=s)), 24, s) for s in range(3)]
+def _random_triples(n, m, seed, linear):
+    """m seeded random triples on n vertices; a linear draw rejects a triple
+    that repeats a pair."""
+    rng = random.Random(seed)
+    edges, pairs = set(), set()
+    while len(edges) < m:
+        x = tuple(sorted(rng.sample(range(n), 3)))
+        new = set(combinations(x, 2))
+        if linear and new & pairs:
+            continue
+        edges.add(x)
+        pairs |= new
+    return TripleSystem(n, tuple(edges))
+
+
+def _seeded_corpus():
+    """Group and random_linear hosts, plain and relabelled, and random
+    linear and non-linear 3-graphs."""
+    hosts = []
+    for m in range(4, 9):
+        ts = to_triple_system(group_system(m))
+        hosts += [ts, _relabelled(ts, 3 * m, m)]
+    for s in range(3):
+        ts = to_triple_system(random_linear(8, 8, 8, 40, seed=s))
+        hosts += [ts, _relabelled(ts, 24, s)]
+    ts = to_triple_system(random_linear(12, 12, 12, 90, seed=0))
+    hosts += [ts, _relabelled(ts, 36, 1)]
     # 16 of 40 vertices named by no edge
     hosts.append(_relabelled(to_triple_system(random_linear(4, 4, 4, 12, seed=5)), 40, 5))
-    tied = wins = 0
-    for ts in hosts:
-        for e in (1, 3):
+    hosts += [_random_triples(30, 60, s, linear=True) for s in range(2)]
+    hosts += [_random_triples(12, 60, s, linear=False) for s in range(2)]
+    return hosts
+
+
+def test_reduce_or_win_is_never_below_the_all_candidates_reference():
+    wins = better = 0
+    for ts in _seeded_corpus():
+        for e in (1, 3, 12):
+            got = reduce_or_win(ts, e)
             for seed in range(4):
-                want, counts = _reference_reduce_or_win(ts, e, seed)
-                got = reduce_or_win(ts, e, seed)
-                for field in fields(ReduceOrWin):
-                    assert getattr(got, field.name) == getattr(want, field.name), (ts, e, seed, field.name)
+                want, _ = _reference_reduce_or_win(ts, e, seed)
                 if want.is_win:
+                    assert got == want, (ts, e)
                     wins += 1
-                else:
-                    tied += counts.count(max(counts)) >= 2
-    assert wins == len(hosts) * 4
-    # some maximum is reached by two candidates, so the first-maximum rule is tested
-    assert tied >= 1
+                    continue
+                assert not got.is_win
+                assert got.tripartite_edges >= want.tripartite_edges, (ts, e, seed)
+                better += got.tripartite_edges > want.tripartite_edges
+    assert wins >= len(_seeded_corpus()) * 4
+    assert better >= 1
+
+
+def test_reduce_or_win_colours_as_the_naive_reference():
+    hosts = [_relabelled(to_triple_system(group_system(m)), 3 * m + 2, m) for m in (4, 5)]
+    hosts += [_relabelled(to_triple_system(random_linear(6, 6, 6, 20, seed=s)), 20, s)
+              for s in range(3)]
+    hosts += [_random_triples(16, 24, s, linear=True) for s in range(3)]
+    hosts += [_random_triples(10, 40, s, linear=False) for s in range(3)]
+    for ts in hosts:
+        want = _naive_sweep_coloring(ts)
+        assert core._sweep_coloring(ts) == want, ts
+        for e in (3, 12):
+            got = reduce_or_win(ts, e)
+            ref = _reference_win(ts, e) or _reference_reduction(ts, want)
+            for field in fields(ReduceOrWin):
+                assert getattr(got, field.name) == getattr(ref, field.name), (ts, e, field.name)
 
 
 def test_reduce_or_win_holds_one_best_colouring():

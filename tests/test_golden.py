@@ -189,7 +189,7 @@ CLI_CASES = {
     "gen/random": ("gen", "random", "--na", "6", "--nb", "7", "--nc", "8",
                    "--target", "20", "--seed", "5", "--out", "{tmp}/out.tls"),
     "reduce/win": ("reduce", "--input", "{tmp}/mod3.ts", "--e", "3", *_REPORT),
-    "reduce/reduction": ("reduce", "--input", "{tmp}/mod3.ts", "--e", "4", "--seed", "2",
+    "reduce/reduction": ("reduce", "--input", "{tmp}/mod3.ts", "--e", "4",
                          "--out", "{tmp}/out.tls", *_REPORT),
     "aux": ("aux", "--input", "{tmp}/g5.tls", "--out", "{tmp}/out.aux", *_REPORT),
     **{f"findf/{s}": ("findf", "--input", "{tmp}/g5.tls", "--k", "7", "--t", "3",

@@ -473,6 +473,19 @@ def test_cli_reduce_flattens_a_tls_input(tmp_path, capsys):
     assert textio.loads_system(out.read_text()).m == 9
 
 
+def test_cli_reduce_takes_no_seed(tmp_path, monkeypatch, capsys):
+    host = tmp_path / "g3.ts"
+    host.write_text(textio.dumps_system(to_triple_system(group_system(3))))
+    argv = ["reduce", "--input", str(host), "--e", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 2" in capsys.readouterr().err
+    # nor does it read BESFORGE_SEED
+    monkeypatch.setenv("BESFORGE_SEED", "x")
+    assert main(argv) == 0
+
+
 def test_cli_verify_ts_host_ignores_triple_order(tmp_path, capsys):
     host = tmp_path / "g3.ts"
     host.write_text(textio.dumps_system(to_triple_system(group_system(3))))
